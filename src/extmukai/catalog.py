@@ -29,7 +29,7 @@ from .spaces import (
     b_field,
     custom_type,
     k3_surface_type,
-    k3n_lattices,
+    k3n_tilde_vectors,
 )
 
 
@@ -69,11 +69,6 @@ def k3_extended_space():
     return ExtMukaiSpace(k3_surface_type())
 
 
-def _k3n_vectors(space):
-    lats = k3n_lattices(space)
-    return lats.alpha_tilde, lats.delta_tilde
-
-
 def action(space, key, lam=None, g=None, genus=None):
     """Build a cataloged NamedAction on the given K3n-type space.
 
@@ -102,7 +97,7 @@ def action(space, key, lam=None, g=None, genus=None):
         return NamedAction(key, space, iso, 1 if even else None,
                            "tensor by a line bundle")
 
-    alpha_tilde, delta_tilde = _k3n_vectors(space)
+    alpha_tilde, delta_tilde = k3n_tilde_vectors(space)
     sign = Q(-1) ** (n + 1)
 
     if key == "sign_equivalence":

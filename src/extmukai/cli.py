@@ -312,6 +312,8 @@ def cmd_transport(args):
 
 
 def cmd_group(args):
+    if args.depth < 0:
+        raise InputError("--depth must be >= 0")
     space = _make_space(args)
     gens = [parse_isometry(space, s) for s in args.gens.split(";") if s]
     got = generate_bounded(gens, args.depth, cap=args.cap)
@@ -380,9 +382,18 @@ def cmd_moduli(args):
     else:
         with open(args.input) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data["ns"], dict):
+        raise InputError("moduli input must be an object with an object \"ns\"")
     ns = lattice_from_json(data["ns"])
     lat = AlgebraicMukaiLattice(ns.gram)
-    v = lat.vector(data["v"][0], data["v"][1:-1], data["v"][-1])
+    v = data["v"]
+    if (
+        not isinstance(v, list)
+        or len(v) != lat.rank
+        or not all(isinstance(c, (int, float, str)) for c in v)
+    ):
+        raise InputError("v must be a list of %d numbers (r, c..., s)" % lat.rank)
+    v = lat.vector(v[0], v[1:-1], v[-1])
     fine, order = fineness(lat, v)
     ns_m = ns_of_moduli(lat, v)
     payload = {

@@ -20,6 +20,7 @@ from .lattice import NotFound, discriminant_group, divisibility, is_primitive
 from .linalg import (
     Mat,
     Q,
+    congruence_diagonalize,
     vec_add,
     vec_is_zero,
     vec_primitive_part,
@@ -49,8 +50,7 @@ class QuadSpace:
         return self._gram_inv
 
     def pairing(self, x, y):
-        gy = self.gram.apply(y)
-        return sum((a * b for a, b in zip(x, gy)), Q(0))
+        return self.gram.bilinear(x, y)
 
     def norm(self, x):
         return self.pairing(x, x)
@@ -61,7 +61,8 @@ class QuadSpace:
     def positive_basis(self):
         """A basis of a maximal positive-definite subspace (cached)."""
         if self._pos_basis is None:
-            self._pos_basis = _diagonalizing_positive_basis(self.gram)
+            diag, trans = congruence_diagonalize(self.gram)
+            self._pos_basis = [trans.row(i) for i, d in enumerate(diag) if d > 0]
         return self._pos_basis
 
     def __eq__(self, other):
@@ -69,56 +70,6 @@ class QuadSpace:
 
     def __hash__(self):
         return hash(self.gram)
-
-
-def _diagonalizing_positive_basis(gram):
-    """Vectors b_i with b(b_i, b_j) = 0 (i != j) and b(b_i, b_i) > 0 spanning
-    a maximal positive subspace; found by congruence elimination."""
-    n = gram.rows
-    m = [list(r) for r in gram.entries()]
-    trans = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    out = []
-    for step in range(n):
-        p = None
-        for i in range(step, n):
-            if m[i][i] != 0:
-                p = i
-                break
-        if p is None:
-            pair = None
-            for i in range(step, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break
-            i, j = pair
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            trans[i] = [a + b for a, b in zip(trans[i], trans[j])]
-            p = i
-        if p != step:
-            m[step], m[p] = m[p], m[step]
-            for row in m:
-                row[step], row[p] = row[p], row[step]
-            trans[step], trans[p] = trans[p], trans[step]
-        d = m[step][step]
-        if d > 0:
-            out.append(tuple(trans[step]))
-        for i in range(step + 1, n):
-            if m[i][step] != 0:
-                f = m[i][step] / d
-                for k in range(n):
-                    m[i][k] -= f * m[step][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][step]
-                trans[i] = [a - f * b for a, b in zip(trans[i], trans[step])]
-    return out
 
 
 class Isometry:
@@ -187,11 +138,10 @@ def reflection(space, v):
     q = space.norm(v)
     if q == 0:
         raise IsometryError("isotropic vector")
-    cols = []
-    for j in range(space.dim):
-        e = space.basis_vector(j)
-        c = 2 * space.pairing(e, v) / q
-        cols.append(vec_sub(e, vec_scale(c, v)))
+    gv = space.gram.apply(v)  # b(e_j, v) for every basis vector e_j
+    cols = [
+        vec_sub(space.basis_vector(j), vec_scale(2 * gv[j] / q, v)) for j in range(space.dim)
+    ]
     return Isometry(space, Mat.from_columns(cols), check=False)
 
 
@@ -206,23 +156,15 @@ def eichler_transvection(space, e, a):
     if space.pairing(e, a) != 0:
         raise IsometryError("a must be orthogonal to e")
     half_qa = space.norm(a) / 2
+    ge, ga = space.gram.apply(e), space.gram.apply(a)  # b(e, e_j), b(a, e_j)
     cols = []
     for j in range(space.dim):
         x = space.basis_vector(j)
-        be = space.pairing(e, x)
-        ba = space.pairing(a, x)
+        be, ba = ge[j], ga[j]
         img = vec_add(x, vec_scale(-ba - half_qa * be, e))
         img = vec_add(img, vec_scale(be, a))
         cols.append(img)
     return Isometry(space, Mat.from_columns(cols), check=False)
-
-
-def apply_transvection(space, e, a, v):
-    """t(e, a)(v) without building the matrix."""
-    be = space.pairing(e, v)
-    ba = space.pairing(a, v)
-    img = vec_add(v, vec_scale(-ba - (space.norm(a) / 2) * be, e))
-    return vec_add(img, vec_scale(be, a))
 
 
 # -- Cartan-Dieudonne ---------------------------------------------------------
@@ -341,41 +283,43 @@ def spinor_norm_from_reflections(space, vectors):
 
 
 def preserves_lattice(g, lat):
-    """True iff g(L) = L as subsets of the ambient space."""
+    """True iff g(L) = L as subsets of the ambient space.
+
+    When the Gram G_L of L is nondegenerate, g(L) in L is enough: the matrix
+    M of g on L is then integral with M^T G_L M = G_L, so det M = +-1 and
+    M^{-1} is integral too.  A degenerate G_L needs g^{-1}(L) in L as well.
+    """
     if lat.basis_in_ambient is None:
         raise IsometryError("lattice must be embedded in the isometry's space")
     if lat.ambient_gram != g.space.gram:
         raise IsometryError("dimension mismatch")
+    one_way = lat.is_nondegenerate()
     if lat.rank == g.space.dim:
-        # full rank: conjugate into lattice coordinates, check both directions
+        # full rank: conjugate into lattice coordinates
         lat.coords_of_ambient(g.space.basis_vector(0))  # prime the basis cache
         c = lat._basis_t
         cinv = lat._basis_t_inv
-        m = cinv * g.matrix * c
-        if not m.is_integral():
+        if not (cinv * g.matrix * c).is_integral():
             return False
-        minv = cinv * g.inverse().matrix * c
-        return minv.is_integral()
-    for i in range(lat.rank):
-        img = g(lat.basis_in_ambient.row(i))
-        if not lat.contains_ambient(img):
-            return False
-    ginv = g.inverse()
-    for i in range(lat.rank):
-        img = ginv(lat.basis_in_ambient.row(i))
-        if not lat.contains_ambient(img):
-            return False
-    return True
+        return one_way or (cinv * g.inverse().matrix * c).is_integral()
+    maps = (g,) if one_way else (g, g.inverse())
+    return all(
+        lat.contains_ambient(h(lat.basis_in_ambient.row(i)))
+        for h in maps
+        for i in range(lat.rank)
+    )
 
 
 def lattice_witness(g, lat):
-    """A basis vector of L whose image leaves L, or None."""
+    """A basis vector of L whose image leaves L (for a degenerate Gram of L,
+    possibly the preimage of one that leaves L), or None."""
+    ginv = None if lat.is_nondegenerate() else g.inverse()
     for i in range(lat.rank):
         v = lat.basis_in_ambient.row(i)
         if not lat.contains_ambient(g(v)):
             return v
-        if not lat.contains_ambient(g.inverse()(v)):
-            return g.inverse()(v)
+        if ginv is not None and not lat.contains_ambient(ginv(v)):
+            return ginv(v)
     return None
 
 
@@ -444,47 +388,16 @@ class TransvectionWord:
     def __init__(self, carrier, pairs):
         self.carrier = carrier
         self.pairs = list(pairs)
-        self._int_gram = None
 
     def apply(self, v):
-        if (
-            self.carrier.gram.is_integral()
-            and all(c.denominator == 1 for c in v)
-            and all(
-                c.denominator == 1 for e, a in self.pairs for c in (*e, *a)
-            )
-        ):
-            return self._apply_int(v)
+        v = tuple(Q(c) for c in v)
         for e, a in self.pairs:
             be = self.carrier.pairing(e, v)
-            ba = self.carrier.pairing(a, v)
-            v = vec_add(v, vec_scale(-ba - (self.carrier.norm(a) / 2) * be, e))
-            v = vec_add(v, vec_scale(be, a))
+            ce = -self.carrier.pairing(a, v) - self.carrier.norm(a) / 2 * be
+            v = tuple(
+                x + ce * ei + be * ai if ei or ai else x for x, ei, ai in zip(v, e, a)
+            )
         return v
-
-    def _apply_int(self, v):
-        if self._int_gram is None:
-            self._int_gram = [[int(x) for x in row] for row in self.carrier.gram.entries()]
-        G = self._int_gram
-
-        def pair(x, y):
-            return sum(xi * sum(g * yj for g, yj in zip(G[i], y)) for i, xi in enumerate(x) if xi)
-
-        w = tuple(int(c) for c in v)
-        for e, a in self.pairs:
-            e = tuple(int(c) for c in e)
-            a = tuple(int(c) for c in a)
-            be = pair(e, w)
-            ba = pair(a, w)
-            qa = pair(a, a)
-            ce = -ba - (qa // 2) * be if qa % 2 == 0 else None
-            if ce is None:
-                coef = -Q(ba) - Q(qa, 2) * be
-                w = tuple(Q(wi) + coef * ei + be * ai for wi, ei, ai in zip(w, e, a))
-                w = tuple(Q(c) for c in w)
-            else:
-                w = tuple(wi + ce * ei + be * ai for wi, ei, ai in zip(w, e, a))
-        return tuple(Q(c) for c in w)
 
     def inverse(self):
         return TransvectionWord(
@@ -545,7 +458,6 @@ class _Reducer:
         if not lat.is_even():
             raise IsometryError("transport needs an even integral lattice")
         self.lat = lat
-        self.G = [[int(x) for x in row] for row in lat.gram.entries()]
         self.rest = rest
         self.E1 = self._unit(p1[0])
         self.F1 = self._unit(p1[1], p1[2])
@@ -560,8 +472,7 @@ class _Reducer:
         return tuple(u)
 
     def _pair(self, x, y):
-        G = self.G
-        return sum(xi * sum(g * yj for g, yj in zip(G[i], y)) for i, xi in enumerate(x) if xi)
+        return self.lat.gram.bilinear(x, y).numerator
 
     # elementary actions -----------------------------------------------------
 

@@ -10,11 +10,13 @@ order, the K3 lattice U^3 + E8(-1)^2, rank-one lattices <k>, and the rank-24
 Mukai lattice U + K3 with pairing <(r,c,s),(r',c',s')> = c.c' - rs' - r's.
 """
 
+from itertools import product
 from math import gcd
 
 from .linalg import (
     Mat,
     Q,
+    congruence_diagonalize,
     integer_kernel_basis,
     kernel_basis,
     saturation_basis,
@@ -41,6 +43,7 @@ class QuadLattice:
         self.ambient_gram = ambient_gram
         self._basis_t = None
         self._basis_t_inv = None
+        self._nondegenerate = None
         if basis_in_ambient is not None:
             if ambient_gram is None:
                 raise LatticeError("embedded lattice needs the ambient gram")
@@ -58,10 +61,7 @@ class QuadLattice:
 
     def pairing(self, x, y):
         """Gram pairing of two vectors given in lattice coordinates."""
-        return sum(
-            xi * sum(self.gram[i, j] * y[j] for j in range(self.rank))
-            for i, xi in enumerate(x)
-        )
+        return self.gram.bilinear(x, y)
 
     def norm(self, x):
         return self.pairing(x, x)
@@ -95,9 +95,16 @@ class QuadLattice:
     def det(self):
         return self.gram.det()
 
+    def is_nondegenerate(self):
+        """det(gram) != 0, computed once per lattice."""
+        if self._nondegenerate is None:
+            self._nondegenerate = self.det() != 0
+        return self._nondegenerate
+
     def signature(self):
         """(positive, negative) inertia indices of the Gram form."""
-        return _signature(self.gram)
+        diag, _ = congruence_diagonalize(self.gram)
+        return sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0)
 
     def same_subset_as(self, other):
         """Equality as subsets of a common ambient space."""
@@ -114,54 +121,6 @@ class QuadLattice:
     def __repr__(self):
         label = self.name or "lattice"
         return "<QuadLattice %s rank %d>" % (label, self.rank)
-
-
-def _signature(gram):
-    """Exact inertia indices by symmetric (congruence) elimination."""
-    n = gram.rows
-    m = [list(r) for r in gram.entries()]
-    pos = neg = 0
-    for step in range(n):
-        # find an anisotropic diagonal pivot, creating one if necessary
-        p = None
-        for i in range(step, n):
-            if m[i][i] != 0:
-                p = i
-                break
-        if p is None:
-            pair = None
-            for i in range(step, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            p = i
-        if p != step:
-            m[step], m[p] = m[p], m[step]
-            for row in m:
-                row[step], row[p] = row[p], row[step]
-        d = m[step][step]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(step + 1, n):
-            if m[i][step] != 0:
-                f = m[i][step] / d
-                for k in range(n):
-                    m[i][k] -= f * m[step][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][step]
-    return pos, neg
 
 
 class DiscGroup:
@@ -349,9 +308,6 @@ def brute_force_isometric(l1, l2, bound):
     rng = range(-bound, bound + 1)
     g1, g2 = l1.gram, l2.gram
 
-    candidates = []
-    from itertools import product
-
     vectors = [tuple(Q(c) for c in t) for t in product(rng, repeat=n)]
     norms = {}
     for v in vectors:
@@ -377,5 +333,4 @@ def brute_force_isometric(l1, l2, bound):
         return None
 
     res = extend([])
-    del candidates
     return res if res is not None else NotFound("search box exhausted")

@@ -6,6 +6,14 @@ very most, usually 25 or less), so the kernels below are straightforward
 dense algorithms: fraction-free Gaussian elimination, Smith and Hermite
 normal forms with unimodular transforms, rational kernels and solvers.
 
+The integer Gram form lives here too: a matrix is read as the lcm d of its
+denominators together with, for every row, the list of its nonzero
+(column, d * entry) integer pairs.  `Mat.bilinear` (every quadratic-form
+pairing of the package), `Mat.apply` and matrix products run on that form
+in plain integers and divide by the common denominator once per result
+entry.  `congruence_diagonalize` is the one symmetric elimination: inertia
+indices and positive-definite bases are both read off its output.
+
 Values are immutable (tuples of tuples); every function is pure.
 """
 
@@ -62,19 +70,33 @@ def vec_primitive_part(v):
     return tuple(a / c for a in v)
 
 
+def _cleared(v):
+    """(d, ints): d the lcm of the denominators of v (ints or Fractions) and
+    ints the integer vector d * v."""
+    d = 1
+    for a in v:
+        q = a.denominator
+        if q != 1 and d % q:
+            d = d * q // gcd(d, q)
+    return d, [a.numerator * (d // a.denominator) for a in v]
+
+
 class Mat:
     """Immutable dense matrix over Q."""
 
-    __slots__ = ("rows", "cols", "_m", "_hash")
+    __slots__ = ("rows", "cols", "_m", "_hash", "_int")
 
     def __init__(self, rows_of_entries):
-        m = tuple(tuple(Q(e) for e in row) for row in rows_of_entries)
+        m = tuple(
+            tuple(e if type(e) is Q else Q(e) for e in row) for row in rows_of_entries
+        )
         self.rows = len(m)
         self.cols = len(m[0]) if m else 0
         if any(len(r) != self.cols for r in m):
             raise ValueError("ragged matrix")
         self._m = m
         self._hash = None
+        self._int = None  # integer form (see _form), kept once bilinear() used it
 
     # -- constructors ------------------------------------------------------
 
@@ -163,25 +185,55 @@ class Mat:
     def _matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # Clearing denominators first keeps the inner loop in machine/bigint
-        # arithmetic; one gcd per output entry instead of one per product.
-        da = self.denominator_lcm()
-        db = other.denominator_lcm()
-        A = [[int(a * da) for a in r] for r in self._m]
-        B = [[int(b * db) for b in r] for r in other._m]
-        Bt = list(zip(*B))
+        da, A = self._form()
+        db, B = other._form()
         d = da * db
-        out = [
-            [Q(sum(x * y for x, y in zip(ra, cb)), d) for cb in Bt]
-            for ra in A
-        ]
+        out = []
+        for ra in A:
+            acc = [0] * other.cols
+            for k, a in ra:
+                for j, b in B[k]:
+                    acc[j] += a * b
+            out.append([Q(x, d) if x else QZERO for x in acc])
         return Mat(out)
 
     def apply(self, v):
-        """Matrix times column vector."""
+        """Matrix times column vector (entries ints or Fractions)."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum((a * x for a, x in zip(r, v)), QZERO) for r in self._m)
+        d, rows = self._form()
+        dv, w = _cleared(v)
+        d *= dv
+        return tuple(Q(sum(g * w[j] for j, g in r), d) for r in rows)
+
+    def bilinear(self, x, y):
+        """x^T M y as a Fraction, for vectors of ints or Fractions.
+
+        The integer form is built on the first call and kept: this is the
+        pairing of every Gram matrix in the package."""
+        if len(x) != self.rows or len(y) != self.cols:
+            raise ValueError("shape mismatch")
+        if self._int is None:
+            self._int = self._form()
+        d, rows = self._int
+        dx, xs = _cleared(x)
+        dy, ys = _cleared(y)
+        total = 0
+        for xi, r in zip(xs, rows):
+            if xi:
+                total += xi * sum(g * ys[j] for j, g in r)
+        return Q(total, d * dx * dy)
+
+    def _form(self):
+        """The integer form (d, rows): d the lcm of the denominators, each row
+        the list of its nonzero (column, d * entry) pairs."""
+        if self._int is not None:
+            return self._int
+        d = self.denominator_lcm()
+        return d, [
+            [(j, a.numerator * (d // a.denominator)) for j, a in enumerate(r) if a]
+            for r in self._m
+        ]
 
     def transpose(self):
         return Mat(list(zip(*self._m))) if self.rows and self.cols else Mat.zero(self.cols, self.rows)
@@ -191,7 +243,8 @@ class Mat:
         for r in self._m:
             for a in r:
                 q = a.denominator
-                d = d * q // gcd(d, q)
+                if q != 1 and d % q:
+                    d = d * q // gcd(d, q)
         return d
 
     def is_integral(self):
@@ -305,6 +358,50 @@ def kernel_basis(a):
             v[pc] = -R[i, f]
         basis.append(tuple(v))
     return basis
+
+
+def congruence_diagonalize(gram):
+    """Symmetric elimination: (diag, T) with T * gram * T^T = diag(diag).
+
+    T is invertible.  Pivots are taken in order from the diagonal; when the
+    rest of the diagonal is zero the first nonzero off-diagonal entry (i, j)
+    is folded in by adding row and column j to i.  Once the remaining block
+    is zero its entries stay zero in diag.
+    """
+    n = gram.rows
+    m = [list(r) for r in gram.entries()]
+    trans = [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
+    for step in range(n):
+        p = next((i for i in range(step, n) if m[i][i] != 0), None)
+        if p is None:
+            pair = next(
+                ((i, j) for i in range(step, n) for j in range(i + 1, n) if m[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            trans[i] = [a + b for a, b in zip(trans[i], trans[j])]
+            p = i
+        if p != step:
+            m[step], m[p] = m[p], m[step]
+            for row in m:
+                row[step], row[p] = row[p], row[step]
+            trans[step], trans[p] = trans[p], trans[step]
+        d = m[step][step]
+        for i in range(step + 1, n):
+            if m[i][step] != 0:
+                f = m[i][step] / d
+                for k in range(n):
+                    m[i][k] -= f * m[step][k]
+                for k in range(n):
+                    m[k][i] -= f * m[k][step]
+                trans[i] = [a - f * b for a, b in zip(trans[i], trans[step])]
+    return [m[i][i] for i in range(n)], Mat(trans)
 
 
 # -- integer normal forms ----------------------------------------------------

@@ -66,13 +66,12 @@ class AlgebraicMukaiLattice:
         """The isometry (r, c, s) -> (r, c + r mu, s + c.mu + r mu^2/2)."""
         mu = tuple(Q(x) for x in mu)
         cols = []
-        qmu = sum(a * b for a, b in zip(mu, self.ns_gram.apply(mu)))
+        qmu = self.ns_gram.bilinear(mu, mu)
         cols.append(self.vector(1, mu, qmu / 2))          # image of (1,0,0)
         cols.append(self.vector(0, (0,) * self.rho, 1))   # image of (0,0,1)
         for i in range(self.rho):
             c = tuple(Q(1) if j == i else Q(0) for j in range(self.rho))
-            pairing = sum(a * b for a, b in zip(mu, self.ns_gram.apply(c)))
-            cols.append(self.vector(0, c, pairing))
+            cols.append(self.vector(0, c, self.ns_gram.bilinear(mu, c)))
         m = Mat.from_columns(cols)
         if (m.transpose() * self.lattice.gram * m) != self.lattice.gram:
             raise ModuliError("b-field construction failed")

@@ -21,7 +21,7 @@ transcendental part, and "Hodge isometry" means "isometry preserving that
 split".
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 from .isometry import Isometry, QuadSpace, disc_action, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, standard_lattice
@@ -141,8 +141,7 @@ class ExtMukaiSpace(QuadSpace):
 
     def bbf(self, x, y):
         """BBF pairing of two H^2 coordinate vectors."""
-        gy = self.dtype.h2_gram.apply(y)
-        return sum((a * b for a, b in zip(x, gy)), Q(0))
+        return self.dtype.h2_gram.bilinear(x, y)
 
     def vector(self, a_coeff, h2coords, b_coeff):
         return (Q(a_coeff),) + tuple(Q(c) for c in h2coords) + (Q(b_coeff),)
@@ -244,6 +243,21 @@ class K3nLattices:
         self.delta_tilde = delta_tilde
 
 
+def k3n_tilde_vectors(space):
+    """(alpha~, delta~) = (alpha - delta/2 + (1-n)/4 beta, delta + (n-1) beta)
+    on a K3n-type space, delta the last H^2 basis vector."""
+    if space.dtype.family != "K3n":
+        raise SpaceError("the distinguished lattices need the K3n family")
+    n = space.dtype.n
+    delta = space.basis_vector(space.dim - 2)
+    alpha_tilde = tuple(
+        a - Q(1, 2) * d + Q(1 - n, 4) * b
+        for a, d, b in zip(space.alpha, delta, space.beta)
+    )
+    delta_tilde = tuple(d + (n - 1) * b for d, b in zip(delta, space.beta))
+    return alpha_tilde, delta_tilde
+
+
 def k3n_lattices(space):
     """Lambda, Lambda_S, Lambda_g, Lambda_LB and the vectors involved.
 
@@ -254,16 +268,8 @@ def k3n_lattices(space):
     with alpha~ = alpha - delta/2 + (1-n)/4 beta and
     delta~ = delta + (n-1) beta.
     """
-    if space.dtype.family != "K3n":
-        raise SpaceError("the distinguished lattices need the K3n family")
-    n = space.dtype.n
+    alpha_tilde, delta_tilde = k3n_tilde_vectors(space)
     dim = space.dim
-    delta = space.basis_vector(dim - 2)  # last H^2 basis vector
-    alpha_tilde = tuple(
-        a - Q(1, 2) * d + Q(1 - n, 4) * b
-        for a, d, b in zip(space.alpha, delta, space.beta)
-    )
-    delta_tilde = tuple(d + (n - 1) * b for d, b in zip(delta, space.beta))
     k3_basis = [space.basis_vector(i) for i in range(1, dim - 2)]
     lam_s_rows = [alpha_tilde] + k3_basis + [space.beta]
     lam_s = QuadLattice.from_basis(lam_s_rows, space.gram, name="Lambda_S")
@@ -340,10 +346,7 @@ def split_algebraic(space, lat):
         # of lattice vectors inside the span (saturated automatically)
         from .linalg import integer_kernel_basis
 
-        m = Mat.from_rows(
-            [[sum(f[k] * lat.basis_in_ambient[i, k] for k in range(space.dim))
-              for i in range(lat.rank)] for f in forms]
-        )
+        m = Mat.from_rows(forms) * lat.basis_in_ambient.transpose()
         coords = integer_kernel_basis(m)
         if coords:
             alg_rows = [lat.ambient_vector(c) for c in coords]
@@ -428,11 +431,8 @@ def _kx_tables(n, c_int):
 
         fact = _f(n)
         gtab = [_g(m, fact) for m in range(fact)]
-        qok = []
-        for m in range(fact):
-            q = fact // gtab[m]
-            root = round(q ** (1.0 / n))
-            qok.append(root**n == q)
+        perfect = {g: _integer_nth_root(fact // g, n) is not None for g in set(gtab)}
+        qok = [perfect[g] for g in gtab]
         _KX_TABLES[key] = (fact, gtab, qok)
     return _KX_TABLES[key]
 
@@ -449,12 +449,10 @@ def kx_rank_core(r, n, c_int):
     p = num // g
     if p < 0 and n % 2 == 0:
         return None
-    ap = -p if p < 0 else p
-    a = round(ap ** (1.0 / n)) if ap else 0
-    for cand in (a - 1, a, a + 1):
-        if cand >= 0 and cand**n == ap:
-            return -cand if p < 0 else cand
-    return None
+    a = _integer_nth_root(-p if p < 0 else p, n)
+    if a is None:
+        return None
+    return -a if p < 0 else a
 
 
 def rank_predicate_kx_orbit(r, n, c_x):
@@ -478,15 +476,27 @@ def rank_predicate_kx_orbit(r, n, c_x):
 
 
 def _integer_nth_root(m, n):
+    """The integer a >= 0 with a^n = m, or None; exact for integers of any
+    size.  n = 2 uses isqrt; otherwise Newton's method runs down from an
+    upper bound to floor(m^(1/n)).  The bound is a float estimate plus one
+    only below 2^52, where the estimate is within 1 of the root."""
     if m < 0:
         return None
-    if m == 0:
-        return 0
-    a = round(m ** (1.0 / n))
-    for c in (a - 1, a, a + 1):
-        if c >= 0 and c**n == m:
-            return c
-    return None
+    if m == 0 or n == 1:
+        return m
+    if n == 2:
+        a = isqrt(m)
+    else:
+        if m < 1 << 52:
+            a = int(m ** (1.0 / n)) + 1
+        else:
+            a = 1 << -(-m.bit_length() // n)
+        while True:
+            b = ((n - 1) * a + m // a ** (n - 1)) // n
+            if b >= a:
+                break
+            a = b
+    return a if a**n == m else None
 
 
 def _rational_nth_root(x, n):

@@ -521,27 +521,21 @@ def euler_char_line_bundle(space, lam):
     Evaluates sum_k (-1)^k / k! * b_SH(lam^k, T(td-product)) in the rank-one
     restricted space spanned by lam; only even k contribute.
     """
-    n = space.dtype.n
-    lam = tuple(Q(c) for c in lam)
-    small = restricted_space(space, [lam])
-    omega = (Q(1),)
-    arg = todd_argument(small)
-    total = Q(0)
-    for k in range(0, 2 * n + 1):
-        val = pair_with_sh(small, [omega] * k, arg)
-        if val != 0:
-            total += Q(-1) ** k / factorial(k) * val
-    return total
+    return _exp_pairing_sum(space, lam, todd_argument)
 
 
 def euler_char_from_sqrt_todd(space, lam):
     """sum_k 1/k! * integral(lam^k . sqrt-Todd): equals
     (1 + b(lam,lam)/(2 r_X))^n * c_X r_X^n / n! by the exponential identity."""
+    return _exp_pairing_sum(space, lam, sqrt_todd_argument)
+
+
+def _exp_pairing_sum(space, lam, argument):
+    """sum_k (-1)^k / k! * b_SH(lam^k, argument) on the rank-one space of lam."""
     n = space.dtype.n
-    lam = tuple(Q(c) for c in lam)
-    small = restricted_space(space, [lam])
+    small = restricted_space(space, [tuple(Q(c) for c in lam)])
     omega = (Q(1),)
-    arg = sqrt_todd_argument(small)
+    arg = argument(small)
     total = Q(0)
     for k in range(0, 2 * n + 1):
         val = pair_with_sh(small, [omega] * k, arg)

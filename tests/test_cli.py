@@ -203,6 +203,15 @@ def test_cli_bad_input_exit_2():
     assert code == 2  # isotropic reflection vector
     code, _ = run_cli(["integrate", "--n", "2", "--omegas", "e1"])
     assert code == 2  # needs 2n classes
+    code, out = run_cli(["group", "--gens", "shift", "--depth", "-1"])
+    assert code == 2 and "error" in json.loads(out)
+    for stdin in (
+        '{"ns": {"gram": [["2"]]}, "v": 5}',
+        '{"ns": {"gram": [["2"]]}, "v": [1, null, 0]}',
+        "[1]",
+    ):
+        code, out = run_cli(["moduli", "--input", "-"], stdin=stdin)
+        assert code == 2 and "error" in json.loads(out)
 
 
 def test_cli_verify_text_lines():

@@ -236,6 +236,46 @@ def test_preserves_lattice_examples():
     assert not preserves_lattice(g, lats.lam)
 
 
+def test_preserves_lattice_degenerate_gram_checks_both_ways():
+    # L = Z alpha has Gram (0); g: alpha -> 2 alpha, beta -> beta / 2 maps L
+    # onto 2L, inside L but not onto it
+    from extmukai.isometry import Isometry, lattice_witness
+    from extmukai.lattice import QuadLattice
+    from extmukai.spaces import custom_type
+
+    space = ExtMukaiSpace(custom_type(1, 1, 1, Mat([[2]])))
+    g = Isometry(space, Mat.diagonal([2, 1, Q(1, 2)]))
+    lat = QuadLattice.from_basis([space.alpha], space.gram)
+    assert not lat.is_nondegenerate()
+    assert not preserves_lattice(g, lat)
+    assert lattice_witness(g, lat) == (Q(1, 2), 0, 0)
+    assert preserves_lattice(identity_isometry(space), lat)
+    # with beta added the Gram is nondegenerate and one direction decides
+    lat2 = QuadLattice.from_basis([space.alpha, space.beta], space.gram)
+    assert lat2.is_nondegenerate()
+    assert not preserves_lattice(g, lat2)
+    assert lattice_witness(g, lat2) == space.beta
+
+
+def test_preserves_lattice_one_way_agrees_with_both_ways():
+    space, lats = k3n_setup(3)
+    gens = [
+        b_field(space, [Q(0)] * 22 + [Q(1, 2)]),
+        b_field(space, [1] + [0] * 21 + [1]),
+        reflection(space, lats.delta_tilde),
+        reflection(space, vec_add(lats.alpha_tilde, space.beta)),
+        reflection(space, vec_add(space.basis_vector(1), space.basis_vector(2))),
+        reflection(space, space.basis_vector(23)),  # delta itself
+    ]
+    for g in gens:
+        for lat in (lats.lam, lats.lam_g, lats.lam_s):
+            rows = [lat.basis_in_ambient.row(i) for i in range(lat.rank)]
+            both = all(lat.contains_ambient(g(v)) for v in rows) and all(
+                lat.contains_ambient(g.inverse()(v)) for v in rows
+            )
+            assert preserves_lattice(g, lat) == both
+
+
 def test_generate_bounded_examples():
     space, lats = k3n_setup(2)
     got = generate_bounded([minus_identity(space)], 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from extmukai.linalg import (
     Mat,
+    congruence_diagonalize,
     hnf_row_basis,
     integer_kernel_basis,
     kernel_basis,
@@ -131,3 +132,130 @@ def test_integer_kernel_is_saturated():
     for v in ker:
         assert all(c.denominator == 1 for c in v)
         assert sum(a * b for a, b in zip(m.row(0), v)) == 0
+
+
+# -- the integer Gram form against plain Fraction sums ------------------------
+
+rationals = st.one_of(
+    st.just(Q(0)),
+    st.integers(min_value=-6, max_value=6).map(Q),
+    st.builds(Q, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=12)),
+)
+
+
+def vectors(n):
+    """Mixed plain-int / Fraction vectors of length n."""
+    return st.lists(
+        st.one_of(st.integers(min_value=-9, max_value=9), rationals), min_size=n, max_size=n
+    )
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    r = rows if rows is not None else draw(st.integers(min_value=1, max_value=5))
+    c = cols if cols is not None else draw(st.integers(min_value=1, max_value=5))
+    m = [draw(st.lists(rationals, min_size=c, max_size=c)) for _ in range(r)]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=r - 1), max_size=r)):
+        m[i] = [Q(0)] * c  # zero rows
+    return m
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_bilinear_matches_fraction_sum(data):
+    m = data.draw(matrices())
+    x = data.draw(vectors(len(m)))
+    y = data.draw(vectors(len(m[0])))
+    want = sum(
+        (Q(x[i]) * m[i][j] * Q(y[j]) for i in range(len(m)) for j in range(len(m[0]))),
+        Q(0),
+    )
+    mat = Mat(m)
+    got = mat.bilinear(x, y)
+    assert isinstance(got, Q) and got == want
+    assert mat.bilinear(x, y) == want  # second call runs on the kept form
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_apply_matches_fraction_sum(data):
+    m = data.draw(matrices())
+    v = data.draw(vectors(len(m[0])))
+    want = tuple(sum((a * Q(b) for a, b in zip(row, v)), Q(0)) for row in m)
+    got = Mat(m).apply(v)
+    assert got == want
+    assert all(isinstance(c, Q) for c in got)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_fraction_sum(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=len(a[0])))
+    want = [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+    assert Mat(a) * Mat(b) == Mat(want)
+
+
+def test_bilinear_shape_mismatch():
+    with pytest.raises(ValueError):
+        Mat.identity(3).bilinear((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        Mat.identity(3).bilinear((1, 2, 3), (1, 2))
+
+
+# -- congruence diagonalisation ------------------------------------------------
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(rationals)
+    return m
+
+
+@given(symmetric_matrices())
+@settings(max_examples=80, deadline=None)
+def test_congruence_diagonalize_is_a_congruence(m):
+    g = Mat(m)
+    diag, t = congruence_diagonalize(g)
+    assert t * g * t.transpose() == Mat.diagonal(diag)
+    assert t.det() != 0
+
+
+def test_congruence_diagonalize_zero_diagonal_and_zero_block():
+    # no nonzero diagonal entry: the first off-diagonal pair is folded in
+    g = Mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    diag, t = congruence_diagonalize(g)
+    assert t * g * t.transpose() == Mat.diagonal(diag)
+    assert sorted(diag) == [Q(-1, 2), 0, 2]
+
+
+def _sympy_inertia(sympy, m):
+    """(positive, negative) eigenvalue counts of a rational symmetric matrix:
+    Descartes' rule of signs is exact on its real-rooted characteristic
+    polynomial."""
+    coeffs = sympy.Matrix(m).charpoly().all_coeffs()
+    while coeffs and coeffs[-1] == 0:  # factor out the zero eigenvalues
+        coeffs.pop()
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    neg = changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))][::-1])
+    return changes(coeffs), neg
+
+
+@given(symmetric_matrices())
+@settings(max_examples=60, deadline=None)
+def test_congruence_inertia_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    diag, _ = congruence_diagonalize(Mat(m))
+    got = (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0))
+    assert got == _sympy_inertia(sympy, [[sympy.Rational(a.numerator, a.denominator) for a in r] for r in m])

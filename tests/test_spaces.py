@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extmukai.isometry import minus_identity
 from extmukai.lattice import discriminant_group, divisibility
@@ -25,6 +26,7 @@ from extmukai.spaces import (
     signum_normalize,
     split_algebraic,
 )
+from extmukai.spaces import _integer_nth_root
 
 rng = random.Random(99)
 
@@ -230,6 +232,28 @@ def test_rank_predicates():
     # r = 2 * (1/2)^2 /... q^n must divide n!: a = 1/..., n! = 2: no q > 1
     ok, a, integral = rank_predicate_kx_orbit(6 * 27, 3, 1)  # a = 3
     assert ok and a == 3 and integral
+
+
+def test_rank_predicates_exact_for_big_integers():
+    # beyond float precision (and beyond float range for 10**400)
+    a = 10**20 + 12345
+    assert rank_predicate_o_orbit(a**3, 3) == (True, a)
+    assert rank_predicate_o_orbit(a**3 + 1, 3) == (False, None)
+    b = 10**20 + 7
+    ok, got, integral = rank_predicate_kx_orbit(2 * b**2, 2, 1)
+    assert ok and got == b and integral
+    assert not rank_predicate_kx_orbit(2 * b**2 + 2, 2, 1)[0]
+    assert rank_predicate_o_orbit(10**400, 2) == (True, 10**200)
+    assert rank_predicate_o_orbit(10**400 - 1, 2) == (False, None)
+
+
+@given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=7))
+@settings(max_examples=200, deadline=None)
+def test_integer_nth_root_matches_sympy(m, n):
+    sympy = pytest.importorskip("sympy")
+    root, exact = sympy.integer_nthroot(m, n)
+    assert _integer_nth_root(m, n) == (int(root) if exact else None)
+    assert _integer_nth_root(int(root) ** n, n) == int(root)
 
 
 def test_in_hat_aut_plus():
