@@ -21,6 +21,7 @@ from .linalg import (
     Mat,
     Q,
     congruence_diagonalize,
+    identity_plus_outer,
     vec_add,
     vec_is_zero,
     vec_primitive_part,
@@ -46,7 +47,7 @@ class QuadSpace:
 
     def gram_inverse(self):
         if self._gram_inv is None:
-            self._gram_inv = self.gram.inverse()
+            self._gram_inv = self.gram.inverse()._keep_form()
         return self._gram_inv
 
     def pairing(self, x, y):
@@ -138,11 +139,9 @@ def reflection(space, v):
     q = space.norm(v)
     if q == 0:
         raise IsometryError("isotropic vector")
-    gv = space.gram.apply(v)  # b(e_j, v) for every basis vector e_j
-    cols = [
-        vec_sub(space.basis_vector(j), vec_scale(2 * gv[j] / q, v)) for j in range(space.dim)
-    ]
-    return Isometry(space, Mat.from_columns(cols), check=False)
+    c = -2 / q
+    w = tuple(c * x for x in space.gram.apply(v))  # -2 b(e_j, v) / q
+    return Isometry(space, identity_plus_outer(space.dim, [(v, w)]), check=False)
 
 
 def eichler_transvection(space, e, a):
@@ -157,14 +156,8 @@ def eichler_transvection(space, e, a):
         raise IsometryError("a must be orthogonal to e")
     half_qa = space.norm(a) / 2
     ge, ga = space.gram.apply(e), space.gram.apply(a)  # b(e, e_j), b(a, e_j)
-    cols = []
-    for j in range(space.dim):
-        x = space.basis_vector(j)
-        be, ba = ge[j], ga[j]
-        img = vec_add(x, vec_scale(-ba - half_qa * be, e))
-        img = vec_add(img, vec_scale(be, a))
-        cols.append(img)
-    return Isometry(space, Mat.from_columns(cols), check=False)
+    we = tuple(-x - half_qa * y for x, y in zip(ga, ge))
+    return Isometry(space, identity_plus_outer(space.dim, [(e, we), (a, ge)]), check=False)
 
 
 # -- Cartan-Dieudonne ---------------------------------------------------------

@@ -44,6 +44,7 @@ class QuadLattice:
         self._basis_t = None
         self._basis_t_inv = None
         self._nondegenerate = None
+        self._disc = None  # the DiscGroup, set by discriminant_group()
         if basis_in_ambient is not None:
             if ambient_gram is None:
                 raise LatticeError("embedded lattice needs the ambient gram")
@@ -76,9 +77,9 @@ class QuadLattice:
         if self.basis_in_ambient is None:
             raise LatticeError("lattice has no ambient embedding")
         if self._basis_t is None:
-            self._basis_t = self.basis_in_ambient.transpose()
+            self._basis_t = self.basis_in_ambient.transpose()._keep_form()
             if self.rank == self._basis_t.rows:  # full rank: invert once
-                self._basis_t_inv = self._basis_t.inverse()
+                self._basis_t_inv = self._basis_t.inverse()._keep_form()
         if self._basis_t_inv is not None:
             return self._basis_t_inv.apply(v)
         return solve_linear(self._basis_t, v)
@@ -181,16 +182,20 @@ def standard_lattice(name, k=None):
 def discriminant_group(lat):
     """Invariant-factor presentation of L^dual/L with q-values mod 2Z.
 
-    Requires an even integral Gram.  Generators are returned in lattice
-    coordinates (rational); q-values are representatives in [0, 2).
+    Requires an even integral, nondegenerate Gram.  Generators are returned
+    in lattice coordinates (rational); q-values are representatives in
+    [0, 2).  Computed once per lattice: the DiscGroup is kept on `lat` and
+    later calls return that same (immutable) object.
     """
+    if lat._disc is not None:
+        return lat._disc
     if not lat.gram.is_integral():
         raise LatticeError("integrality required")
     if not lat.is_even():
         raise LatticeError("even lattice required")
-    g = lat.gram
-    if g.det() == 0:
+    if not lat.is_nondegenerate():
         raise LatticeError("nondegenerate lattice required")
+    g = lat.gram
     u, d, v = smith_normal_form(g)
     # A(L) ~ Z^r / g Z^r via x -> g^{-1} x; invariant factor i has generator
     # g^{-1} U^{-1} e_i of order d_i.
@@ -207,7 +212,8 @@ def discriminant_group(lat):
         orders.append(di)
         gens.append(gen)
         qvals.append(lat.norm(gen) % 2)
-    return DiscGroup(orders, gens, qvals)
+    lat._disc = DiscGroup(orders, gens, qvals)
+    return lat._disc
 
 
 def divisibility(lat, v):

@@ -96,7 +96,7 @@ class Mat:
             raise ValueError("ragged matrix")
         self._m = m
         self._hash = None
-        self._int = None  # integer form (see _form), kept once bilinear() used it
+        self._int = None  # integer form (see _form), kept by _keep_form()
 
     # -- constructors ------------------------------------------------------
 
@@ -209,13 +209,11 @@ class Mat:
     def bilinear(self, x, y):
         """x^T M y as a Fraction, for vectors of ints or Fractions.
 
-        The integer form is built on the first call and kept: this is the
-        pairing of every Gram matrix in the package."""
+        The integer form is kept (`_keep_form`): this is the pairing of every
+        Gram matrix in the package."""
         if len(x) != self.rows or len(y) != self.cols:
             raise ValueError("shape mismatch")
-        if self._int is None:
-            self._int = self._form()
-        d, rows = self._int
+        d, rows = self._keep_form()._int
         dx, xs = _cleared(x)
         dy, ys = _cleared(y)
         total = 0
@@ -223,6 +221,16 @@ class Mat:
             if xi:
                 total += xi * sum(g * ys[j] for j, g in r)
         return Q(total, d * dx * dy)
+
+    def _keep_form(self):
+        """Build the integer form once and keep it on this matrix; returns self.
+
+        For long-lived matrices that are paired, applied or multiplied again
+        and again (Grams, Gram inverses, lattice basis changes).  Other
+        matrices build the form per call and do not hold it."""
+        if self._int is None:
+            self._int = self._form()
+        return self
 
     def _form(self):
         """The integer form (d, rows): d the lcm of the denominators, each row
@@ -326,6 +334,24 @@ class Mat:
         if len(pivots) < n or pivots[n - 1] != n - 1:
             raise ValueError("singular matrix")
         return Mat([R.row(i)[n:] for i in range(n)])
+
+
+def identity_plus_outer(n, pairs):
+    """The n x n matrix I + sum of u w^T over the (u, w) pairs.
+
+    Starts from the identity and touches only the rows where u is nonzero
+    and, in them, only the columns where w is nonzero.  Reflections,
+    Eichler transvections and B-field maps are all of this shape.
+    """
+    m = [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
+    for u, w in pairs:
+        nonzero = [(j, b) for j, b in enumerate(w) if b]
+        for i, a in enumerate(u):
+            if a:
+                row = m[i]
+                for j, b in nonzero:
+                    row[j] += a * b
+    return Mat(m)
 
 
 def solve_linear(a, b):

@@ -25,7 +25,7 @@ from math import gcd, isqrt
 
 from .isometry import Isometry, QuadSpace, disc_action, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, standard_lattice
-from .linalg import Mat, Q, hnf_row_basis, vec_is_zero
+from .linalg import Mat, Q, hnf_row_basis, identity_plus_outer, vec_is_zero
 
 
 class SpaceError(ValueError):
@@ -108,6 +108,8 @@ class ExtMukaiSpace(QuadSpace):
         self.b2 = b2
         self.alpha = self.basis_vector(0)
         self.beta = self.basis_vector(dim - 1)
+        # (n, degree) -> (kernel, dual, gram_inv) of verbitsky.project_t
+        self._t_pieces = {}
         self.ns_sublattice = None
         if ns_sublattice is not None:
             self.ns_sublattice = [tuple(Q(c) for c in v) for v in ns_sublattice]
@@ -400,13 +402,13 @@ def b_field(space, lam):
         lam = space.h2_part(lam)
     if len(lam) != space.b2:
         raise SpaceError("lambda must be an H^2 vector")
+    glam = space.dtype.h2_gram.apply(lam)  # b(lambda, mu_i) for every H^2 basis mu_i
     qlam = space.bbf(lam, lam)
-    cols = [space.vector(1, lam, qlam / 2)]
-    for i in range(space.b2):
-        mu = tuple(Q(1) if j == i else Q(0) for j in range(space.b2))
-        cols.append(space.vector(0, mu, space.bbf(lam, mu)))
-    cols.append(space.beta)
-    return Isometry(space, Mat.from_columns(cols), check=False)
+    pairs = [
+        (space.vector(0, lam, 0), space.alpha),  # r alpha -> r lambda
+        (space.beta, (qlam / 2,) + glam + (Q(0),)),  # beta coefficient
+    ]
+    return Isometry(space, identity_plus_outer(space.dim, pairs), check=False)
 
 
 def rank_predicate_o_orbit(r, n):

@@ -389,9 +389,6 @@ def _degree_monomials(space, n, degree):
     return out
 
 
-_T_CACHE = {}
-
-
 def project_t(x):
     """Orthogonal projection of x onto ker(Laplacian), degree by degree.
 
@@ -401,15 +398,18 @@ def project_t(x):
     for all u in ker cap (deg 4n - 2d).  The cross Gram of the two kernel
     pieces is square (the graded dimensions are symmetric) and must be
     nondegenerate; a degenerate Gram raises.  Intended for small H^2 ranks
-    or small n.
+    or small n.  The kernel pieces and the inverse cross Gram of each
+    (n, degree) are kept on the space (`ExtMukaiSpace._t_pieces`) and live
+    as long as it does.
     """
     space, n = x.space, x.n
+    cache = space._t_pieces
     result = SymElement(space, n)
     for degree, piece in x.degree_pieces().items():
         if degree > 4 * n:
             raise SymError("degree out of range")
-        key = (id(space), n, degree)
-        if key not in _T_CACHE:
+        key = (n, degree)
+        if key not in cache:
             kernel = kernel_piece_basis(space, n, degree)
             dual = kernel_piece_basis(space, n, 4 * n - degree)
             if len(kernel) != len(dual):
@@ -419,9 +419,8 @@ def project_t(x):
             ) if kernel else Mat.zero(0, 0)
             if kernel and gram.det() == 0:
                 raise SymError("degenerate pairing on a kernel piece")
-            # the space reference keeps id(space) valid for the cache lifetime
-            _T_CACHE[key] = (space, kernel, dual, gram.inverse() if kernel else None)
-        _, kernel, dual, gram_inv = _T_CACHE[key]
+            cache[key] = (kernel, dual, gram.inverse() if kernel else None)
+        kernel, dual, gram_inv = cache[key]
         if not kernel:
             continue
         rhs = [pairing_bn(u, piece) for u in dual]

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, exact arithmetic throughout.
 
-Each test prints a PASS/FAIL line (run pytest with -s to see them inline;
-the same checks back the CLI verb `extmukai verify all`).  Stated runtime
-targets are asserted where the criteria fix them.
+Each test prints a PASS/FAIL line with its wall time (run pytest with -s to
+see them inline; the same checks back the CLI verb `extmukai verify all`).
+Stated runtime targets are asserted where the criteria fix them.
 """
 
 import time
@@ -27,80 +27,92 @@ from extmukai.verification import (
 )
 
 
-def report(number, title, checks, elapsed=None):
+def run(number, title, criterion, *args):
+    """Run one criterion, print its PASS/FAIL line with the wall time and
+    the failed checks; returns (all passed, elapsed seconds)."""
+    t0 = time.time()
+    checks = criterion(*args)
+    elapsed = time.time() - t0
     ok = all_passed(checks)
     status = "PASS" if ok else "FAIL"
-    timing = " (%.1fs)" % elapsed if elapsed is not None else ""
-    print("[%s] criterion %02d: %s%s" % (status, number, title, timing))
+    print("[%s] criterion %02d: %s (%.1fs)" % (status, number, title, elapsed))
     for c in checks:
         if not c["pass"]:
             print("    FAILED check: %s -- %s" % (c["name"], c["detail"]))
-    return ok
+    return ok, elapsed
 
 
 def test_criterion_01_sqrt_todd_linearisation():
-    t0 = time.time()
-    checks = crit01_sqrt_todd_linearisation(DEFAULT_SEED)
-    elapsed = time.time() - t0
-    ok = report(1, "sqrt-Todd linearisation pairings", checks, elapsed)
+    ok, elapsed = run(
+        1, "sqrt-Todd linearisation pairings", crit01_sqrt_todd_linearisation, DEFAULT_SEED
+    )
     assert ok
     assert elapsed < 60, "runtime target"
 
 
 def test_criterion_02_integral_and_exp():
-    checks = crit02_integral_and_exp(DEFAULT_SEED)
-    assert report(2, "integral of sqrt-Todd and exponential identity", checks)
+    ok, _ = run(
+        2, "integral of sqrt-Todd and exponential identity", crit02_integral_and_exp, DEFAULT_SEED
+    )
+    assert ok
 
 
 def test_criterion_03_lefschetz_expansion():
-    checks = crit03_lefschetz_expansion(DEFAULT_SEED)
-    assert report(3, "Lefschetz power expansion coefficients (j <= 8)", checks)
+    ok, _ = run(
+        3, "Lefschetz power expansion coefficients (j <= 8)", crit03_lefschetz_expansion,
+        DEFAULT_SEED,
+    )
+    assert ok
 
 
 def test_criterion_04_pairing_factorials():
-    checks = crit04_pairing_factorials()
-    assert report(4, "pairing factorial identity (n <= 6)", checks)
+    ok, _ = run(4, "pairing factorial identity (n <= 6)", crit04_pairing_factorials)
+    assert ok
 
 
 def test_criterion_05_catalog():
-    checks = crit05_catalog(DEFAULT_SEED)
-    assert report(5, "catalog actions and dn-transfer", checks)
+    ok, _ = run(5, "catalog actions and dn-transfer", crit05_catalog, DEFAULT_SEED)
+    assert ok
 
 
 def test_criterion_06_lambda_invariance():
-    checks = crit06_lambda_invariance(DEFAULT_SEED)
-    assert report(6, "lattice invariance of random plus-group generators", checks)
+    ok, _ = run(
+        6, "lattice invariance of random plus-group generators", crit06_lambda_invariance,
+        DEFAULT_SEED,
+    )
+    assert ok
 
 
 def test_criterion_07_counterexample():
-    checks = crit07_counterexample_lattice()
-    assert report(7, "n = 10 third-of-delta counterexample lattice", checks)
+    ok, _ = run(7, "n = 10 third-of-delta counterexample lattice", crit07_counterexample_lattice)
+    assert ok
 
 
 def test_criterion_08_transport():
-    checks = crit08_eichler_transport(DEFAULT_SEED)
-    assert report(8, "Eichler transport words (50 + 10 pairs)", checks)
+    ok, _ = run(
+        8, "Eichler transport words (50 + 10 pairs)", crit08_eichler_transport, DEFAULT_SEED
+    )
+    assert ok
 
 
 def test_criterion_09_isotropy():
-    checks = crit09_isotropy(DEFAULT_SEED)
-    assert report(9, "isotropy suite", checks)
+    ok, _ = run(9, "isotropy suite", crit09_isotropy, DEFAULT_SEED)
+    assert ok
 
 
 def test_criterion_10_moduli_box():
-    t0 = time.time()
-    checks = crit10_moduli_box()
-    elapsed = time.time() - t0
-    ok = report(10, "exhaustive moduli box", checks, elapsed)
+    ok, elapsed = run(10, "exhaustive moduli box", crit10_moduli_box)
     assert ok
     assert elapsed < 30, "runtime target"
 
 
 def test_criterion_11_rank_predicates():
-    checks = crit11_rank_predicates()
-    assert report(11, "rank predicates against brute force (|r| <= 10^6)", checks)
+    ok, _ = run(
+        11, "rank predicates against brute force (|r| <= 10^6)", crit11_rank_predicates
+    )
+    assert ok
 
 
 def test_criterion_12_poincare():
-    checks = crit12_poincare()
-    assert report(12, "Poincare hyperbolic-plane exchange (g = 2..6)", checks)
+    ok, _ = run(12, "Poincare hyperbolic-plane exchange (g = 2..6)", crit12_poincare)
+    assert ok

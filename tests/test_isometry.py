@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from extmukai.isometry import (
     IsometryError,
@@ -18,7 +19,7 @@ from extmukai.isometry import (
     spinor_norm_from_reflections,
 )
 from extmukai.lattice import NotFound
-from extmukai.linalg import Mat, vec_add, vec_scale
+from extmukai.linalg import Mat, vec_add, vec_scale, vec_sub
 from extmukai.spaces import ExtMukaiSpace, b_field, k3n_lattices, k3n_type
 
 rng = random.Random(2024)
@@ -331,3 +332,87 @@ def test_transport_word_isometry_matches():
     assert preserves_lattice(g, lam)
     assert spinor_norm(g) == 1
     assert g.det == 1
+
+
+# -- generators against their column-by-column definitions ---------------------
+#
+# The constructors build I + sum u w^T; the references below build every
+# column g(e_j) from the defining formula, one pairing per column.
+
+
+def reflection_by_columns(space, v):
+    """Column j is e_j - 2 b(e_j, v) / b(v, v) v."""
+    q = space.norm(v)
+    cols = []
+    for j in range(space.dim):
+        x = space.basis_vector(j)
+        cols.append(vec_sub(x, vec_scale(2 * space.pairing(x, v) / q, v)))
+    return Mat.from_columns(cols)
+
+
+def transvection_by_columns(space, e, a):
+    """Column j is x - b(a,x) e + b(e,x) a - (b(a,a)/2) b(e,x) e, x = e_j."""
+    half_qa = space.norm(a) / 2
+    cols = []
+    for j in range(space.dim):
+        x = space.basis_vector(j)
+        be, ba = space.pairing(e, x), space.pairing(a, x)
+        img = vec_add(x, vec_scale(-ba - half_qa * be, e))
+        cols.append(vec_add(img, vec_scale(be, a)))
+    return Mat.from_columns(cols)
+
+
+def b_field_by_columns(space, lam):
+    """B(alpha) = alpha + lambda + b(lambda, lambda)/2 beta,
+    B(mu) = mu + b(lambda, mu) beta, B(beta) = beta."""
+    cols = [space.vector(1, lam, space.bbf(lam, lam) / 2)]
+    for i in range(space.b2):
+        mu = tuple(Q(1) if j == i else Q(0) for j in range(space.b2))
+        cols.append(space.vector(0, mu, space.bbf(lam, mu)))
+    cols.append(space.beta)
+    return Mat.from_columns(cols)
+
+
+GENERATOR_SPACES = {n: ExtMukaiSpace(k3n_type(n)) for n in (2, 3, 5)}
+small_rationals = st.one_of(
+    st.just(Q(0)),
+    st.builds(Q, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)),
+)
+
+
+def rational_vectors(length):
+    return st.lists(small_rationals, min_size=length, max_size=length).map(tuple)
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_reflection_matches_column_definition(n, data):
+    space = GENERATOR_SPACES[n]
+    v = data.draw(rational_vectors(space.dim))
+    assume(space.norm(v) != 0)
+    assert reflection(space, v).matrix == reflection_by_columns(space, v)
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_transvection_matches_column_definition(n, data):
+    space = GENERATOR_SPACES[n]
+    if data.draw(st.booleans()):
+        # e = x alpha + mu + b(mu, mu)/(2x) beta is isotropic; b(e, beta) = -x
+        x = data.draw(small_rationals.filter(bool))
+        mu = data.draw(rational_vectors(space.b2))
+        e, f = space.vector(x, mu, space.bbf(mu, mu) / (2 * x)), space.beta
+    else:
+        # e = s beta; b(e, alpha) = -s
+        e, f = vec_scale(data.draw(small_rationals.filter(bool)), space.beta), space.alpha
+    a0 = data.draw(rational_vectors(space.dim))
+    a = vec_sub(a0, vec_scale(space.pairing(e, a0) / space.pairing(e, f), f))
+    assert eichler_transvection(space, e, a).matrix == transvection_by_columns(space, e, a)
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_b_field_matches_column_definition(n, data):
+    space = GENERATOR_SPACES[n]
+    lam = data.draw(rational_vectors(space.b2))
+    assert b_field(space, lam).matrix == b_field_by_columns(space, lam)

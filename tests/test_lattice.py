@@ -6,6 +6,7 @@ import pytest
 from extmukai.lattice import (
     LatticeError,
     NotFound,
+    QuadLattice,
     brute_force_isometric,
     discriminant_group,
     divisibility,
@@ -75,6 +76,17 @@ def test_disc_group_lambda_n2():
     dg = discriminant_group(lats.lam)
     assert dg.cyclic_orders == (2,)
     assert dg.q_values[0] == Q(-1, 2) % 2
+
+
+def test_disc_group_computed_once_per_lattice():
+    lam = k3n_lattices(ExtMukaiSpace(k3n_type(3))).lam
+    dg = discriminant_group(lam)
+    assert discriminant_group(lam) is dg
+    fresh = discriminant_group(QuadLattice(lam.gram, lam.basis_in_ambient, lam.ambient_gram))
+    assert fresh is not dg
+    assert fresh.cyclic_orders == dg.cyclic_orders == (4,)
+    assert fresh.generators == dg.generators
+    assert fresh.q_values == dg.q_values
 
 
 def test_disc_group_order_equals_det():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as Q
 from math import factorial
 
@@ -206,6 +208,20 @@ def test_project_t_properties():
     # self-adjoint
     y = SymElement.monomial(space, 2, 1, (2,), 0) + SymElement.monomial(space, 2, 0, (), 2)
     assert pairing_bn(project_t(x), y) == pairing_bn(x, project_t(y))
+
+
+def test_project_t_state_lives_with_its_space():
+    full = ExtMukaiSpace(k3n_type(3))
+    small = restricted_space(full, [[1, 1] + [0] * 21])
+    twin = restricted_space(full, [[1, 1] + [0] * 21])
+    tb = todd_bar(small)
+    # an equal space gets its own kernel pieces, so results stay addable
+    assert todd_bar(twin).space is twin
+    assert (tb + todd_bar(small)) == tb.scale(2)
+    ref = weakref.ref(small)
+    del small, tb
+    gc.collect()
+    assert ref() is None
 
 
 def test_sqrt_todd_values():
