@@ -7,6 +7,10 @@ Constructive tools: Cartan-Dieudonne decomposition into reflections,
 Eichler transport of primitive vectors by words of transvections, and
 bounded subgroup generation.
 
+On a full-rank lattice L an isometry keeps its matrix in lattice coordinates
+(`Isometry.on_lattice`), which decides both g(L) = L and the action on A(L).
+Eichler transport runs on integers; its words become Fractions on return.
+
 Spinor norm convention: spin(s_v) = +1 iff b(v, v) < 0.  With this choice
 every transvection and every reflection along a negative-square vector has
 spinor norm +1, so the realized generators of the plus-subgroups below all
@@ -23,6 +27,7 @@ from .linalg import (
     congruence_diagonalize,
     identity_plus_outer,
     vec_add,
+    vec_is_integral,
     vec_is_zero,
     vec_primitive_part,
     vec_scale,
@@ -76,7 +81,7 @@ class QuadSpace:
 class Isometry:
     """An exact isometry of a QuadSpace, acting on column vectors."""
 
-    __slots__ = ("space", "matrix", "word", "_det", "_spin")
+    __slots__ = ("space", "matrix", "word", "_det", "_on_lattice")
 
     def __init__(self, space, matrix, word=None, check=True):
         if check and (matrix.transpose() * space.gram * matrix) != space.gram:
@@ -85,7 +90,7 @@ class Isometry:
         self.matrix = matrix
         self.word = word
         self._det = None
-        self._spin = None
+        self._on_lattice = {}  # full-rank lattice -> matrix in its coordinates
 
     @property
     def det(self):
@@ -95,6 +100,14 @@ class Isometry:
 
     def __call__(self, v):
         return self.matrix.apply(v)
+
+    def on_lattice(self, lat):
+        """C^-1 M C for a full-rank lattice with basis change C, kept per lattice."""
+        m = self._on_lattice.get(lat)
+        if m is None:
+            c, cinv = lat.basis_change()
+            m = self._on_lattice[lat] = cinv * self.matrix * c
+        return m
 
     def compose(self, other, word=None):
         """self after other (matrix product self * other)."""
@@ -288,13 +301,10 @@ def preserves_lattice(g, lat):
         raise IsometryError("dimension mismatch")
     one_way = lat.is_nondegenerate()
     if lat.rank == g.space.dim:
-        # full rank: conjugate into lattice coordinates
-        lat.coords_of_ambient(g.space.basis_vector(0))  # prime the basis cache
-        c = lat._basis_t
-        cinv = lat._basis_t_inv
-        if not (cinv * g.matrix * c).is_integral():
-            return False
-        return one_way or (cinv * g.inverse().matrix * c).is_integral()
+        # full rank: g preserves L iff its matrix in lattice coordinates is integral
+        return g.on_lattice(lat).is_integral() and (
+            one_way or g.inverse().on_lattice(lat).is_integral()
+        )
     maps = (g,) if one_way else (g, g.inverse())
     return all(
         lat.contains_ambient(h(lat.basis_in_ambient.row(i)))
@@ -320,20 +330,26 @@ def disc_action(g, lat):
     """Classify the action induced on A(L): identity, minus_identity, other.
 
     Returns (label, witness) where witness is None or a dual generator whose
-    image is not +-(itself) modulo L.
+    image is not +-(itself) modulo L, in ambient coordinates.  A full-rank L
+    is Z^r in lattice coordinates, where g acts by `g.on_lattice(lat)`.
     """
     if not preserves_lattice(g, lat):
         raise IsometryError("isometry does not preserve the lattice")
     disc = discriminant_group(lat)
-    gens_ambient = [lat.ambient_vector(gen) for gen in disc.generators]
+    full = lat.rank == g.space.dim
+    if full:
+        gens, act, in_lat = disc.generators, g.on_lattice(lat).apply, vec_is_integral
+    else:
+        gens = [lat.ambient_vector(gen) for gen in disc.generators]
+        act, in_lat = g, lat.contains_ambient
     is_id = True
     is_minus = True
     witness = None
-    for w in gens_ambient:
-        gw = g(w)
-        if not lat.contains_ambient(vec_sub(gw, w)):
+    for w in gens:
+        gw = act(w)
+        if not in_lat(vec_sub(gw, w)):
             is_id = False
-        if not lat.contains_ambient(vec_add(gw, w)):
+        if not in_lat(vec_add(gw, w)):
             is_minus = False
         if not (is_id or is_minus) and witness is None:
             witness = w
@@ -341,7 +357,7 @@ def disc_action(g, lat):
         return "identity", None
     if is_minus:
         return "minus_identity", None
-    return "other", witness
+    return "other", lat.ambient_vector(witness) if full else witness
 
 
 def generate_bounded(gens, depth, cap=20000):
@@ -441,8 +457,8 @@ def _find_hyperbolic_pairs(lat, count=2):
 class _Reducer:
     """Drives the transvection reduction of a vector over L = U1 + U2 + L0.
 
-    Works internally in plain integer arithmetic (the lattice must be even
-    and integral); emitted words carry Fraction coordinates.
+    Works in plain integer arithmetic on the integer Gram rows (the lattice
+    must be even and integral); words are lists of integer (e, a) pairs.
     """
 
     def __init__(self, lat):
@@ -451,6 +467,7 @@ class _Reducer:
         if not lat.is_even():
             raise IsometryError("transport needs an even integral lattice")
         self.lat = lat
+        self.rows = lat.gram._keep_form()._int[1]  # integral Gram: denominator 1
         self.rest = rest
         self.E1 = self._unit(p1[0])
         self.F1 = self._unit(p1[1], p1[2])
@@ -465,22 +482,21 @@ class _Reducer:
         return tuple(u)
 
     def _pair(self, x, y):
-        return self.lat.gram.bilinear(x, y).numerator
+        """b(x, y), touching only the nonzero entries of x."""
+        return sum(xi * sum(g * y[j] for j, g in self.rows[i]) for i, xi in enumerate(x) if xi)
 
     # elementary actions -----------------------------------------------------
 
-    def t(self, e, a):
-        if not any(a):
-            return
-        v = self.v
+    def step(self, v, e, a):
+        """t(e, a)(v) on integer vectors."""
         be = self._pair(e, v)
-        ba = self._pair(a, v)
-        qa = self._pair(a, a)
-        coef_e = -ba - (qa // 2) * be
-        self.v = tuple(
-            vi + coef_e * ei + be * ai for vi, ei, ai in zip(v, e, a)
-        )
-        self.word.append((e, a))
+        coef_e = -self._pair(a, v) - (self._pair(a, a) // 2) * be
+        return tuple(vi + coef_e * ei + be * ai for vi, ei, ai in zip(v, e, a))
+
+    def t(self, e, a):
+        if any(a):
+            self.v = self.step(self.v, e, a)
+            self.word.append((e, a))
 
     def coords(self):
         """(a1, b1, a2, b2) with v = a1 E1 + b1 F1 + a2 E2 + b2 F2 + z."""
@@ -588,7 +604,7 @@ class _Reducer:
 
     def reduce(self, v):
         """Carry v to d E1 + b F1 + d*zeta, d = div(v) > 0, zeta canonical."""
-        self.v = tuple(int(c) for c in v)
+        self.v = v
         self.word = []
         a1, b1, a2, b2 = self.coords()
         if a1 == b1 == a2 == b2 == 0:
@@ -627,11 +643,7 @@ class _Reducer:
                 nonzero = True
         if nonzero:
             self.t(self.F1, self._scale(-1, tuple(y)))
-        word = TransvectionWord(
-            self.lat,
-            [(tuple(Q(c) for c in e), tuple(Q(c) for c in a)) for e, a in self.word],
-        )
-        return word, self.v
+        return self.word, self.v
 
 
 def disc_class_rep(lat, v):
@@ -658,14 +670,20 @@ def eichler_transport(lat, v, w):
     if v == w:
         return TransvectionWord(lat, [])
     red = _Reducer(lat)
-    word_v, v_red = red.reduce(v)
-    word_w, w_red = red.reduce(w)
+    vi, wi = tuple(c.numerator for c in v), tuple(c.numerator for c in w)
+    word_v, v_red = red.reduce(vi)
+    word_w, w_red = red.reduce(wi)
     if v_red != w_red:
         return NotFound("reduction mismatch")
-    word = word_v.then(word_w.inverse())
-    if word.apply(v) != w:
+    # the word of v, then the inverse of the word of w: t(e, a)^-1 = t(e, -a)
+    pairs = word_v + [(e, tuple(-c for c in a)) for e, a in reversed(word_w)]
+    x = vi
+    for e, a in pairs:
+        x = red.step(x, e, a)
+    if x != wi:
         return NotFound("verification failed")
-    return word
+    q = {t: tuple(map(Q, t)) for t in {t for pair in pairs for t in pair}}
+    return TransvectionWord(lat, [(q[e], q[a]) for e, a in pairs])
 
 
 def transport_word_isometry(space, lat, word):

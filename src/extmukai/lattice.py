@@ -72,17 +72,20 @@ class QuadLattice:
             raise LatticeError("lattice has no ambient embedding")
         return self.basis_in_ambient.transpose().apply(coords)
 
-    def coords_of_ambient(self, v):
-        """Rational coordinates of an ambient vector on this basis, or None."""
+    def basis_change(self):
+        """(C, C^-1), the basis as columns, built once; C^-1 is None below full rank."""
         if self.basis_in_ambient is None:
             raise LatticeError("lattice has no ambient embedding")
         if self._basis_t is None:
             self._basis_t = self.basis_in_ambient.transpose()._keep_form()
             if self.rank == self._basis_t.rows:  # full rank: invert once
                 self._basis_t_inv = self._basis_t.inverse()._keep_form()
-        if self._basis_t_inv is not None:
-            return self._basis_t_inv.apply(v)
-        return solve_linear(self._basis_t, v)
+        return self._basis_t, self._basis_t_inv
+
+    def coords_of_ambient(self, v):
+        """Rational coordinates of an ambient vector on this basis, or None."""
+        c, cinv = self.basis_change()
+        return cinv.apply(v) if cinv is not None else solve_linear(c, v)
 
     def contains_ambient(self, v):
         x = self.coords_of_ambient(v)

@@ -11,8 +11,10 @@ denominators together with, for every row, the list of its nonzero
 (column, d * entry) integer pairs.  `Mat.bilinear` (every quadratic-form
 pairing of the package), `Mat.apply` and matrix products run on that form
 in plain integers and divide by the common denominator once per result
-entry.  `congruence_diagonalize` is the one symmetric elimination: inertia
-indices and positive-definite bases are both read off its output.
+entry.  A product carries its own form, read off its integer accumulators,
+so chains of products never rebuild it.  `congruence_diagonalize` is the
+one symmetric elimination: inertia indices and positive-definite bases are
+both read off its output.
 
 Values are immutable (tuples of tuples); every function is pure.
 """
@@ -96,7 +98,7 @@ class Mat:
             raise ValueError("ragged matrix")
         self._m = m
         self._hash = None
-        self._int = None  # integer form (see _form), kept by _keep_form()
+        self._int = None  # integer form (see _form): kept by products and _keep_form()
 
     # -- constructors ------------------------------------------------------
 
@@ -188,14 +190,18 @@ class Mat:
         da, A = self._form()
         db, B = other._form()
         d = da * db
-        out = []
+        accs = []
         for ra in A:
             acc = [0] * other.cols
             for k, a in ra:
                 for j, b in B[k]:
                     acc[j] += a * b
-            out.append([Q(x, d) if x else QZERO for x in acc])
-        return Mat(out)
+            accs.append(acc)
+        # the product keeps its integer form: its lcm denominator is d / g
+        g = gcd(d, *(x for acc in accs for x in acc))
+        out = Mat([[Q(x, d) if x else QZERO for x in acc] for acc in accs])
+        out._int = d // g, [[(j, x // g) for j, x in enumerate(acc) if x] for acc in accs]
+        return out
 
     def apply(self, v):
         """Matrix times column vector (entries ints or Fractions)."""
@@ -226,8 +232,8 @@ class Mat:
         """Build the integer form once and keep it on this matrix; returns self.
 
         For long-lived matrices that are paired, applied or multiplied again
-        and again (Grams, Gram inverses, lattice basis changes).  Other
-        matrices build the form per call and do not hold it."""
+        and again (Grams, Gram inverses, lattice basis changes).  Products
+        come with their form; other matrices build it per call."""
         if self._int is None:
             self._int = self._form()
         return self

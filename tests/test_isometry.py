@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -226,6 +227,25 @@ def test_disc_action_examples():
     assert disc_action(b_field(space, lam_int), lats.lam)[0] == "identity"
     assert disc_action(minus_identity(space), lats.lam)[0] == "minus_identity"
     assert disc_action(reflection(space, lats.delta_tilde), lats.lam)[0] == "minus_identity"
+    with pytest.raises(IsometryError):  # a half-integral B-field moves Lambda
+        disc_action(b_field(space, [Q(1, 2)] + [0] * 22), lats.lam)
+
+
+def test_disc_action_other_label():
+    # on U(3) the swap exchanges the two Z/3 factors of A(U(3)) = (Z/3)^2;
+    # the witness is the first dual generator, in ambient coordinates
+    from extmukai.isometry import Isometry, QuadSpace
+    from extmukai.lattice import QuadLattice
+
+    u3 = Mat([[0, 3], [3, 0]])
+    lat = QuadLattice.from_basis([(1, 0), (0, 1)], u3)  # full rank
+    swap = Isometry(QuadSpace(u3), Mat([[0, 1], [1, 0]]))
+    assert disc_action(swap, lat) == ("other", (0, Q(1, 3)))
+    # U(3) as the first two coordinates of U(3) + <2>: not of full rank
+    g3 = Mat([[0, 3, 0], [3, 0, 0], [0, 0, 2]])
+    lat3 = QuadLattice.from_basis([(1, 0, 0), (0, 1, 0)], g3)
+    swap3 = Isometry(QuadSpace(g3), Mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    assert disc_action(swap3, lat3) == ("other", (0, Q(1, 3), 0))
 
 
 def test_preserves_lattice_examples():
@@ -332,6 +352,46 @@ def test_transport_word_isometry_matches():
     assert preserves_lattice(g, lam)
     assert spinor_norm(g) == 1
     assert g.det == 1
+
+
+def _b_int(gram, y, z):
+    return sum(y[i] * gram[i][j] * z[j] for i in range(len(y)) for j in range(len(z)))
+
+
+def _transvect_int(gram, e, a, x):
+    """t(e, a)(x) on plain integers."""
+    be = _b_int(gram, e, x)
+    ce = -_b_int(gram, a, x) - _b_int(gram, a, a) // 2 * be
+    return tuple(xi + ce * ei + be * ai for xi, ei, ai in zip(x, e, a))
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_transport_matches_reference_apply(n):
+    # (v, w) in Lambda as the benchmark draws them: v primitive, w its image
+    # under integer transvections along alpha~, beta, alpha~ (b(alpha~, beta) = -1)
+    from extmukai.isometry import transport_word_isometry
+
+    space, lats = k3n_setup(n)
+    lam = lats.lam
+    gram = [[int(c) for c in r] for r in lam.gram.entries()]
+    draw = random.Random(100 + n)
+    units = [tuple(int(i == k) for i in range(25)) for k in range(25)]
+    for _ in range(4):
+        v = (0,)
+        while gcd(*v) != 1:
+            v = tuple(draw.randint(-4, 4) for _ in range(25))
+        w = v
+        for e, f in ((units[0], units[23]), (units[23], units[0]), (units[0], units[23])):
+            a0 = tuple(draw.randint(-2, 2) for _ in range(25))
+            c = _b_int(gram, e, a0)  # a = a0 + b(e, a0) f is orthogonal to e
+            w = _transvect_int(gram, e, tuple(x + c * y for x, y in zip(a0, f)), w)
+        vq, wq = tuple(map(Q, v)), tuple(map(Q, w))
+        word = eichler_transport(lam, vq, wq)
+        assert not isinstance(word, NotFound)
+        assert all(type(c) is Q for e, a in word.pairs for c in e + a)
+        assert word.apply(vq) == wq
+        g = transport_word_isometry(space, lam, word)
+        assert g(lam.ambient_vector(vq)) == lam.ambient_vector(wq)
 
 
 # -- generators against their column-by-column definitions ---------------------

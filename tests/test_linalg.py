@@ -150,11 +150,17 @@ def vectors(n):
     )
 
 
+small_rationals = st.one_of(
+    st.just(Q(0)),
+    st.builds(Q, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)),
+)
+
+
 @st.composite
-def matrices(draw, rows=None, cols=None):
+def matrices(draw, rows=None, cols=None, entries=rationals):
     r = rows if rows is not None else draw(st.integers(min_value=1, max_value=5))
     c = cols if cols is not None else draw(st.integers(min_value=1, max_value=5))
-    m = [draw(st.lists(rationals, min_size=c, max_size=c)) for _ in range(r)]
+    m = [draw(st.lists(entries, min_size=c, max_size=c)) for _ in range(r)]
     for i in draw(st.sets(st.integers(min_value=0, max_value=r - 1), max_size=r)):
         m[i] = [Q(0)] * c  # zero rows
     return m
@@ -196,7 +202,22 @@ def test_matmul_matches_fraction_sum(data):
         [sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
-    assert Mat(a) * Mat(b) == Mat(want)
+    prod = Mat(a) * Mat(b)
+    assert prod == Mat(want)
+    # a product carries the integer form a fresh Mat with its entries builds
+    # (same lcm d, same (column, value) pairs): chains of three products over
+    # denominators 1-6 with zero rows, and a product that comes out zero
+    x = Mat(data.draw(matrices(entries=small_rationals)))
+    y = Mat(data.draw(matrices(rows=x.cols, entries=small_rationals)))
+    z = Mat(data.draw(matrices(rows=y.cols, entries=small_rationals)))
+    products = [prod, x * y, (x * y) * z, x * (y * z)]
+    ker = kernel_basis(x)
+    if ker:
+        products.append(x * Mat.from_columns(ker))
+        assert products[-1] == Mat.zero(x.rows, len(ker))
+    assert products[2] == products[3]
+    for p in products:
+        assert p._int == Mat(p.entries())._form()
 
 
 def test_bilinear_shape_mismatch():
@@ -259,3 +280,57 @@ def test_congruence_inertia_matches_sympy(m):
     diag, _ = congruence_diagonalize(Mat(m))
     got = (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0))
     assert got == _sympy_inertia(sympy, [[sympy.Rational(a.numerator, a.denominator) for a in r] for r in m])
+
+
+# -- integer normal forms, rank and det against sympy ---------------------------
+
+
+def _sympy_matrix(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(Q(a).numerator, Q(a).denominator) for a in r] for r in rows])
+
+
+def _sympy_invariants(sympy, rows):
+    """Nonzero Smith invariants of the integer row span, from sympy."""
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
+    if not any(any(r) for r in rows):
+        return []
+    d = sympy_smith(sympy.Matrix(rows), domain=sympy.ZZ)
+    return sorted(abs(d[i, i]) for i in range(min(d.shape)) if d[i, i])
+
+
+@given(int_matrices)
+@settings(max_examples=60, deadline=None)
+def test_smith_normal_form_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    m = Mat(rows)
+    u, d, v = smith_normal_form(m)
+    assert u * m * v == d
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    got = [d[i, i] for i in range(min(m.rows, m.cols))]
+    want = _sympy_invariants(sympy, rows)
+    assert got == want + [0] * (len(got) - len(want))
+
+
+@given(int_matrices)
+@settings(max_examples=60, deadline=None)
+def test_hnf_row_basis_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    basis = hnf_row_basis(rows)
+    assert len(basis) == sympy.Matrix(rows).rank()
+    # the row span, the basis span and the span of both have equal invariants:
+    # each of the first two is then of index 1 in the third, so all agree
+    inv = _sympy_invariants(sympy, rows)
+    assert _sympy_invariants(sympy, basis) == inv
+    assert _sympy_invariants(sympy, [list(r) for r in rows] + basis) == inv
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_and_det_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    m = data.draw(matrices())
+    assert Mat(m).rank() == _sympy_matrix(sympy, m).rank()
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    sq = data.draw(matrices(rows=n, cols=n))
+    assert Mat(sq).det() == _sympy_matrix(sympy, sq).det()
