@@ -68,19 +68,22 @@ class QuadLattice:
         return self.pairing(x, x)
 
     def ambient_vector(self, coords):
-        if self.basis_in_ambient is None:
-            raise LatticeError("lattice has no ambient embedding")
-        return self.basis_in_ambient.transpose().apply(coords)
+        return self._columns().apply(coords)
 
-    def basis_change(self):
-        """(C, C^-1), the basis as columns, built once; C^-1 is None below full rank."""
+    def _columns(self):
+        """C, the basis as columns with its integer form, built once."""
         if self.basis_in_ambient is None:
             raise LatticeError("lattice has no ambient embedding")
         if self._basis_t is None:
             self._basis_t = self.basis_in_ambient.transpose()._keep_form()
-            if self.rank == self._basis_t.rows:  # full rank: invert once
-                self._basis_t_inv = self._basis_t.inverse()._keep_form()
-        return self._basis_t, self._basis_t_inv
+        return self._basis_t
+
+    def basis_change(self):
+        """(C, C^-1); C^-1 is built on first use and is None below full rank."""
+        c = self._columns()
+        if self._basis_t_inv is None and self.rank == c.rows:
+            self._basis_t_inv = c.inverse()._keep_form()
+        return c, self._basis_t_inv
 
     def coords_of_ambient(self, v):
         """Rational coordinates of an ambient vector on this basis, or None."""

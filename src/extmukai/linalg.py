@@ -3,8 +3,9 @@
 Everything in this package runs over Q with `fractions.Fraction`; there is
 no floating point anywhere.  Matrices are small (a few hundred rows at the
 very most, usually 25 or less), so the kernels below are straightforward
-dense algorithms: fraction-free Gaussian elimination, Smith and Hermite
-normal forms with unimodular transforms, rational kernels and solvers.
+dense algorithms: Gaussian elimination on `Fraction` entries (`rref`, `det`,
+`inverse`, the solvers and kernels), and Smith and Hermite normal forms with
+unimodular transforms on integers.
 
 The integer Gram form lives here too: a matrix is read as the lcm d of its
 denominators together with, for every row, the list of its nonzero

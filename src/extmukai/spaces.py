@@ -21,7 +21,7 @@ transcendental part, and "Hodge isometry" means "isometry preserving that
 split".
 """
 
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 from .isometry import Isometry, QuadSpace, disc_action, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, standard_lattice
@@ -422,32 +422,38 @@ def rank_predicate_o_orbit(r, n):
     return False, None
 
 
+_KX_TABLE_MAX_N = 8  # residue tables hold n! entries: 40,320 at n = 8
 _KX_TABLES = {}
 
 
-def _kx_tables(n, c_int):
-    """Residue tables for the integer fast path of the k(x) rank predicate."""
-    key = (n, c_int)
-    if key not in _KX_TABLES:
-        from math import factorial as _f, gcd as _g
-
-        fact = _f(n)
-        gtab = [_g(m, fact) for m in range(fact)]
+def _kx_tables(n):
+    """Residue tables of the k(x) rank predicate for n <= _KX_TABLE_MAX_N:
+    (n!, gcd(m, n!) and whether n!/gcd(m, n!) is an n-th power, per m mod n!)."""
+    if n not in _KX_TABLES:
+        fact = factorial(n)
+        gtab = [gcd(m, fact) for m in range(fact)]
         perfect = {g: _integer_nth_root(fact // g, n) is not None for g in set(gtab)}
-        qok = [perfect[g] for g in gtab]
-        _KX_TABLES[key] = (fact, gtab, qok)
-    return _KX_TABLES[key]
+        _KX_TABLES[n] = (fact, gtab, [perfect[g] for g in gtab])
+    return _KX_TABLES[n]
 
 
 def kx_rank_core(r, n, c_int):
     """Integer core: the signed n-th-root numerator a_p when r = (a_p/a_q)^n
-    n!/c for integers a_p, a_q, else None."""
-    fact, gtab, qok = _kx_tables(n, c_int)
+    n!/c for integers a_p, a_q, else None.  With g = gcd(r c, n!), a_q^n is
+    n!/g and a_p^n is r c/g; g is read from the residue tables up to
+    _KX_TABLE_MAX_N and computed directly above it."""
     num = r * c_int
-    m = num % fact
-    if not qok[m]:
-        return None
-    g = gtab[m]
+    if n <= _KX_TABLE_MAX_N:
+        fact, gtab, qok = _kx_tables(n)
+        m = num % fact
+        if not qok[m]:
+            return None
+        g = gtab[m]
+    else:
+        fact = factorial(n)
+        g = gcd(num, fact)
+        if _integer_nth_root(fact // g, n) is None:
+            return None
     p = num // g
     if p < 0 and n % 2 == 0:
         return None
@@ -464,9 +470,7 @@ def rank_predicate_kx_orbit(r, n, c_x):
     only |a| is determined; the returned witness is nonnegative)."""
     r = int(r)
     c_x = Q(c_x)
-    from math import factorial as _f
-
-    fact = _f(n)
+    fact = factorial(n)
     # integral Fujiki constants get the table-driven integer pre-filter
     if c_x.denominator == 1 and kx_rank_core(r, n, c_x.numerator) is None:
         return False, None, None

@@ -12,12 +12,21 @@ The machinery implements:
   * the Lefschetz action e_omega (alpha -> omega, mu -> b(omega, mu) beta,
     beta -> 0, extended as a derivation),
   * the embedding psi of the Verbitsky component, psi(1) = alpha^n / n!,
-    with psi(omega_1...omega_k) = e_{omega_1}...e_{omega_k}(alpha^n / n!),
+    with psi(omega_1...omega_k) = e_{omega_1}...e_{omega_k}(alpha^n / n!);
+    for a repeated class psi(omega^j) is written in closed form, since
+    exp(e_omega) acts on Sym^n as Sym^n of the B-field isometry
+    alpha -> alpha + omega + b(omega, omega)/2 beta (no Lefschetz chain),
   * the orthogonal projection T onto ker(Laplacian), both lazily (through
     the adjunction b_SH(m, T(x)) = b_[n](psi(m), x)) and materialized
     degree by degree for small spaces,
   * square-root-of-Todd and Todd linearisations, integrals of products of
     divisor classes, and Euler characteristics of line bundles.
+
+The pairing buckets the monomials of y by their alpha and beta degrees, so
+a monomial of x meets only the monomials it can pair with, and the H^2
+block of a pair is a permanent computed by a dynamic program over the
+multiplicities of its distinct columns (on a rank-r restricted space at most
+r distinct columns, whatever the symmetric degree).
 
 Every identity checked downstream is a universal polynomial identity in
 the Gram entries, so expensive full-rank evaluations are routed through
@@ -160,61 +169,50 @@ class SymElement:
 # -- pairing -------------------------------------------------------------------
 
 
-def _permanent(rows):
-    """Permanent of a small square matrix (list of lists of Fractions)."""
-    n = len(rows)
-    if n == 0:
-        return Q(1)
-    # dynamic program over column subsets
-    size = 1 << n
-    dp = [Q(0)] * size
-    dp[0] = Q(1)
-    for mask in range(size):
-        if dp[mask] == 0:
-            continue
-        i = bin(mask).count("1")
-        if i >= n:
-            continue
-        row = rows[i]
-        for j in range(n):
-            if not mask & (1 << j) and row[j] != 0:
-                dp[mask | (1 << j)] += dp[mask] * row[j]
-    return dp[size - 1]
+def _permanent(rows, mult):
+    """Permanent of the square matrix whose distinct columns are the columns
+    of `rows`, column j taken mult[j] times (sum(mult) == len(rows)).
 
-
-def _pair_monomials(space, key_x, key_y):
-    """b-pairing permanent for a pair of monomials, without the (-1)^n c_X
-    prefactor.  Factorizes over the (alpha/beta) block and the H^2 block."""
-    ax, mx, cx = key_x
-    ay, my, cy = key_y
-    if len(mx) != len(my):
-        return Q(0)
-    if ax != cy or cx != ay:
-        return Q(0)
-    # alpha pairs only with beta (value -1), H^2 with H^2
-    ab = Q(-1) ** (ax + cx) * factorial(ax) * factorial(cx)
-    if not mx:
-        return ab
-    g = space.dtype.h2_gram
-    rows = [[g[i, j] for j in my] for i in mx]
-    return ab * _permanent(rows)
+    Dynamic program over the rows: the state is the number of free copies of
+    each distinct column, and placing a row on column j weighs its entry by
+    the copies of j still free.  At most prod(mult[j] + 1) states; with all
+    columns distinct this is the subset DP, with one distinct column it is
+    k! a^k in k steps."""
+    states = {tuple(mult): Q(1)}
+    for row in rows:
+        nxt = {}
+        for free, val in states.items():
+            for j, a in enumerate(row):
+                if a and free[j]:
+                    key = free[:j] + (free[j] - 1,) + free[j + 1 :]
+                    nxt[key] = nxt.get(key, 0) + val * a * free[j]
+        states = nxt
+    return states.get((0,) * len(mult), Q(0))
 
 
 def pairing_bn(x, y):
     """b_[n](x, y) = (-1)^n c_X sum_sigma prod b(x_i, y_sigma(i)), extended
-    bilinearly over the monomial basis."""
+    bilinearly over the monomial basis.
+
+    alpha pairs only with beta (value -1) and H^2 with H^2, so a monomial
+    alpha^a m beta^c meets only the y monomials alpha^c m' beta^a (and then
+    |m'| = |m|): y is bucketed by (c, a) once, and each pair contributes
+    (-1)^(a+c) a! c! times the permanent of the H^2 block."""
     if x.space is not y.space or x.n != y.n:
         raise SymError("space mismatch")
-    space = x.space
-    sign = Q(-1) ** x.n * space.dtype.c_x
+    g = x.space.dtype.h2_gram
+    buckets = {}
+    for (a, m, c), v in y.coeffs.items():
+        cols = sorted(set(m))
+        buckets.setdefault((c, a), []).append((cols, [m.count(j) for j in cols], v))
     total = Q(0)
-    # group y by (#alpha, #beta, h2 length) for quick rejection
-    for kx, vx in x.coeffs.items():
-        for ky, vy in y.coeffs.items():
-            p = _pair_monomials(space, kx, ky)
-            if p != 0:
-                total += vx * vy * p
-    return sign * total
+    for (a, m, c), vx in x.coeffs.items():
+        part = Q(0)
+        for cols, mult, vy in buckets.get((a, c), ()):
+            part += vy * _permanent([[g[i, j] for j in cols] for i in m], mult)
+        if part:
+            total += vx * part * ((-1) ** (a + c) * factorial(a) * factorial(c))
+    return (-1) ** x.n * x.space.dtype.c_x * total
 
 
 # -- operators -----------------------------------------------------------------
@@ -300,15 +298,51 @@ def lefschetz_e(omega, x):
 
 
 def psi_monomial(space, omegas, n=None):
-    """psi(omega_1 ... omega_k) = e_{omega_1} ... e_{omega_k}(alpha^n / n!)."""
+    """psi(omega_1 ... omega_k) = e_{omega_1} ... e_{omega_k}(alpha^n / n!).
+
+    A repeated class is written in closed form (`_psi_power`); mixed classes
+    run the chain of Lefschetz operators."""
     if n is None:
         n = space.dtype.n
+    omegas = [tuple(Q(c) for c in w) for w in omegas]
     if len(omegas) > 2 * n:
         raise SymError("monomial degree exceeds 2n")
+    if not omegas or all(w == omegas[0] for w in omegas):
+        return _psi_power(space, omegas[0] if omegas else (), len(omegas), n)
     x = SymElement.alpha_power(space, n)
-    for w in reversed(list(omegas)):
+    for w in reversed(omegas):
         x = lefschetz_e(w, x)
     return x
+
+
+def _psi_power(space, omega, j, n):
+    """e_omega^j(alpha^n / n!) = j! times the degree-2j part of
+    (alpha + omega + q/2 beta)^n / n!, q = b(omega, omega) (exp(e_omega) is
+    Sym^n of the B-field isometry).  Its coefficient on alpha^a omega^k
+    beta^c, k + 2c = j, a = n - k - c, is j! (q/2)^c / (a! k! c!), and
+    omega^k / k! expands as sum over |mu| = k of prod omega_i^mu_i / mu_i!."""
+    if j and len(omega) != space.b2:
+        raise SymError("omega must be an H^2 vector")
+    half_q = space.dtype.h2_gram.bilinear(omega, omega) / 2 if j else Q(0)
+    top = min(j, 2 * n - j)  # a >= 0 needs c >= j - n, so k <= 2n - j
+    powers = {(): Q(1)}  # sorted multiset -> prod omega_i^mu_i / mu_i!
+    for i, w in enumerate(omega):
+        if w:
+            for m, v in list(powers.items()):
+                for t in range(1, top - len(m) + 1):
+                    v = v * w / t
+                    powers[m + (i,) * t] = v
+    out = {}
+    for m, v in powers.items():
+        k = len(m)
+        c, odd = divmod(j - k, 2)
+        a = n - k - c
+        if odd or (c and not half_q):
+            continue
+        out[(a, m, c)] = v * half_q**c * Q(factorial(j), factorial(a) * factorial(c))
+    res = SymElement(space, n)
+    res.coeffs = out
+    return res
 
 
 def pair_with_sh(space, monomial, x, with_detail=False):

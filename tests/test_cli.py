@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from extmukai.cli import parse_vector
+from extmukai.cli import SYM_MAX_N, main, parse_vector
 from extmukai.linalg import Mat
 from extmukai.serialize import (
     canonical_json,
@@ -195,6 +198,8 @@ def test_cli_bad_input_exit_2():
     # wrong coordinate count, malformed moduli input, unknown lattice
     code, _ = run_cli(["vector", "--n", "2", "--lam", "1,2,3"])
     assert code == 2
+    code, out = run_cli(["vector", "--n", "2", "--lam", "e1/0"])
+    assert code == 2 and "error" in json.loads(out)
     code, _ = run_cli(["moduli", "--input", "-"], stdin='{"ns": {"gram": [["x"]]}, "v": [1, 0]}')
     assert code == 2
     code, _ = run_cli(["lattice-check", "--n", "2", "--lattice", "nope", "--iso", "shift"])
@@ -205,6 +210,17 @@ def test_cli_bad_input_exit_2():
     assert code == 2  # needs 2n classes
     code, out = run_cli(["group", "--gens", "shift", "--depth", "-1"])
     assert code == 2 and "error" in json.loads(out)
+    for cap in ("0", "-5"):
+        code, out = run_cli(["group", "--gens", "shift", "--cap", cap])
+        assert code == 2 and "--cap" in json.loads(out)["error"]["message"]
+    for argv in (
+        ["todd", "--n", "7"],
+        ["chi", "--n", "7", "--square", "2"],
+        ["integrate", "--n", "7", "--omegas", ";".join(["e1"] * 14)],
+        ["verify", "linearisation", "--n", "99"],
+    ):
+        code, out = run_cli(argv)
+        assert code == 2 and "--n" in json.loads(out)["error"]["message"], argv
     for stdin in (
         '{"ns": {"gram": [["2"]]}, "v": 5}',
         '{"ns": {"gram": [["2"]]}, "v": [1, null, 0]}',
@@ -219,3 +235,96 @@ def test_cli_verify_text_lines():
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert lines and all(l.startswith("[PASS]") for l in lines)
+
+
+# -- fuzz guard: every argv and JSON shape ends in exit 0, 1 or 2 ---------------
+
+_VECTOR_TOKENS = ["alpha", "beta", "delta", "e1", "e2", "e23", "e99", "0", "1/2", "3", "x",
+                  "1/0", "+", "-", "*", "/", ",", " ", ""]
+_VALID_VECTORS = ["e1", "e1+e2", "2*e1-e2", "delta/3", "0", "e1+1/2*e3"]
+_vector_text = st.sampled_from(_VALID_VECTORS) | st.lists(
+    st.sampled_from(_VECTOR_TOKENS), max_size=6
+).map("".join)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.sampled_from(["2", "1/2", "x", "1/0", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["ns", "v", "gram", "name"]), inner, max_size=3),
+    max_leaves=10,
+)
+_gram_entries = st.sampled_from([0, 1, 2, -2, "2", "1/2", "x", None])
+_moduli_inputs = st.one_of(
+    _json_values.map(json.dumps),
+    st.builds(
+        lambda gram, v: json.dumps({"ns": {"gram": gram}, "v": v}),
+        st.lists(st.lists(_gram_entries, max_size=3), max_size=3),
+        st.lists(st.sampled_from([0, 1, -1, 2, "1/2", 0.5, None, [1]]), max_size=5),
+    ),
+    st.sampled_from(["", "{", "[1]", "nan", '{"ns": 1, "v": []}',
+                     '{"ns": {"gram": [["2"]]}, "v": [1, 0, -1]}']),
+)
+_GENERATORS = ["shift", "bfield:e1", "reflection:beta", "bogus", "catalog:nope"]
+_RAW_TOKENS = ["vector", "todd", "--n", "--cap", "-1", "x", "--format", "text", "--bogus"]
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, stdin) for the in-process CLI; n stays within the Sym^n cap
+    or just above it, so that no call runs long."""
+    family = draw(st.sampled_from(["K3n", "Kumn", "K3n", "Kumn", "OG10"]))
+    n = draw(st.integers(2, SYM_MAX_N) | st.sampled_from([-1, 0, 1, SYM_MAX_N + 1]))
+    fam = ["--family", family, "--n", str(n)]
+    verb = draw(st.sampled_from(
+        ["vector", "chi", "todd", "integrate", "group", "moduli", "catalog", "raw"]
+    ))
+    lam = ["--lam", draw(_vector_text)]
+    stdin = ""
+    if verb == "vector":
+        argv = ["vector"] + fam + (["--point"] if draw(st.booleans()) else lam)
+    elif verb == "chi":
+        argv = ["chi"] + fam + (["--square", draw(_vector_text)] if draw(st.booleans()) else lam)
+    elif verb == "todd":
+        argv = ["todd"] + fam + (["--sqrt"] if draw(st.booleans()) else [])
+    elif verb == "integrate":
+        count = draw(st.sampled_from([max(2 * n, 0), max(2 * n, 0), 1, 3]))
+        omegas = draw(st.lists(_vector_text, min_size=count, max_size=count))
+        argv = ["integrate"] + fam + ["--omegas", ";".join(omegas)]
+    elif verb == "group":
+        gens = draw(st.lists(st.sampled_from(_GENERATORS), max_size=2))
+        argv = ["group", "--n", "2", "--gens", ";".join(gens),
+                "--depth", str(draw(st.integers(-2, 1))), "--cap", str(draw(st.integers(-2, 3)))]
+    elif verb == "moduli":
+        argv, stdin = ["moduli", "--input", "-"], draw(_moduli_inputs)
+    elif verb == "catalog":
+        argv = ["catalog", draw(st.sampled_from(["list", "get", "nope"]))]
+        argv += draw(st.lists(st.sampled_from(["nope", "--n", "x"]), max_size=2))
+    else:
+        argv = draw(st.lists(st.sampled_from(_RAW_TOKENS), max_size=4))
+    if draw(st.booleans()):
+        argv = ["--format", "text"] + argv
+    return argv, stdin
+
+
+def run_main(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(cli_calls())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz_exit_codes(call):
+    argv, stdin = call
+    code, out, err = run_main(argv, stdin)
+    assert code in (0, 1, 2), (argv, stdin, code)
+    assert "Traceback" not in out + err
+    if code == 2 and out:
+        assert "error" in json.loads(out)

@@ -89,6 +89,18 @@ def test_disc_group_computed_once_per_lattice():
     assert fresh.q_values == dg.q_values
 
 
+def test_ambient_vector_needs_no_inverse():
+    lam = k3n_lattices(ExtMukaiSpace(k3n_type(3))).lam
+    lat = QuadLattice(lam.gram, lam.basis_in_ambient, lam.ambient_gram)
+    coords = [Q(i % 5 - 2, 1 + i % 3) for i in range(lat.rank)]
+    want = lat.basis_in_ambient.transpose().apply(coords)
+    assert lat.ambient_vector(coords) == want
+    assert lat._basis_t_inv is None  # no coordinates asked for yet
+    c, cinv = lat.basis_change()
+    assert lat.ambient_vector(coords) == want and lat._columns() is c
+    assert lat.coords_of_ambient(want) == tuple(coords)
+
+
 def test_disc_group_order_equals_det():
     rng = random.Random(5)
     for _ in range(15):

@@ -26,7 +26,9 @@ from extmukai.spaces import (
     signum_normalize,
     split_algebraic,
 )
-from extmukai.spaces import _integer_nth_root
+from extmukai import spaces
+from extmukai.spaces import _integer_nth_root, kx_rank_core
+from extmukai.verification import _brute_force_kx_ranks
 
 rng = random.Random(99)
 
@@ -245,6 +247,30 @@ def test_rank_predicates_exact_for_big_integers():
     assert not rank_predicate_kx_orbit(2 * b**2 + 2, 2, 1)[0]
     assert rank_predicate_o_orbit(10**400, 2) == (True, 10**200)
     assert rank_predicate_o_orbit(10**400 - 1, 2) == (False, None)
+
+
+@pytest.mark.parametrize("n", [7, 8, 12, 13])
+def test_rank_predicate_kx_large_n_matches_brute_force(n):
+    # residue tables stop at _KX_TABLE_MAX_N (n! entries); above it the gcd
+    # is computed per call, and no table is ever built
+    from math import factorial
+
+    bound = 3**n * factorial(n)
+    sample_rng = random.Random(n)
+    for c_x in (1, n + 1):
+        valid = _brute_force_kx_ranks(n, c_x, bound)
+        sample = set(valid) | {r + d for r in valid for d in (-1, 1)}
+        sample |= {sample_rng.randint(-bound, bound) for _ in range(300)}
+        sample |= {k * factorial(n) // c_x for k in range(-20, 21)}
+        for r in sorted(sample):
+            if abs(r) > bound:
+                continue
+            assert (kx_rank_core(r, n, c_x) is not None) == (r in valid)
+            ok, a, _integral = rank_predicate_kx_orbit(r, n, c_x)
+            assert ok == (r in valid)
+            if ok:
+                assert a**n * factorial(n) / c_x == r
+    assert all(k <= spaces._KX_TABLE_MAX_N for k in spaces._KX_TABLES)
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=7))

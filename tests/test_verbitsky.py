@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extmukai.linalg import Mat
 from extmukai.spaces import (
@@ -16,6 +17,7 @@ from extmukai.spaces import (
 )
 from extmukai.verbitsky import (
     SymElement,
+    _permanent,
     SymError,
     bessel_polynomial_coefficient,
     euler_char_from_sqrt_todd,
@@ -299,3 +301,146 @@ def test_restricted_space_agrees_with_full():
             assert pair_with_sh(small, [(Q(1),)] * k, arg_small) == pair_with_sh(
                 space, [w] * k, arg_full
             )
+
+
+# -- reference implementations: the subset-DP permanent, the all-pairs
+# pairing loop and the Lefschetz chain for psi ---------------------------------
+
+
+def subset_permanent(rows):
+    """Permanent by dynamic programming over column subsets."""
+    n = len(rows)
+    dp = [Q(0)] * (1 << n)
+    dp[0] = Q(1)
+    for mask in range(1 << n):
+        i = bin(mask).count("1")
+        if dp[mask] == 0 or i >= n:
+            continue
+        for j in range(n):
+            if not mask & (1 << j) and rows[i][j] != 0:
+                dp[mask | (1 << j)] += dp[mask] * rows[i][j]
+    return dp[-1]
+
+
+def all_pairs_pairing(x, y):
+    """b_[n] as a loop over every pair of monomials of x and y."""
+    g = x.space.dtype.h2_gram
+    total = Q(0)
+    for (ax, mx, cx), vx in x.coeffs.items():
+        for (ay, my, cy), vy in y.coeffs.items():
+            if len(mx) != len(my) or ax != cy or cx != ay:
+                continue
+            ab = (-1) ** (ax + cx) * factorial(ax) * factorial(cx)
+            total += vx * vy * ab * subset_permanent([[g[i, j] for j in my] for i in mx])
+    return (-1) ** x.n * x.space.dtype.c_x * total
+
+
+def chain_psi(space, omegas, n):
+    """e_{omega_1} ... e_{omega_k}(alpha^n / n!) as a chain of Lefschetz operators."""
+    x = SymElement.alpha_power(space, n)
+    for w in reversed(omegas):
+        x = lefschetz_e(w, x)
+    return x
+
+
+_FULL = {}
+
+
+def full_space(family, n):
+    if (family, n) not in _FULL:
+        _FULL[family, n] = ExtMukaiSpace((k3n_type if family == "K3n" else kumn_type)(n))
+    return _FULL[family, n]
+
+
+small_rationals = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def psi_cases(draw):
+    """(space, omega, j, n): full K3[n] / Kum_n with an omega on up to four
+    basis entries, or rank-1 / rank-2 restricted spaces of them."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["K3n", "Kumn", "rank1", "rank2"]))
+    if kind in ("K3n", "Kumn"):
+        space = full_space(kind, n)
+        omega = [Q(0)] * space.b2
+        for i in draw(st.lists(st.integers(0, space.b2 - 1), min_size=1, max_size=4)):
+            omega[i] = draw(small_rationals)
+    else:
+        full = full_space(draw(st.sampled_from(["K3n", "Kumn"])), n)
+        vecs = [
+            [draw(st.integers(-2, 2)) if i < 4 else 0 for i in range(full.b2)]
+            for _ in range(1 if kind == "rank1" else 2)
+        ]
+        space = restricted_space(full, vecs)
+        omega = [draw(small_rationals) for _ in vecs]
+    return space, tuple(omega), draw(st.integers(0, 2 * n)), n
+
+
+def symmetric_grams(rank):
+    size = rank * (rank + 1) // 2
+    entries = st.lists(small_rationals, min_size=size, max_size=size)
+
+    def build(vals):
+        g = [[Q(0)] * rank for _ in range(rank)]
+        it = iter(vals)
+        for i in range(rank):
+            for j in range(i, rank):
+                g[i][j] = g[j][i] = next(it)
+        return g
+
+    return entries.map(build)
+
+
+@given(psi_cases())
+@settings(max_examples=60, deadline=None)
+def test_psi_closed_form_matches_chain(case):
+    space, omega, j, n = case
+    got = psi_monomial(space, [omega] * j, n=n)
+    assert got.coeffs == chain_psi(space, [omega] * j, n).coeffs
+    assert got.n == n and got.space is space
+
+
+@st.composite
+def sym_elements(draw, space, n, max_terms=6):
+    coeffs = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        k = draw(st.integers(0, n))
+        c = draw(st.integers(0, n - k))
+        m = tuple(draw(st.lists(st.integers(0, space.b2 - 1), min_size=k, max_size=k)))
+        coeffs[(n - k - c, tuple(sorted(m)), c)] = draw(small_rationals)
+    return SymElement(space, n, coeffs)
+
+
+@given(st.data(), st.integers(1, 5), st.sampled_from([1, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_pairing_buckets_match_all_pairs(data, n, rank):
+    gram = RANK3 if rank == 3 else Mat(data.draw(symmetric_grams(rank)))
+    space = ExtMukaiSpace(custom_type(n, Q(7, 2), Q(1), gram))
+    x = data.draw(sym_elements(space, n))
+    y = data.draw(sym_elements(space, n))
+    assert pairing_bn(x, y) == all_pairs_pairing(x, y)
+    # psi against the pairing's own input, as in pair_with_sh
+    w = tuple(data.draw(small_rationals) for _ in range(space.b2))
+    ps = psi_monomial(space, [w] * data.draw(st.integers(0, 2 * n)), n=n)
+    assert pairing_bn(ps, y) == all_pairs_pairing(ps, y)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_multiplicity_permanent_matches_subset_dp(data):
+    ncols = data.draw(st.integers(0, 4))
+    mult = [data.draw(st.integers(0, 3)) for _ in range(ncols)]
+    k = sum(mult)
+    entry = st.one_of(st.just(Q(0)), small_rationals)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    distinct_rows = data.draw(st.lists(row, min_size=1, max_size=3))
+    rows = [distinct_rows[data.draw(st.integers(0, len(distinct_rows) - 1))] for _ in range(k)]
+    full = [[r[j] for j in range(ncols) for _ in range(mult[j])] for r in rows]
+    assert _permanent(rows, mult) == subset_permanent(full)
+
+
+def test_multiplicity_permanent_rank_one():
+    # one distinct column taken k times: k! a^k
+    for k in range(8):
+        assert _permanent([[Q(3, 2)]] * k, [k]) == factorial(k) * Q(3, 2) ** k
