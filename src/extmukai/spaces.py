@@ -422,38 +422,21 @@ def rank_predicate_o_orbit(r, n):
     return False, None
 
 
-_KX_TABLE_MAX_N = 8  # residue tables hold n! entries: 40,320 at n = 8
-_KX_TABLES = {}
-
-
-def _kx_tables(n):
-    """Residue tables of the k(x) rank predicate for n <= _KX_TABLE_MAX_N:
-    (n!, gcd(m, n!) and whether n!/gcd(m, n!) is an n-th power, per m mod n!)."""
-    if n not in _KX_TABLES:
-        fact = factorial(n)
-        gtab = [gcd(m, fact) for m in range(fact)]
-        perfect = {g: _integer_nth_root(fact // g, n) is not None for g in set(gtab)}
-        _KX_TABLES[n] = (fact, gtab, [perfect[g] for g in gtab])
-    return _KX_TABLES[n]
+_KX_DEN_OK = {}  # (n, g) -> n!/g is an n-th power; at most d(n!) entries per n
 
 
 def kx_rank_core(r, n, c_int):
     """Integer core: the signed n-th-root numerator a_p when r = (a_p/a_q)^n
     n!/c for integers a_p, a_q, else None.  With g = gcd(r c, n!), a_q^n is
-    n!/g and a_p^n is r c/g; g is read from the residue tables up to
-    _KX_TABLE_MAX_N and computed directly above it."""
+    n!/g and a_p^n is r c/g; the verdict on n!/g is kept per (n, g)."""
     num = r * c_int
-    if n <= _KX_TABLE_MAX_N:
-        fact, gtab, qok = _kx_tables(n)
-        m = num % fact
-        if not qok[m]:
-            return None
-        g = gtab[m]
-    else:
-        fact = factorial(n)
-        g = gcd(num, fact)
-        if _integer_nth_root(fact // g, n) is None:
-            return None
+    fact = factorial(n)
+    g = gcd(num, fact)
+    ok = _KX_DEN_OK.get((n, g))
+    if ok is None:
+        ok = _KX_DEN_OK[n, g] = _integer_nth_root(fact // g, n) is not None
+    if not ok:
+        return None
     p = num // g
     if p < 0 and n % 2 == 0:
         return None
@@ -471,7 +454,7 @@ def rank_predicate_kx_orbit(r, n, c_x):
     r = int(r)
     c_x = Q(c_x)
     fact = factorial(n)
-    # integral Fujiki constants get the table-driven integer pre-filter
+    # integral Fujiki constants get the integer pre-filter
     if c_x.denominator == 1 and kx_rank_core(r, n, c_x.numerator) is None:
         return False, None, None
     target = Q(r) * c_x / fact  # = a^n

@@ -218,6 +218,7 @@ def test_cli_bad_input_exit_2():
         ["chi", "--n", "7", "--square", "2"],
         ["integrate", "--n", "7", "--omegas", ";".join(["e1"] * 14)],
         ["verify", "linearisation", "--n", "99"],
+        ["verify", "all", "--n", "7"],
     ):
         code, out = run_cli(argv)
         assert code == 2 and "--n" in json.loads(out)["error"]["message"], argv
@@ -228,6 +229,13 @@ def test_cli_bad_input_exit_2():
     ):
         code, out = run_cli(["moduli", "--input", "-"], stdin=stdin)
         assert code == 2 and "error" in json.loads(out)
+
+
+def test_cli_verify_n_ignored_outside_linearisation():
+    # only crit01 reads --n, so the Sym^n cap leaves the other suites alone
+    for argv in (["verify", "besse", "--n", "7"], ["verify", "dn", "--n", "9"]):
+        code, out = run_cli(argv)
+        assert code == 0 and "error" not in json.loads(out), argv
 
 
 def test_cli_verify_text_lines():

@@ -251,8 +251,8 @@ def test_rank_predicates_exact_for_big_integers():
 
 @pytest.mark.parametrize("n", [7, 8, 12, 13])
 def test_rank_predicate_kx_large_n_matches_brute_force(n):
-    # residue tables stop at _KX_TABLE_MAX_N (n! entries); above it the gcd
-    # is computed per call, and no table is ever built
+    # one gcd per call for every n; the kept verdicts are one per divisor
+    # g of n!, not one per residue mod n! (12! = 479,001,600)
     from math import factorial
 
     bound = 3**n * factorial(n)
@@ -270,7 +270,8 @@ def test_rank_predicate_kx_large_n_matches_brute_force(n):
             assert ok == (r in valid)
             if ok:
                 assert a**n * factorial(n) / c_x == r
-    assert all(k <= spaces._KX_TABLE_MAX_N for k in spaces._KX_TABLES)
+    kept = [g for k, g in spaces._KX_DEN_OK if k == n]
+    assert kept and all(factorial(n) % g == 0 for g in kept)
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=7))
