@@ -334,3 +334,74 @@ def test_rank_and_det_match_sympy(data):
     n = data.draw(st.integers(min_value=1, max_value=5))
     sq = data.draw(matrices(rows=n, cols=n))
     assert Mat(sq).det() == _sympy_matrix(sympy, sq).det()
+
+
+# -- the elimination kernels against sympy --------------------------------------
+
+
+@st.composite
+def eliminable(draw, square=False):
+    """Rational matrices up to 5 x 6, with zero rows and, half the time with
+    three rows or more, a last row that is a combination of the first two."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    c = r if square else draw(st.integers(min_value=1, max_value=6))
+    m = draw(matrices(rows=r, cols=c))
+    if r >= 3 and draw(st.booleans()):
+        a, b = draw(rationals), draw(rationals)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def _from_sympy(mat):
+    return Mat([[Q(int(x.p), int(x.q)) for x in mat.row(i)] for i in range(mat.rows)])
+
+
+@given(eliminable())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    r, pivots = Mat(m).rref()
+    want, want_pivots = _sympy_matrix(sympy, m).rref()
+    assert pivots == tuple(want_pivots)
+    assert r == _from_sympy(want)
+
+
+@given(eliminable(square=True))
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    s = _sympy_matrix(sympy, m)
+    if s.det() == 0:
+        with pytest.raises(ValueError):
+            Mat(m).inverse()
+    else:
+        assert Mat(m).inverse() == _from_sympy(s.inv())
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_linear_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    m = data.draw(eliminable())
+    a = Mat(m)
+    if data.draw(st.booleans()):
+        b = a.apply(data.draw(vectors(a.cols)))  # consistent
+    else:
+        b = tuple(Q(x) for x in data.draw(vectors(a.rows)))
+    s = _sympy_matrix(sympy, m)
+    inconsistent = s.row_join(_sympy_matrix(sympy, [[x] for x in b])).rank() > s.rank()
+    x = solve_linear(a, b)
+    if inconsistent:
+        assert x is None
+        return
+    assert x is not None and a.apply(x) == b
+    pivots = s.rref()[1]
+    assert all(x[j] == 0 for j in range(a.cols) if j not in pivots)
+
+
+@given(eliminable())
+@settings(max_examples=80, deadline=None)
+def test_kernel_basis_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    want = [tuple(_from_sympy(v.T).row(0)) for v in _sympy_matrix(sympy, m).nullspace()]
+    assert kernel_basis(Mat(m)) == want
