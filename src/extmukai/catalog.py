@@ -23,7 +23,7 @@ convention fixes it to 1).
 """
 
 from .isometry import Isometry, minus_identity, reflection
-from .linalg import Mat, Q, vec_add
+from .linalg import Mat, Q, solve_linear, vec_add
 from .spaces import (
     ExtMukaiSpace,
     b_field,
@@ -276,6 +276,4 @@ def poincare_checks(genus):
 
 
 def _in_span(v, gens):
-    from .linalg import Mat as _M, solve_linear
-
-    return solve_linear(_M.from_rows(gens).transpose(), v) is not None
+    return solve_linear(Mat.from_rows(gens).transpose(), v) is not None

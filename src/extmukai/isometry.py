@@ -52,7 +52,7 @@ class QuadSpace:
 
     def gram_inverse(self):
         if self._gram_inv is None:
-            self._gram_inv = self.gram.inverse()._keep_form()
+            self._gram_inv = self.gram.inverse()
         return self._gram_inv
 
     def pairing(self, x, y):
@@ -205,26 +205,10 @@ def _orthogonal_basis(space):
             w2 = vec_sub(w, vec_scale(space.pairing(w, v) / qv, v))
             if not vec_is_zero(w2):
                 nxt.append(w2)
-        # drop dependencies: keep a spanning subset of the projected vectors
-        nxt = _independent_subset(nxt)
-        current = nxt
+        # drop dependencies: the pivot columns of the projected vectors keep
+        # each one that is independent of those before it
+        current = [nxt[c] for c in Mat.from_columns(nxt).rref()[1]]
     return basis
-
-
-def _independent_subset(vectors):
-    kept = []
-    echelon = []  # (pivot index, reduced row)
-    for v in vectors:
-        row = list(v)
-        for pidx, er in echelon:
-            if row[pidx] != 0:
-                f = row[pidx] / er[pidx]
-                row = [a - f * b for a, b in zip(row, er)]
-        p = next((i for i, a in enumerate(row) if a != 0), None)
-        if p is not None:
-            echelon.append((p, row))
-            kept.append(v)
-    return kept
 
 
 def cartan_dieudonne(g):
@@ -467,7 +451,8 @@ class _Reducer:
         if not lat.is_even():
             raise IsometryError("transport needs an even integral lattice")
         self.lat = lat
-        self.rows = lat.gram._keep_form()._int[1]  # integral Gram: denominator 1
+        # sparse integer Gram rows: (column, entry) for the nonzero entries
+        self.rows = [[(j, g) for j, g in enumerate(r) if g] for r in lat.gram.int_entries()]
         self.rest = rest
         self.E1 = self._unit(p1[0])
         self.F1 = self._unit(p1[1], p1[2])

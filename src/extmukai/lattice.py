@@ -71,18 +71,18 @@ class QuadLattice:
         return self._columns().apply(coords)
 
     def _columns(self):
-        """C, the basis as columns with its integer form, built once."""
+        """C, the basis as columns, built once."""
         if self.basis_in_ambient is None:
             raise LatticeError("lattice has no ambient embedding")
         if self._basis_t is None:
-            self._basis_t = self.basis_in_ambient.transpose()._keep_form()
+            self._basis_t = self.basis_in_ambient.transpose()
         return self._basis_t
 
     def basis_change(self):
         """(C, C^-1); C^-1 is built on first use and is None below full rank."""
         c = self._columns()
         if self._basis_t_inv is None and self.rank == c.rows:
-            self._basis_t_inv = c.inverse()._keep_form()
+            self._basis_t_inv = c.inverse()
         return c, self._basis_t_inv
 
     def coords_of_ambient(self, v):

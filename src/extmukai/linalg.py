@@ -1,27 +1,28 @@
-"""Exact rational dense linear algebra.
+"""Exact rational dense linear algebra on integer rows.
 
-Everything in this package runs over Q with `fractions.Fraction`; there is
-no floating point anywhere.  Matrices are small (a few hundred rows at the
-very most, usually 25 or less), so the kernels below are straightforward
-dense algorithms: Gaussian elimination on `Fraction` entries (`rref`, `det`,
-`inverse`, the solvers and kernels), and Smith and Hermite normal forms with
-unimodular transforms on integers.
+Everything in this package runs over Q; there is no floating point anywhere.
+A `Mat` has one stored representation, built once: a denominator d > 0 and
+the integer rows of d * M, in canonical form (d is coprime to the gcd of the
+entries, so the zero matrix has d = 1).  Equality and hashing compare those
+integers; products, `apply` and `bilinear` (every quadratic-form pairing of
+the package) run on them and divide by d once per result entry.  `Fraction`
+values appear only at the boundary: `entries`, `row`, `column`,
+`__getitem__` and `repr`.
 
-The integer Gram form lives here too: a matrix is read as the lcm d of its
-denominators together with, for every row, the list of its nonzero
-(column, d * entry) integer pairs.  `Mat.bilinear` (every quadratic-form
-pairing of the package), `Mat.apply` and matrix products run on that form
-in plain integers and divide by the common denominator once per result
-entry.  A product carries its own form, read off its integer accumulators,
-so chains of products never rebuild it.  `congruence_diagonalize` is the
-one symmetric elimination: inertia indices and positive-definite bases are
-both read off its output.
+One integer elimination, `_eliminate`, serves `rref`, `rank`, `det`,
+`inverse`, `solve_linear` and `kernel_basis`: Gauss-Jordan that skips the
+rows with a zero in the pivot column and divides every row it updates by its
+content, so no fraction is formed.  Smith and Hermite normal forms run on
+integers too.  `congruence_diagonalize` is the one symmetric elimination:
+inertia indices and positive-definite bases are both read off its output.
 
-Values are immutable (tuples of tuples); every function is pure.
+Matrices are small (usually 25 rows or less); values are immutable and
+every function is pure.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from operator import mul
 
 Q = Fraction
 
@@ -55,22 +56,13 @@ def vec_is_integral(v):
     return all(a.denominator == 1 for a in v)
 
 
-def vec_content(v):
-    """gcd of the numerators / lcm of denominators; 0 for the zero vector."""
-    num = 0
-    den = 1
-    for a in v:
-        num = gcd(num, a.numerator)
-        den = den * a.denominator // gcd(den, a.denominator)
-    return Q(num, den)
-
-
 def vec_primitive_part(v):
     """Scale a nonzero rational vector to a primitive integer vector."""
-    c = vec_content(v)
-    if c == 0:
+    ints = _cleared(v)[1]
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive part")
-    return tuple(a / c for a in v)
+    return tuple(Q(x // g) for x in ints)
 
 
 def _cleared(v):
@@ -84,52 +76,83 @@ def _cleared(v):
     return d, [a.numerator * (d // a.denominator) for a in v]
 
 
-class Mat:
-    """Immutable dense matrix over Q."""
+def _fractions(ints, d):
+    """The tuple of Fractions x / d."""
+    return tuple(map(Q, ints)) if d == 1 else tuple(Q(x, d) for x in ints)
 
-    __slots__ = ("rows", "cols", "_m", "_hash", "_int")
+
+def _make(d, rows):
+    """The Mat (1/d) * rows for d > 0 and integer rows, put in canonical form."""
+    if d != 1:
+        g = gcd(d, *[x for r in rows for x in r])
+        if g != 1:
+            d //= g
+            rows = [[x // g for x in r] for r in rows]
+    m = object.__new__(Mat)
+    m.rows, m.cols = len(rows), len(rows[0]) if rows else 0
+    m._den, m._ints, m._hash = d, tuple(map(tuple, rows)), None
+    return m
+
+
+class Mat:
+    """Immutable dense matrix over Q, stored as (d, integer rows of d * M)."""
+
+    __slots__ = ("rows", "cols", "_den", "_ints", "_hash")
 
     def __init__(self, rows_of_entries):
-        m = tuple(
-            tuple(e if type(e) is Q else Q(e) for e in row) for row in rows_of_entries
-        )
+        # d = lcm of the reduced denominators is canonical already: the entry
+        # that brings a prime power p^k into d has a numerator prime to p
+        d = 1
+        m = []
+        for r in rows_of_entries:
+            row = []
+            for e in r:
+                if type(e) is not int:
+                    if type(e) is not Q:
+                        e = Q(e)
+                    if e.denominator == 1:
+                        e = e.numerator
+                    elif d % e.denominator:
+                        d = lcm(d, e.denominator)
+                row.append(e)
+            m.append(row)
         self.rows = len(m)
         self.cols = len(m[0]) if m else 0
         if any(len(r) != self.cols for r in m):
             raise ValueError("ragged matrix")
-        self._m = m
+        self._den = d
+        self._ints = tuple(map(tuple, m)) if d == 1 else tuple(
+            tuple(e * d if type(e) is int else e.numerator * (d // e.denominator) for e in r)
+            for r in m
+        )
         self._hash = None
-        self._int = None  # integer form (see _form): kept by products and _keep_form()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n):
-        return Mat([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
+        return _make(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(r, c):
-        return Mat([[QZERO] * c for _ in range(r)])
+        return _make(1, [(0,) * c] * r)
 
     @staticmethod
     def diagonal(entries):
-        entries = [Q(e) for e in entries]
-        n = len(entries)
-        return Mat([[entries[i] if i == j else QZERO for j in range(n)] for i in range(n)])
+        return Mat([[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
 
     @staticmethod
     def block_diagonal(blocks):
-        n = sum(b.rows for b in blocks)
+        d = lcm(*(b._den for b in blocks))
         c = sum(b.cols for b in blocks)
-        out = [[QZERO] * c for _ in range(n)]
-        i0 = j0 = 0
+        out = []
+        j0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[i0 + i][j0 + j] = b[i, j]
-            i0 += b.rows
+            f = d // b._den
+            for r in b._ints:
+                out.append([0] * j0 + [f * x for x in r] + [0] * (c - j0 - b.cols))
             j0 += b.cols
-        return Mat(out)
+        return _make(d, out)
 
     @staticmethod
     def from_rows(vectors):
@@ -143,204 +166,182 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._m[i][j]
+        return Q(self._ints[i][j]) if self._den == 1 else Q(self._ints[i][j], self._den)
 
     def row(self, i):
-        return self._m[i]
+        return _fractions(self._ints[i], self._den)
 
     def column(self, j):
-        return tuple(r[j] for r in self._m)
+        return _fractions([r[j] for r in self._ints], self._den)
 
     def entries(self):
-        return self._m
+        return tuple(_fractions(r, self._den) for r in self._ints)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self._m == other._m
+        return isinstance(other, Mat) and self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._m)
+            self._hash = hash((self._den, self._ints))
         return self._hash
 
     def __repr__(self):
-        return "Mat(%r)" % [[str(e) for e in row] for row in self._m]
+        return "Mat(%r)" % [[str(e) for e in row] for row in self.entries()]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        return Mat([[a + b for a, b in zip(r, s)] for r, s in zip(self._m, other._m)])
+        d = lcm(self._den, other._den)
+        fa, fb = d // self._den, d // other._den
+        rows = zip(self._ints, other._ints, strict=True)
+        return _make(d, [[fa * x + fb * y for x, y in zip(r, s, strict=True)] for r, s in rows])
 
     def __sub__(self, other):
-        return Mat([[a - b for a, b in zip(r, s)] for r, s in zip(self._m, other._m)])
+        return self + -other
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self._m])
+        return _make(self._den, [[-x for x in r] for r in self._ints])
 
     def scale(self, c):
         c = Q(c)
-        return Mat([[c * a for a in r] for r in self._m])
+        return _make(self._den * c.denominator, [[c.numerator * x for x in r] for r in self._ints])
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            return self._matmul(other)
-        raise TypeError("use .apply() for vectors, .scale() for scalars")
-
-    def _matmul(self, other):
+        if not isinstance(other, Mat):
+            raise TypeError("use .apply() for vectors, .scale() for scalars")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        da, A = self._form()
-        db, B = other._form()
-        d = da * db
-        accs = []
-        for ra in A:
+        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other._ints]
+        out = []
+        for ra in self._ints:
             acc = [0] * other.cols
-            for k, a in ra:
-                for j, b in B[k]:
-                    acc[j] += a * b
-            accs.append(acc)
-        # the product keeps its integer form: its lcm denominator is d / g
-        g = gcd(d, *(x for acc in accs for x in acc))
-        out = Mat([[Q(x, d) if x else QZERO for x in acc] for acc in accs])
-        out._int = d // g, [[(j, x // g) for j, x in enumerate(acc) if x] for acc in accs]
-        return out
+            for k, a in enumerate(ra):
+                if a:
+                    for j, b in nonzero[k]:
+                        acc[j] += a * b
+            out.append(acc)
+        return _make(self._den * other._den, out)
 
     def apply(self, v):
         """Matrix times column vector (entries ints or Fractions)."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        d, rows = self._form()
         dv, w = _cleared(v)
-        d *= dv
-        return tuple(Q(sum(g * w[j] for j, g in r), d) for r in rows)
+        return _fractions([sum(map(mul, r, w)) for r in self._ints], self._den * dv)
 
     def bilinear(self, x, y):
-        """x^T M y as a Fraction, for vectors of ints or Fractions.
-
-        The integer form is kept (`_keep_form`): this is the pairing of every
-        Gram matrix in the package."""
+        """x^T M y as a Fraction, for vectors of ints or Fractions: the pairing
+        of every Gram matrix in the package."""
         if len(x) != self.rows or len(y) != self.cols:
             raise ValueError("shape mismatch")
-        d, rows = self._keep_form()._int
         dx, xs = _cleared(x)
         dy, ys = _cleared(y)
-        total = 0
-        for xi, r in zip(xs, rows):
-            if xi:
-                total += xi * sum(g * ys[j] for j, g in r)
-        return Q(total, d * dx * dy)
-
-    def _keep_form(self):
-        """Build the integer form once and keep it on this matrix; returns self.
-
-        For long-lived matrices that are paired, applied or multiplied again
-        and again (Grams, Gram inverses, lattice basis changes).  Products
-        come with their form; other matrices build it per call."""
-        if self._int is None:
-            self._int = self._form()
-        return self
-
-    def _form(self):
-        """The integer form (d, rows): d the lcm of the denominators, each row
-        the list of its nonzero (column, d * entry) pairs."""
-        if self._int is not None:
-            return self._int
-        d = self.denominator_lcm()
-        return d, [
-            [(j, a.numerator * (d // a.denominator)) for j, a in enumerate(r) if a]
-            for r in self._m
-        ]
+        total = sum(xi * sum(map(mul, r, ys)) for xi, r in zip(xs, self._ints) if xi)
+        return Q(total, self._den * dx * dy)
 
     def transpose(self):
-        return Mat(list(zip(*self._m))) if self.rows and self.cols else Mat.zero(self.cols, self.rows)
+        return _make(self._den, list(zip(*self._ints)))
 
     def denominator_lcm(self):
-        d = 1
-        for r in self._m:
-            for a in r:
-                q = a.denominator
-                if q != 1 and d % q:
-                    d = d * q // gcd(d, q)
-        return d
+        return self._den
 
     def is_integral(self):
-        return all(a.denominator == 1 for r in self._m for a in r)
+        return self._den == 1
 
     def is_symmetric(self):
-        return self.rows == self.cols and all(
-            self._m[i][j] == self._m[j][i] for i in range(self.rows) for j in range(i)
-        )
+        return self.rows == self.cols and self._ints == tuple(zip(*self._ints))
 
     def int_entries(self):
-        if not self.is_integral():
+        if self._den != 1:
             raise ValueError("integrality required")
-        return [[a.numerator for a in r] for r in self._m]
+        return [list(r) for r in self._ints]
 
     # -- elimination kernels -------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        m = [list(r) for r in self._m]
-        pivots = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot = None
-            for i in range(pr, self.rows):
-                if m[i][pc] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[pr], m[pivot] = m[pivot], m[pr]
-            inv = 1 / m[pr][pc]
-            m[pr] = [a * inv for a in m[pr]]
-            for i in range(self.rows):
-                if i != pr and m[i][pc] != 0:
-                    f = m[i][pc]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return Mat(m), tuple(pivots)
+        m = [list(r) for r in self._ints]
+        pivots = _eliminate(m)[0]
+        return _over_pivots(m, pivots, 0, 1), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_eliminate([list(r) for r in self._ints])[0])
 
     def det(self):
         if self.rows != self.cols:
             raise ValueError("square matrix required")
-        m = [list(r) for r in self._m]
         n = self.rows
-        det = QONE
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                return QZERO
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        m = [list(r) for r in self._ints]
+        pivots, sign, f = _eliminate(m)
+        if len(pivots) < n:
+            return QZERO
+        # the integer rows have det sign * prod(pivot * den / num), an integer
+        top = sign * prod(m[r][c] * f[r][1] for r, c in enumerate(pivots))
+        return Q(top // prod(num for num, _ in f), self._den**n)
 
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("square matrix required")
         n = self.rows
-        aug = [list(r) + [QONE if i == j else QZERO for j in range(n)]
-               for i, r in enumerate(self._m)]
-        R, pivots = Mat(aug).rref()
-        if len(pivots) < n or pivots[n - 1] != n - 1:
+        m = [list(r) + [0] * i + [1] + [0] * (n - 1 - i) for i, r in enumerate(self._ints)]
+        pivots = _eliminate(m)[0]
+        if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Mat([R.row(i)[n:] for i in range(n)])
+        # (ints / d)^-1 = d ints^-1, whose row r is m[r][n:] / m[r][r]
+        return _over_pivots(m, pivots, n, self._den)
+
+
+def _eliminate(m):
+    """Integer Gauss-Jordan elimination of the rows m (lists of ints), in place.
+
+    Pivots are taken in column order from the first nonzero entry at or below
+    the current row.  Each other row with a nonzero entry e in the pivot
+    column becomes (p row - e pivot_row) / gcd(p, e), divided by its content.
+    At the end the pivot rows come first, in order, zero in the other pivot
+    columns; the rest are zero.  Returns (pivots, sign, f): the pivot
+    columns, the sign of the row permutation, and per row the pair
+    f[i] = [num, den] with row i = num / den times the same row in fraction
+    elimination (which subtracts (e / p) pivot_row and never rescales).
+    """
+    rows = len(m)
+    f = [[1, 1] for _ in m]
+    sign = 1
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        i = next((i for i in range(r, rows) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            m[r], m[i], f[r], f[i] = m[i], m[r], f[i], f[r]
+            sign = -sign
+        pr = m[r]
+        p = pr[c]
+        for i in range(rows):
+            e = m[i][c]
+            if e and i != r:
+                g = gcd(p, e)
+                a, b = p // g, e // g
+                row = [a * x - b * y for x, y in zip(m[i], pr)]
+                h = gcd(*row)
+                if h > 1:
+                    row = [x // h for x in row]
+                m[i] = row
+                f[i][0] *= a
+                f[i][1] *= h
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots, sign, f
+
+
+def _over_pivots(m, pivots, start, d):
+    """The Mat with rows d * m[r][start:] / m[r][pivots[r]] after elimination
+    (the rows below the pivot rows are zero)."""
+    den = lcm(*(m[r][c] for r, c in enumerate(pivots)))
+    f = [d * den // m[r][c] for r, c in enumerate(pivots)] + [0] * (len(m) - len(pivots))
+    return _make(den, [[x * fr for x in row[start:]] for row, fr in zip(m, f)])
 
 
 def identity_plus_outer(n, pairs):
@@ -350,15 +351,18 @@ def identity_plus_outer(n, pairs):
     and, in them, only the columns where w is nonzero.  Reflections,
     Eichler transvections and B-field maps are all of this shape.
     """
-    m = [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
-    for u, w in pairs:
-        nonzero = [(j, b) for j, b in enumerate(w) if b]
-        for i, a in enumerate(u):
+    pairs = [(_cleared(u), _cleared(w)) for u, w in pairs]
+    d = lcm(*(du * dw for (du, _), (dw, _) in pairs))
+    m = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    for (du, us), (dw, ws) in pairs:
+        f = d // (du * dw)
+        nonzero = [(j, f * b) for j, b in enumerate(ws) if b]
+        for i, a in enumerate(us):
             if a:
                 row = m[i]
                 for j, b in nonzero:
                     row[j] += a * b
-    return Mat(m)
+    return _make(d, m)
 
 
 def solve_linear(a, b):
@@ -369,27 +373,30 @@ def solve_linear(a, b):
     """
     if len(b) != a.rows:
         raise ValueError("shape mismatch")
-    aug = Mat([list(r) + [bv] for r, bv in zip(a.entries(), b)])
-    R, pivots = aug.rref()
+    db, bs = _cleared(b)
+    # a x = b  <=>  db (d a) x = d (db b)
+    m = [[db * x for x in r] + [a._den * y] for r, y in zip(a._ints, bs)]
+    pivots = _eliminate(m)[0]
     if a.cols in pivots:
         return None
     x = [QZERO] * a.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, a.cols]
+    for r, c in enumerate(pivots):
+        x[c] = Q(m[r][-1], m[r][c])
     return tuple(x)
 
 
 def kernel_basis(a):
     """Basis of the right kernel of a over Q (empty list when injective)."""
-    R, pivots = a.rref()
-    free = [j for j in range(a.cols) if j not in pivots]
+    m = [list(r) for r in a._ints]
+    pivots = _eliminate(m)[0]
     basis = []
-    for f in free:
-        v = [QZERO] * a.cols
-        v[f] = QONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i, f]
-        basis.append(tuple(v))
+    for f in range(a.cols):
+        if f not in pivots:
+            v = [QZERO] * a.cols
+            v[f] = QONE
+            for r, c in enumerate(pivots):
+                v[c] = Q(-m[r][f], m[r][c])
+            basis.append(tuple(v))
     return basis
 
 
@@ -440,17 +447,13 @@ def congruence_diagonalize(gram):
 # -- integer normal forms ----------------------------------------------------
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
 def smith_normal_form(mat):
     """Smith normal form with transforms: U*m*V = D, U, V unimodular.
 
     Input must be integral.  D is diagonal with nonnegative entries and
     d_i | d_{i+1}.
     """
-    A = [row[:] for row in mat.int_entries()]
+    A = mat.int_entries()
     r = len(A)
     c = len(A[0]) if A else 0
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -468,6 +471,13 @@ def smith_normal_form(mat):
         A[i2] = [a + f * b for a, b in zip(A[i2], A[i1])]
         U[i2] = [a + f * b for a, b in zip(U[i2], U[i1])]
 
+    def swap_rows(i1, i2):
+        A[i1], A[i2], U[i1], U[i2] = A[i2], A[i1], U[i2], U[i1]
+
+    def swap_cols(j1, j2):
+        for row in A + V:
+            row[j1], row[j2] = row[j2], row[j1]
+
     t = 0
     while t < min(r, c):
         # locate a minimal nonzero pivot in the remaining block
@@ -483,13 +493,9 @@ def smith_normal_form(mat):
             break
         i, j = pivot
         if i != t:
-            _swap_rows(A, i, t)
-            _swap_rows(U, i, t)
+            swap_rows(i, t)
         if j != t:
-            for row in A:
-                row[t], row[j] = row[j], row[t]
-            for row in V:
-                row[t], row[j] = row[j], row[t]
+            swap_cols(t, j)
         while True:
             # clear column t
             dirty = False
@@ -498,8 +504,7 @@ def smith_normal_form(mat):
                     q = A[i][t] // A[t][t]
                     row_op(t, i, -q)
                     if A[i][t]:
-                        _swap_rows(A, i, t)
-                        _swap_rows(U, i, t)
+                        swap_rows(i, t)
                         dirty = True
             # clear row t
             for j in range(t + 1, c):
@@ -507,10 +512,7 @@ def smith_normal_form(mat):
                     q = A[t][j] // A[t][t]
                     col_op(t, j, -q)
                     if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        for row in V:
-                            row[t], row[j] = row[j], row[t]
+                        swap_cols(t, j)
                         dirty = True
             if not dirty:
                 break
@@ -577,9 +579,7 @@ def hnf_row_basis(int_rows):
 
 def integer_kernel_basis(mat):
     """Saturated basis of {x in Z^c : m x = 0} for a rational matrix m."""
-    d = mat.denominator_lcm()
-    A = mat.scale(d)
-    _, D, V = smith_normal_form(A)
+    _, D, V = smith_normal_form(Mat(mat._ints))  # the integer rows d * m
     nonzero = sum(1 for i in range(min(D.rows, D.cols)) if D[i, i] != 0)
     return [V.column(j) for j in range(nonzero, mat.cols)]
 
@@ -591,6 +591,5 @@ def saturation_basis(int_rows):
         return []
     m = Mat(rows)
     _, D, V = smith_normal_form(m)
-    Vinv = V.inverse()
     rank = sum(1 for i in range(min(D.rows, D.cols)) if D[i, i] != 0)
-    return [tuple(int(x) for x in Vinv.row(i)) for i in range(rank)]
+    return list(V.inverse()._ints[:rank])  # V is unimodular: denominator 1

@@ -25,7 +25,8 @@ from math import factorial, gcd, isqrt
 
 from .isometry import Isometry, QuadSpace, disc_action, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, standard_lattice
-from .linalg import Mat, Q, hnf_row_basis, identity_plus_outer, vec_is_zero
+from .linalg import (Mat, Q, hnf_row_basis, identity_plus_outer, integer_kernel_basis, kernel_basis,
+                     saturation_basis, solve_linear, vec_is_zero)
 
 
 class SpaceError(ValueError):
@@ -116,9 +117,7 @@ class ExtMukaiSpace(QuadSpace):
             for v in self.ns_sublattice:
                 if len(v) != b2 or not all(c.denominator == 1 for c in v):
                     raise SpaceError("NS generators must be integral H^2 vectors")
-            from .linalg import Mat as _M, saturation_basis, solve_linear
-
-            gens_t = _M.from_rows(self.ns_sublattice).transpose()
+            gens_t = Mat.from_rows(self.ns_sublattice).transpose()
             sat = saturation_basis([[int(c) for c in v] for v in self.ns_sublattice])
             if len(sat) != len(self.ns_sublattice):
                 raise SpaceError("NS must be primitive (saturated) in H^2")
@@ -322,12 +321,10 @@ def membership(lat, v):
 
 def _algebraic_span_forms(space):
     """Linear forms (coefficient vectors) cutting out Q.alpha + NS_Q + Q.beta."""
-    from .linalg import kernel_basis as q_kernel
-
     ns_ambient = [space.h2_embed(v) for v in space.ns_sublattice]
     span = [space.alpha] + ns_ambient + [space.beta]
     # a form f vanishes on the span iff span_mat . f = 0
-    return q_kernel(Mat.from_rows(span))
+    return kernel_basis(Mat.from_rows(span))
 
 
 def split_algebraic(space, lat):
@@ -346,8 +343,6 @@ def split_algebraic(space, lat):
     else:
         # rows: one per form, evaluated on the lattice basis; kernel = coords
         # of lattice vectors inside the span (saturated automatically)
-        from .linalg import integer_kernel_basis
-
         m = Mat.from_rows(forms) * lat.basis_in_ambient.transpose()
         coords = integer_kernel_basis(m)
         if coords:
@@ -412,7 +407,9 @@ def b_field(space, lam):
 
 
 def rank_predicate_o_orbit(r, n):
-    """|r| = a^n for an integer a; returns (ok, a or None)."""
+    """|r| = a^n for an integer a; returns (ok, a or None).  n >= 1."""
+    if n < 1:
+        raise SpaceError("n must be >= 1")
     r = int(r)
     if r == 0:
         return True, 0
@@ -450,7 +447,9 @@ def rank_predicate_kx_orbit(r, n, c_x):
     """r = a^n n!/c_X for rational a; returns (ok, a, a_is_integral).
 
     For integral c_X the integrality of a is reported alongside (for even n
-    only |a| is determined; the returned witness is nonnegative)."""
+    only |a| is determined; the returned witness is nonnegative).  n >= 1."""
+    if n < 1:
+        raise SpaceError("n must be >= 1")
     r = int(r)
     c_x = Q(c_x)
     fact = factorial(n)

@@ -36,7 +36,7 @@ occur; the numbers produced are identical to the full computation.
 
 from math import factorial
 
-from .linalg import Mat, Q
+from .linalg import Mat, Q, kernel_basis
 from .spaces import ExtMukaiSpace, custom_type
 
 
@@ -393,10 +393,8 @@ def kernel_piece_basis(space, n, degree):
         x = SymElement(space, n, {key: 1})
         dx = laplacian(x) if n >= 2 else SymElement(space, max(n - 2, 0))
         rows.append([dx.coeffs.get(k2, Q(0)) for k2 in img_monos])
-    from .linalg import kernel_basis as q_kernel
-
     if img_monos:
-        kb = q_kernel(Mat(rows).transpose())
+        kb = kernel_basis(Mat(rows).transpose())
     else:
         kb = [tuple(Q(1) if i == j else Q(0) for j in range(len(monos))) for i in range(len(monos))]
     out = []

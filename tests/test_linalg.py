@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import extmukai
 from extmukai.linalg import (
     Mat,
     congruence_diagonalize,
@@ -179,7 +182,7 @@ def test_bilinear_matches_fraction_sum(data):
     mat = Mat(m)
     got = mat.bilinear(x, y)
     assert isinstance(got, Q) and got == want
-    assert mat.bilinear(x, y) == want  # second call runs on the kept form
+    assert mat.bilinear(x, y) == want  # a second call gives the same value
 
 
 @given(st.data())
@@ -204,9 +207,9 @@ def test_matmul_matches_fraction_sum(data):
     ]
     prod = Mat(a) * Mat(b)
     assert prod == Mat(want)
-    # a product carries the integer form a fresh Mat with its entries builds
-    # (same lcm d, same (column, value) pairs): chains of three products over
-    # denominators 1-6 with zero rows, and a product that comes out zero
+    # every Mat is canonical, products included: a product equals, and hashes
+    # like, a fresh Mat of its entries (chains of three products over
+    # denominators 1-6 with zero rows, and a product that comes out zero)
     x = Mat(data.draw(matrices(entries=small_rationals)))
     y = Mat(data.draw(matrices(rows=x.cols, entries=small_rationals)))
     z = Mat(data.draw(matrices(rows=y.cols, entries=small_rationals)))
@@ -217,7 +220,8 @@ def test_matmul_matches_fraction_sum(data):
         assert products[-1] == Mat.zero(x.rows, len(ker))
     assert products[2] == products[3]
     for p in products:
-        assert p._int == Mat(p.entries())._form()
+        assert p == Mat(p.entries())
+        assert hash(p) == hash(Mat(p.entries()))
 
 
 def test_bilinear_shape_mismatch():
@@ -405,3 +409,24 @@ def test_kernel_basis_matches_sympy(m):
     sympy = pytest.importorskip("sympy")
     want = [tuple(_from_sympy(v.T).row(0)) for v in _sympy_matrix(sympy, m).nullspace()]
     assert kernel_basis(Mat(m)) == want
+
+
+# -- the representation of Mat stays inside linalg.py ----------------------------
+
+
+def test_no_module_reads_mat_internals():
+    """Only linalg.py knows how a Mat is stored: no other module reads a
+    private slot or method of Mat (any `x._den`, ...) or imports a private
+    name of linalg."""
+    private = {n for n in vars(Mat) if n.startswith("_") and not n.startswith("__")}
+    assert {"_den", "_ints"} <= private
+    offenders = []
+    for path in sorted(Path(extmukai.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                offenders += [(path.name, node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    assert offenders == []

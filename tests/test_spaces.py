@@ -236,6 +236,16 @@ def test_rank_predicates():
     assert ok and a == 3 and integral
 
 
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_rank_predicates_reject_n_below_one(n):
+    # r = 0 returns early for n >= 1; n < 1 must still raise
+    for r in (5, 0):
+        with pytest.raises(SpaceError):
+            rank_predicate_o_orbit(r, n)
+        with pytest.raises(SpaceError):
+            rank_predicate_kx_orbit(r, n, 1)
+
+
 def test_rank_predicates_exact_for_big_integers():
     # beyond float precision (and beyond float range for 10**400)
     a = 10**20 + 12345
