@@ -189,12 +189,12 @@ def parse_isometry(space, spec):
 
 def _tracked_lattice(space, name):
     lats = k3n_lattices(space)
-    table = {
-        "lambda": lats.lam,
-        "lambda-g": lats.lam_g,
-        "lambda-s": lats.lam_s,
-        "lambda-lb": lats.lam_lb,
-        "integral": space.integral_lattice(),
+    table = {  # built only for the name asked for
+        "lambda": lambda: lats.lam,
+        "lambda-g": lambda: lats.lam_g,
+        "lambda-s": lambda: lats.lam_s,
+        "lambda-lb": lambda: lats.lam_lb,
+        "integral": space.integral_lattice,
     }
     if name == "gamma-k":
         from .lattice import QuadLattice
@@ -207,7 +207,7 @@ def _tracked_lattice(space, name):
         return QuadLattice.from_basis(rows, space.gram, name="3 Lambda_S + Z delta~")
     if name not in table:
         raise InputError("unknown lattice %r" % (name,))
-    return table[name]
+    return table[name]()
 
 
 def emit(args, payload, checks=()):

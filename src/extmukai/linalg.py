@@ -578,18 +578,80 @@ def hnf_row_basis(int_rows):
 
 
 def integer_kernel_basis(mat):
-    """Saturated basis of {x in Z^c : m x = 0} for a rational matrix m."""
-    _, D, V = smith_normal_form(Mat(mat._ints))  # the integer rows d * m
-    nonzero = sum(1 for i in range(min(D.rows, D.cols)) if D[i, i] != 0)
-    return [V.column(j) for j in range(nonzero, mat.cols)]
+    """Saturated basis of {x in Z^c : m x = 0} for a rational matrix m.
+
+    After elimination a pivot coordinate is x_p = -(sum_f e_f x_f) / e_p over
+    the free ones, so x is fixed by its free part t, and the t that occur are
+    those with sum_f e_f t_f = 0 mod e_p on every pivot row: the t with
+    (0, t) in the span of the rows (e_f over the pivot rows, unit f) and
+    (e_p in its own column, 0).  That span holds D Z^* for D the lcm of the
+    e_p, so its Hermite basis is taken mod D (`_hnf_mod`)."""
+    m = [list(r) for r in mat._ints]
+    pivots = _eliminate(m)[0]
+    free = [f for f in range(mat.cols) if f not in pivots]
+    cons = [r for r, c in enumerate(pivots) if abs(m[r][c]) != 1]
+    k, h = len(free), len(cons)
+    gens = [[m[r][f] for r in cons] + [int(i == j) for i in range(k)] for j, f in enumerate(free)]
+    gens += [[m[r][pivots[r]] * (i == j) for i in range(h)] + [0] * k for j, r in enumerate(cons)]
+    basis = []
+    for row in _hnf_mod(gens, h + k, lcm(*(m[r][pivots[r]] for r in cons)))[h:]:
+        t = row[h:]
+        x = [QZERO] * mat.cols
+        for f, tf in zip(free, t):
+            x[f] = Q(tf)
+        for r, c in enumerate(pivots):
+            x[c] = Q(-sum(m[r][f] * tf for f, tf in zip(free, t)) // m[r][c])
+        basis.append(tuple(x))
+    return basis
+
+
+def _hnf_mod(gens, k, d):
+    """Upper triangular Hermite basis, positive diagonal and entries above
+    each pivot in [0, pivot), of the span of the integer k-vectors gens and
+    d Z^k, every entry kept in [0, d) on the way (after Cohen, GTM 138,
+    Alg. 2.4.8).  Column j merges d e_j with the rows nonzero there by
+    unimodular extended-gcd steps; the rows left zero in column j, with the
+    d e_i of the later columns, span the part of the lattice zero there."""
+    rows = [[x % d for x in v] for v in gens]
+    basis = []
+    for j in range(k):
+        piv = [0] * j + [d] + [0] * (k - j - 1)
+        rest = []
+        for v in rows:
+            if v[j]:
+                g, x, y = xgcd(piv[j], v[j])
+                a, b = piv[j] // g, v[j] // g
+                piv, v = [x * s + y * t for s, t in zip(piv, v)], [(a * t - b * s) % d for s, t in zip(piv, v)]
+                piv = piv[: j + 1] + [s % d for s in piv[j + 1 :]]
+            if any(v):
+                rest.append(v)
+        basis.append(piv)
+        rows = rest
+    for j in range(k):
+        for i in range(j):
+            q = basis[i][j] // basis[j][j]
+            if q:
+                basis[i] = [s - q * t for s, t in zip(basis[i], basis[j])]
+    return basis
+
+
+def xgcd(a, b):
+    """(g, x, y) with a x + b y = g = +-gcd(a, b) (g >= 0 when a > 0 and
+    b >= 0), by the extended Euclidean algorithm."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def saturation_basis(int_rows):
-    """Basis of the saturation of the integer row span inside Z^cols."""
+    """Basis of the saturation of the integer row span inside Z^cols: the
+    integer kernel of the forms that vanish on the span."""
     rows = [r for r in int_rows if any(r)]
     if not rows:
         return []
-    m = Mat(rows)
-    _, D, V = smith_normal_form(m)
-    rank = sum(1 for i in range(min(D.rows, D.cols)) if D[i, i] != 0)
-    return list(V.inverse()._ints[:rank])  # V is unimodular: denominator 1
+    forms = kernel_basis(Mat(rows)) or [[0] * len(rows[0])]
+    return [[int(c) for c in v] for v in integer_kernel_basis(Mat(forms))]

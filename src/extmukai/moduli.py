@@ -23,7 +23,7 @@ from .lattice import (
     is_primitive,
     orthogonal_complement,
 )
-from .linalg import Mat, Q
+from .linalg import Mat, Q, xgcd
 
 
 class ModuliError(ValueError):
@@ -130,18 +130,11 @@ def _ext_gcd_list(values):
             coeffs = [0] * len(values)
             coeffs[i] = 1
             continue
-        d, x, y = _ext_gcd(g, a)
+        d, x, y = xgcd(g, a)
         coeffs = [x * c for c in coeffs]
         coeffs[i] += y
         g = d
     return g, coeffs
-
-
-def _ext_gcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    d, x, y = _ext_gcd(b, a % b)
-    return d, y, x - (a // b) * y
 
 
 def disc_lemma_check(lat, v):

@@ -21,6 +21,7 @@ transcendental part, and "Hodge isometry" means "isometry preserving that
 split".
 """
 
+from functools import cached_property
 from math import factorial, gcd, isqrt
 
 from .isometry import Isometry, QuadSpace, disc_action, preserves_lattice, spinor_norm
@@ -233,15 +234,20 @@ def signum_normalize(space, v, omega=None, epsilon=1):
 
 
 class K3nLattices:
-    """The distinguished lattices of a K3n-type space."""
+    """The distinguished lattices of a K3n-type space.  Lambda_LB is built on
+    first access of `lam_lb` and kept."""
 
-    def __init__(self, lam, lam_s, lam_g, lam_lb, alpha_tilde, delta_tilde):
+    def __init__(self, space, lam, lam_s, lam_g, alpha_tilde, delta_tilde):
+        self.space = space
         self.lam = lam
         self.lam_s = lam_s
         self.lam_g = lam_g
-        self.lam_lb = lam_lb
         self.alpha_tilde = alpha_tilde
         self.delta_tilde = delta_tilde
+
+    @cached_property
+    def lam_lb(self):
+        return _line_bundle_lattice(self.space, name="Lambda_LB")
 
 
 def k3n_tilde_vectors(space):
@@ -260,7 +266,8 @@ def k3n_tilde_vectors(space):
 
 
 def k3n_lattices(space):
-    """Lambda, Lambda_S, Lambda_g, Lambda_LB and the vectors involved.
+    """Lambda, Lambda_S, Lambda_g, Lambda_LB (built on first use) and the
+    vectors involved.
 
     Basis orders:
       Lambda_S: (alpha~, K3 basis, beta)              (unimodular, rank 24)
@@ -277,8 +284,7 @@ def k3n_lattices(space):
     lam = QuadLattice.from_basis(lam_s_rows + [delta_tilde], space.gram, name="Lambda")
     half_dt = tuple(Q(1, 2) * c for c in delta_tilde)
     lam_g = QuadLattice.from_basis(lam_s_rows + [half_dt], space.gram, name="Lambda_g")
-    lam_lb = _line_bundle_lattice(space, name="Lambda_LB")
-    return K3nLattices(lam, lam_s, lam_g, lam_lb, alpha_tilde, delta_tilde)
+    return K3nLattices(space, lam, lam_s, lam_g, alpha_tilde, delta_tilde)
 
 
 def _line_bundle_lattice(space, name):
@@ -293,13 +299,9 @@ def _line_bundle_lattice(space, name):
             lam = tuple(a + b for a, b in zip(basis_h2[i], basis_h2[j]))
             gens.append(ext_vector_line_bundle(space, lam).coords)
     # common denominator, integer HNF, rescale back
-    den = 1
-    for v in gens:
-        for c in v:
-            den = den * c.denominator // gcd(den, c.denominator)
-    int_rows = [[int(c * den) for c in v] for v in gens]
-    basis = hnf_row_basis(int_rows)
-    rows = [tuple(Q(c, den) for c in row) for row in basis]
+    gens = Mat(gens)
+    den = gens.denominator_lcm()
+    rows = [tuple(Q(c, den) for c in row) for row in hnf_row_basis(gens.scale(den).int_entries())]
     return QuadLattice.from_basis(rows, space.gram, name=name)
 
 
@@ -446,18 +448,18 @@ def kx_rank_core(r, n, c_int):
 def rank_predicate_kx_orbit(r, n, c_x):
     """r = a^n n!/c_X for rational a; returns (ok, a, a_is_integral).
 
-    For integral c_X the integrality of a is reported alongside (for even n
-    only |a| is determined; the returned witness is nonnegative).  n >= 1."""
+    For even n only |a| is determined; the returned witness is nonnegative.
+    An integral c_X runs on integers: a = p/q in lowest terms needs
+    q^n | n!, and v_p(n!) < n for every prime p, so q = 1 and a is the
+    integer root of `kx_rank_core`.  n >= 1."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     r = int(r)
     c_x = Q(c_x)
-    fact = factorial(n)
-    # integral Fujiki constants get the integer pre-filter
-    if c_x.denominator == 1 and kx_rank_core(r, n, c_x.numerator) is None:
-        return False, None, None
-    target = Q(r) * c_x / fact  # = a^n
-    ok, a = _rational_nth_root(target, n)
+    if c_x.denominator == 1:
+        a = kx_rank_core(r, n, c_x.numerator)
+        return (False, None, None) if a is None else (True, Q(a), True)
+    ok, a = _rational_nth_root(Q(r) * c_x / factorial(n), n)  # a^n = r c_X / n!
     if not ok:
         return False, None, None
     return True, a, a.denominator == 1

@@ -26,7 +26,21 @@ The pairing buckets the monomials of y by their alpha and beta degrees, so
 a monomial of x meets only the monomials it can pair with, and the H^2
 block of a pair is a permanent computed by a dynamic program over the
 multiplicities of its distinct columns (on a rank-r restricted space at most
-r distinct columns, whatever the symmetric degree).
+r distinct columns, whatever the symmetric degree).  The pairing, the
+Laplacian and the kernel pieces read the H^2 Gram as integer rows d * G and
+divide by d once.
+
+No work is done that the answer does not read:
+
+  * the lazy pairing builds only the monomials of psi(omega^j) whose alpha
+    and beta degrees meet those of x (for the Todd and square-root-of-Todd
+    arguments, the one monomial without an H^2 factor);
+  * an exponential sum sum_k (-1)^k / k! b_SH(lam^k, x) is one pairing with
+    exp(-e_lam)(alpha^n / n!) = (alpha - lam + b(lam, lam)/2 beta)^n / n!;
+  * each kernel piece is built once per space, from the integer
+    contractions of its monomials, and building the key (n, d) of the
+    projection fills (n, 4n - d) as well (b_[n] is symmetric, so the inverse
+    cross Gram of one is the transpose of the other's).
 
 Every identity checked downstream is a universal polynomial identity in
 the Gram entries, so expensive full-rank evaluations are routed through
@@ -34,6 +48,8 @@ the Gram entries, so expensive full-rank evaluations are routed through
 occur; the numbers produced are identical to the full computation.
 """
 
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial
 
 from .linalg import Mat, Q, kernel_basis
@@ -97,14 +113,14 @@ class SymElement:
         """prod_j (alpha + shifts[j] beta) / n!  (len(shifts) = n)."""
         if len(shifts) != n:
             raise SymError("need exactly n linear factors")
-        esym = [Q(1)] + [Q(0)] * n
-        for s in shifts:
-            s = Q(s)
+        esym = [1] + [0] * n  # ints while the shifts are integers
+        for s in map(Q, shifts):
+            s = s.numerator if s.denominator == 1 else s
             for k in range(n, 0, -1):
                 esym[k] += s * esym[k - 1]
         coeffs = {}
         for k in range(n + 1):
-            coeffs[(n - k, (), k)] = esym[k] / factorial(n)
+            coeffs[(n - k, (), k)] = Q(esym[k], factorial(n))
         return SymElement(space, n, coeffs)
 
     # -- vector space structure ------------------------------------------------
@@ -177,8 +193,8 @@ def _permanent(rows, mult):
     each distinct column, and placing a row on column j weighs its entry by
     the copies of j still free.  At most prod(mult[j] + 1) states; with all
     columns distinct this is the subset DP, with one distinct column it is
-    k! a^k in k steps."""
-    states = {tuple(mult): Q(1)}
+    k! a^k in k steps.  Integer rows give an integer."""
+    states = {tuple(mult): 1}
     for row in rows:
         nxt = {}
         for free, val in states.items():
@@ -187,7 +203,15 @@ def _permanent(rows, mult):
                     key = free[:j] + (free[j] - 1,) + free[j + 1 :]
                     nxt[key] = nxt.get(key, 0) + val * a * free[j]
         states = nxt
-    return states.get((0,) * len(mult), Q(0))
+    return states.get((0,) * len(mult), 0)
+
+
+@lru_cache(maxsize=64)
+def _int_gram(gram):
+    """(d, g): the H^2 Gram as d > 0 and the integer rows g of d * gram,
+    kept per Gram value."""
+    d = gram.denominator_lcm()
+    return d, tuple(map(tuple, gram.scale(d).int_entries()))
 
 
 def pairing_bn(x, y):
@@ -197,68 +221,63 @@ def pairing_bn(x, y):
     alpha pairs only with beta (value -1) and H^2 with H^2, so a monomial
     alpha^a m beta^c meets only the y monomials alpha^c m' beta^a (and then
     |m'| = |m|): y is bucketed by (c, a) once, and each pair contributes
-    (-1)^(a+c) a! c! times the permanent of the H^2 block."""
+    (-1)^(a+c) a! c! times the permanent of the H^2 block.  The permanents
+    run on the integer Gram d * G and are divided by d^|m| once per monomial
+    of x."""
     if x.space is not y.space or x.n != y.n:
         raise SymError("space mismatch")
-    g = x.space.dtype.h2_gram
+    d, g = _int_gram(x.space.dtype.h2_gram)
     buckets = {}
     for (a, m, c), v in y.coeffs.items():
         cols = sorted(set(m))
         buckets.setdefault((c, a), []).append((cols, [m.count(j) for j in cols], v))
     total = Q(0)
     for (a, m, c), vx in x.coeffs.items():
-        part = Q(0)
+        part = 0
         for cols, mult, vy in buckets.get((a, c), ()):
-            part += vy * _permanent([[g[i, j] for j in cols] for i in m], mult)
+            part += vy * _permanent([[g[i][j] for j in cols] for i in m], mult)
         if part:
-            total += vx * part * ((-1) ** (a + c) * factorial(a) * factorial(c))
+            total += vx * part * Q((-1) ** (a + c) * factorial(a) * factorial(c), d ** len(m))
     return (-1) ** x.n * x.space.dtype.c_x * total
 
 
 # -- operators -----------------------------------------------------------------
 
 
+def _contractions(key, g, d):
+    """The Laplacian of one monomial as (monomial, e) pairs with value e / d,
+    for the H^2 Gram g / d (g integer rows): an alpha-beta pair gives
+    -a c, a pair of H^2 indices i, j the number of such pairs times g[i][j] / d."""
+    a, m, c = key
+    out = []
+    if a and c:
+        out.append(((a - 1, m, c - 1), -a * c * d))
+    idxs = sorted(set(m))
+    counts = {i: m.count(i) for i in idxs}
+    for ii, i in enumerate(idxs):
+        for j in idxs[ii:]:
+            e = g[i][j]
+            if not e or (j == i and counts[i] < 2):
+                continue
+            rest = list(m)
+            rest.remove(i)
+            rest.remove(j)
+            pairs = counts[i] * (counts[i] - 1) // 2 if j == i else counts[i] * counts[j]
+            out.append(((a, tuple(rest), c), pairs * e))
+    return out
+
+
 def laplacian(x):
     """Contraction sum_{i<j} b(v_i, v_j) v_1 ... v^_i ... v^_j ... v_n."""
     if x.n < 2:
         raise SymError("laplacian needs symmetric degree >= 2")
-    space = x.space
-    g = space.dtype.h2_gram
+    d, g = _int_gram(x.space.dtype.h2_gram)
     out = {}
-
-    def bump(key, val):
-        if val == 0:
-            return
-        cur = out.get(key, Q(0)) + val
-        if cur == 0:
-            out.pop(key, None)
-        else:
-            out[key] = cur
-
-    for (a, m, c), val in x.coeffs.items():
-        # alpha-beta pairs: a*c choices, b(alpha, beta) = -1
-        if a and c:
-            bump((a - 1, m, c - 1), -val * a * c)
-        # H^2 pairs within the multiset
-        idxs = sorted(set(m))
-        counts = {i: m.count(i) for i in idxs}
-        for ii, i in enumerate(idxs):
-            # equal pair (i, i)
-            if counts[i] >= 2:
-                rest = list(m)
-                rest.remove(i)
-                rest.remove(i)
-                npairs = counts[i] * (counts[i] - 1) // 2
-                bump((a, tuple(rest), c), val * npairs * g[i, i])
-            for j in idxs[ii + 1 :]:
-                if g[i, j] == 0:
-                    continue
-                rest = list(m)
-                rest.remove(i)
-                rest.remove(j)
-                bump((a, tuple(rest), c), val * counts[i] * counts[j] * g[i, j])
-    res = SymElement(space, x.n - 2)
-    res.coeffs = out
+    for key, val in x.coeffs.items():
+        for k2, e in _contractions(key, g, d):
+            out[k2] = out.get(k2, 0) + val * e
+    res = SymElement(x.space, x.n - 2)
+    res.coeffs = {k: v / d if d != 1 else v for k, v in out.items() if v}
     return res
 
 
@@ -270,61 +289,65 @@ def lefschetz_e(omega, x):
     if len(omega) != space.b2:
         raise SymError("omega must be an H^2 vector")
     gomega = space.dtype.h2_gram.apply(omega)  # pairing values with basis
-    out = {}
-
-    def bump(key, val):
-        if val == 0:
-            return
-        cur = out.get(key, Q(0)) + val
-        if cur == 0:
-            out.pop(key, None)
-        else:
-            out[key] = cur
-
     support = [i for i, c in enumerate(omega) if c != 0]
+    out = {}
     for (a, m, c), val in x.coeffs.items():
-        if a:
-            for i in support:
-                bump((a - 1, tuple(sorted(m + (i,))), c), val * a * omega[i])
+        terms = [((a - 1, tuple(sorted(m + (i,))), c), a * omega[i]) for i in support] if a else []
         for i in sorted(set(m)):
-            if gomega[i] == 0:
-                continue
-            rest = list(m)
-            rest.remove(i)
-            bump((a, tuple(rest), c + 1), val * m.count(i) * gomega[i])
+            if gomega[i]:
+                rest = list(m)
+                rest.remove(i)
+                terms.append(((a, tuple(rest), c + 1), m.count(i) * gomega[i]))
+        for key, e in terms:
+            out[key] = out.get(key, 0) + val * e
     res = SymElement(space, x.n)
-    res.coeffs = out
+    res.coeffs = {k: v for k, v in out.items() if v}
     return res
 
 
 def psi_monomial(space, omegas, n=None):
     """psi(omega_1 ... omega_k) = e_{omega_1} ... e_{omega_k}(alpha^n / n!).
 
-    A repeated class is written in closed form (`_psi_power`); mixed classes
-    run the chain of Lefschetz operators."""
-    if n is None:
-        n = space.dtype.n
+    A repeated class is written in closed form, e_omega^j(alpha^n / n!) being
+    j! times the degree-2j part of exp(e_omega)(alpha^n / n!)
+    (`_b_field_power`); mixed classes run the chain of Lefschetz operators."""
+    return _psi(space, omegas, space.dtype.n if n is None else n)
+
+
+def _psi(space, omegas, n, keep=None):
+    """psi_monomial; for a repeated class with keep given, only the monomials
+    whose (alpha, beta) degrees lie in keep."""
     omegas = [tuple(Q(c) for c in w) for w in omegas]
     if len(omegas) > 2 * n:
         raise SymError("monomial degree exceeds 2n")
     if not omegas or all(w == omegas[0] for w in omegas):
-        return _psi_power(space, omegas[0] if omegas else (), len(omegas), n)
+        return _b_field_power(space, omegas[0] if omegas else (), n, len(omegas), keep)
     x = SymElement.alpha_power(space, n)
     for w in reversed(omegas):
         x = lefschetz_e(w, x)
     return x
 
 
-def _psi_power(space, omega, j, n):
-    """e_omega^j(alpha^n / n!) = j! times the degree-2j part of
-    (alpha + omega + q/2 beta)^n / n!, q = b(omega, omega) (exp(e_omega) is
-    Sym^n of the B-field isometry).  Its coefficient on alpha^a omega^k
-    beta^c, k + 2c = j, a = n - k - c, is j! (q/2)^c / (a! k! c!), and
-    omega^k / k! expands as sum over |mu| = k of prod omega_i^mu_i / mu_i!."""
-    if j and len(omega) != space.b2:
+def _b_field_power(space, omega, n, j=None, keep=None):
+    """(alpha + omega + q/2 beta)^n / n!, q = b(omega, omega), or with j given
+    j! times its degree-2j part; with keep given, only the monomials whose
+    (alpha, beta) degrees (a, c) lie in keep.
+
+    The coefficient on alpha^a omega^k beta^c, a + k + c = n, is
+    (q/2)^c / (a! k! c!), and omega^k / k! expands as the sum over |mu| = k
+    of prod omega_i^mu_i / mu_i!."""
+    if j != 0 and len(omega) != space.b2:
         raise SymError("omega must be an H^2 vector")
-    half_q = space.dtype.h2_gram.bilinear(omega, omega) / 2 if j else Q(0)
-    top = min(j, 2 * n - j)  # a >= 0 needs c >= j - n, so k <= 2n - j
+    half_q = space.dtype.h2_gram.bilinear(omega, omega) / 2 if omega else Q(0)
+    if j is None:
+        kc = [(k, c) for k in range(n + 1) for c in range(n - k + 1)]
+    else:  # k + 2c = j, and a >= 0 needs k <= 2n - j
+        kc = [(k, (j - k) // 2) for k in range(j % 2, min(j, 2 * n - j) + 1, 2)]
+    by_size = {}
+    for k, c in kc:
+        if (half_q or not c) and (keep is None or (n - k - c, c) in keep):
+            by_size.setdefault(k, []).append(c)
+    top = max(by_size, default=0)
     powers = {(): Q(1)}  # sorted multiset -> prod omega_i^mu_i / mu_i!
     for i, w in enumerate(omega):
         if w:
@@ -332,14 +355,13 @@ def _psi_power(space, omega, j, n):
                 for t in range(1, top - len(m) + 1):
                     v = v * w / t
                     powers[m + (i,) * t] = v
+    scale = factorial(j) if j else 1
     out = {}
     for m, v in powers.items():
         k = len(m)
-        c, odd = divmod(j - k, 2)
-        a = n - k - c
-        if odd or (c and not half_q):
-            continue
-        out[(a, m, c)] = v * half_q**c * Q(factorial(j), factorial(a) * factorial(c))
+        for c in by_size.get(k, ()):
+            a = n - k - c
+            out[(a, m, c)] = v * half_q**c * Q(scale, factorial(a) * factorial(c))
     res = SymElement(space, n)
     res.coeffs = out
     return res
@@ -348,12 +370,13 @@ def _psi_power(space, omega, j, n):
 def pair_with_sh(space, monomial, x, with_detail=False):
     """b_SH(m, T(x)) evaluated lazily as b_[n](psi(m), x).
 
-    `monomial` is a sequence of H^2 coordinate vectors.  Degree mismatches
-    pair to zero; with_detail=True additionally returns whether the degrees
-    matched.
+    `monomial` is a sequence of H^2 coordinate vectors.  For a repeated class
+    only the monomials of psi that meet x's (alpha, beta) degrees are built.
+    Degree mismatches pair to zero; with_detail=True additionally returns
+    whether the degrees matched.
     """
     n = x.n
-    psi = psi_monomial(space, monomial, n=n)
+    psi = _psi(space, monomial, n, {(c, a) for a, _, c in x.coeffs})
     val = pairing_bn(psi, x)
     if not with_detail:
         return val
@@ -365,40 +388,22 @@ def pair_with_sh(space, monomial, x, with_detail=False):
 # -- orthogonal projection -------------------------------------------------------
 
 
-def _h2_monomials(space, degree):
-    """All multisets of H^2 basis indices of the given size."""
-    out = []
-
-    def rec(start, left, cur):
-        if left == 0:
-            out.append(tuple(cur))
-            return
-        for i in range(start, space.b2):
-            cur.append(i)
-            rec(i, left - 1, cur)
-            cur.pop()
-
-    rec(0, degree, [])
-    return out
-
-
 def kernel_piece_basis(space, n, degree):
-    """Basis of ker(Laplacian) in the cohomological-degree piece of Sym^n."""
+    """Basis of ker(Laplacian) in the cohomological-degree piece of Sym^n.
+
+    The Laplacian matrix of the piece is filled in integers straight from
+    the contractions of its monomials (`_contractions`)."""
     monos = _degree_monomials(space, n, degree)
     if not monos:
         return []
-    img_monos = _degree_monomials(space, n - 2, degree - 4) if n >= 2 else []
-    rows = []
-    for key in monos:
-        x = SymElement(space, n, {key: 1})
-        dx = laplacian(x) if n >= 2 else SymElement(space, max(n - 2, 0))
-        rows.append([dx.coeffs.get(k2, Q(0)) for k2 in img_monos])
-    if img_monos:
-        kb = kernel_basis(Mat(rows).transpose())
-    else:
-        kb = [tuple(Q(1) if i == j else Q(0) for j in range(len(monos))) for i in range(len(monos))]
+    img = {k: i for i, k in enumerate(_degree_monomials(space, n - 2, degree - 4))}
+    d, g = _int_gram(space.dtype.h2_gram)
+    rows = [[0] * len(monos) for _ in range(len(img) or 1)]  # no image: the zero row
+    for j, key in enumerate(monos):
+        for k2, e in _contractions(key, g, d):
+            rows[img[k2]][j] += e
     out = []
-    for vec in kb:
+    for vec in kernel_basis(Mat(rows)):
         el = SymElement(space, n)
         el.coeffs = {k: c for k, c in zip(monos, vec) if c != 0}
         out.append(el)
@@ -416,7 +421,7 @@ def _degree_monomials(space, n, degree):
         a = n - k - c
         if a < 0 or k < 0:
             continue
-        for m in _h2_monomials(space, k):
+        for m in combinations_with_replacement(range(space.b2), k):
             out.append((a, m, c))
     return out
 
@@ -432,34 +437,43 @@ def project_t(x):
     nondegenerate; a degenerate Gram raises.  Intended for small H^2 ranks
     or small n.  The kernel pieces and the inverse cross Gram of each
     (n, degree) are kept on the space (`ExtMukaiSpace._t_pieces`) and live
-    as long as it does.
+    as long as it does; building one key fills its complementary key too.
     """
     space, n = x.space, x.n
-    cache = space._t_pieces
-    result = SymElement(space, n)
+    out = {}
     for degree, piece in x.degree_pieces().items():
         if degree > 4 * n:
             raise SymError("degree out of range")
-        key = (n, degree)
-        if key not in cache:
-            kernel = kernel_piece_basis(space, n, degree)
-            dual = kernel_piece_basis(space, n, 4 * n - degree)
-            if len(kernel) != len(dual):
-                raise SymError("kernel pieces of complementary degrees disagree")
-            gram = Mat(
-                [[pairing_bn(u, v) for v in kernel] for u in dual]
-            ) if kernel else Mat.zero(0, 0)
-            if kernel and gram.det() == 0:
-                raise SymError("degenerate pairing on a kernel piece")
-            cache[key] = (kernel, dual, gram.inverse() if kernel else None)
-        kernel, dual, gram_inv = cache[key]
+        kernel, dual, gram_inv = space._t_pieces.get((n, degree)) or _t_piece(space, n, degree)
         if not kernel:
             continue
         rhs = [pairing_bn(u, piece) for u in dual]
-        coeffs = gram_inv.apply(rhs)
-        for cf, u in zip(coeffs, kernel):
-            result = result + u.scale(cf)
+        for cf, u in zip(gram_inv.apply(rhs), kernel):
+            if cf:
+                for k, v in u.coeffs.items():
+                    out[k] = out.get(k, 0) + cf * v
+    result = SymElement(space, n)
+    result.coeffs = {k: v for k, v in out.items() if v}
     return result
+
+
+def _t_piece(space, n, degree):
+    """(kernel, dual, gram_inv) of `project_t` for (n, degree), kept on the
+    space under (n, degree) and, with kernel and dual swapped and gram_inv
+    transposed (b_[n] is symmetric), under (n, 4n - degree)."""
+    kernel = kernel_piece_basis(space, n, degree)
+    dual = kernel if 2 * degree == 4 * n else kernel_piece_basis(space, n, 4 * n - degree)
+    if len(kernel) != len(dual):
+        raise SymError("kernel pieces of complementary degrees disagree")
+    gram_inv = None
+    if kernel:
+        try:
+            gram_inv = Mat([[pairing_bn(u, v) for v in kernel] for u in dual]).inverse()
+        except ValueError:
+            raise SymError("degenerate pairing on a kernel piece") from None
+    space._t_pieces[n, 4 * n - degree] = (dual, kernel, None if gram_inv is None else gram_inv.transpose())
+    space._t_pieces[n, degree] = (kernel, dual, gram_inv)
+    return kernel, dual, gram_inv
 
 
 # -- Todd classes and integrals -------------------------------------------------
@@ -562,17 +576,14 @@ def euler_char_from_sqrt_todd(space, lam):
 
 
 def _exp_pairing_sum(space, lam, argument):
-    """sum_k (-1)^k / k! * b_SH(lam^k, argument) on the rank-one space of lam."""
-    n = space.dtype.n
-    small = restricted_space(space, [tuple(Q(c) for c in lam)])
-    omega = (Q(1),)
+    """sum_k (-1)^k / k! * b_SH(lam^k, argument) on the rank-one space of lam,
+    as one pairing: sum_k (-1)^k / k! psi(omega^k) = exp(-e_omega)(alpha^n / n!)
+    = (alpha - omega + q/2 beta)^n / n!, of which only the monomials meeting
+    the argument's (alpha, beta) degrees are built."""
+    small = restricted_space(space, [lam])
     arg = argument(small)
-    total = Q(0)
-    for k in range(0, 2 * n + 1):
-        val = pair_with_sh(small, [omega] * k, arg)
-        if val != 0:
-            total += Q(-1) ** k / factorial(k) * val
-    return total
+    keep = {(c, a) for a, _, c in arg.coeffs}
+    return pairing_bn(_b_field_power(small, (Q(-1),), space.dtype.n, keep=keep), arg)
 
 
 # -- expansion coefficients -------------------------------------------------------

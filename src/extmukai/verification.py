@@ -703,6 +703,7 @@ def crit11_rank_predicates(bound=10**6):
                 import random as _random
 
                 rng = _random.Random(11 * n + c_x)
+                fact = factorial(n)
                 sample = sorted(valid) + [rng.randint(-bound, bound) for _ in range(200)]
                 for r in sample:
                     got_ok, witness, _integral = rank_predicate_kx_orbit(r, n, c_x)
@@ -710,7 +711,8 @@ def crit11_rank_predicates(bound=10**6):
                         ok = False
                         detail = "wrapper disagrees at r=%d" % r
                         break
-                    if got_ok and witness**n * factorial(n) / c_x != r:
+                    # a = p/q: a^n n!/c_X = r as p^n n! = r c_X q^n in integers
+                    if got_ok and witness.numerator**n * fact != r * c_x * witness.denominator**n:
                         ok = False
                         detail = "witness wrong at r=%d" % r
                         break

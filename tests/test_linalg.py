@@ -430,3 +430,69 @@ def test_no_module_reads_mat_internals():
             elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
                 offenders += [(path.name, node.lineno, a.name) for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+# -- the integer kernel against sympy's saturated nullspace ----------------------
+
+
+def _check_saturated_kernel(sympy, m):
+    """integer_kernel_basis(m) is integral, killed by m, of the nullity's
+    size, spans sympy's nullspace over Q and has all Smith invariants 1, so
+    its Z-span is the saturated nullspace."""
+    basis = integer_kernel_basis(Mat(m))
+    a = Mat(m)
+    assert all(c.denominator == 1 for v in basis for c in v)
+    assert all(not any(a.apply(v)) for v in basis)
+    null = [list(v) for v in _sympy_matrix(sympy, m).nullspace()]
+    assert len(basis) == len(null)
+    if basis:
+        rows = [[int(c) for c in v] for v in basis]
+        assert _sympy_matrix(sympy, rows + null).rank() == len(basis)
+        assert _sympy_invariants(sympy, rows) == [1] * len(basis)
+    return basis
+
+
+def test_integer_kernel_of_a_rational_5x6_returns_at_once():
+    # the Smith form route let this matrix's entries grow past a million bits,
+    # for the kernel and for the saturation of its integer rows alike
+    import time
+
+    sympy = pytest.importorskip("sympy")
+    m = [
+        [Q(16, 5), 0, 6, -6, 0, 0],
+        [0, Q(9, 5), Q(-29, 8), 0, 9, 0],
+        [0, -6, 1, 0, Q(-3, 10), 6],
+        [Q(23, 7), -3, Q(-1, 2), 0, 0, Q(7, 5)],
+        [6, -7, 8, -1, 0, -8],
+    ]
+    start = time.perf_counter()
+    integer_kernel_basis(Mat(m))
+    saturation_basis(Mat(m).scale(840).int_entries())
+    assert time.perf_counter() - start < 1.0
+    assert len(_check_saturated_kernel(sympy, m)) == 1
+    _check_saturation(sympy, Mat(m).scale(840).int_entries())
+
+
+def _check_saturation(sympy, rows):
+    """saturation_basis(rows) has the rank of the rows, the same span over Q
+    and all Smith invariants 1: it spans the saturation."""
+    sat = saturation_basis(rows)
+    rank = _sympy_matrix(sympy, rows).rank()
+    assert len(sat) == rank
+    if sat:
+        assert _sympy_matrix(sympy, [list(r) for r in rows] + sat).rank() == rank
+        assert _sympy_invariants(sympy, sat) == [1] * rank
+
+
+@given(int_matrices)
+@settings(max_examples=60, deadline=None)
+def test_saturation_basis_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    _check_saturation(sympy, rows)
+
+
+@given(eliminable())
+@settings(max_examples=80, deadline=None)
+def test_integer_kernel_basis_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    _check_saturated_kernel(sympy, m)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from extmukai.spaces import (
     split_algebraic,
 )
 from extmukai import spaces
-from extmukai.spaces import _integer_nth_root, kx_rank_core
+from extmukai.spaces import _integer_nth_root, _rational_nth_root, kx_rank_core
 from extmukai.verification import _brute_force_kx_ranks
 
 rng = random.Random(99)
@@ -117,6 +118,10 @@ def test_lambda_lb_between_lattices():
     for n in (2, 3):
         space = ExtMukaiSpace(k3n_type(n))
         lats = k3n_lattices(space)
+        # built on first access, then kept on the bundle
+        assert "lam_lb" not in vars(lats)
+        assert lats.lam_lb is lats.lam_lb
+        assert lats.lam_lb.basis_in_ambient == spaces._line_bundle_lattice(space, "").basis_in_ambient
         assert lats.lam_lb.rank == 25
         for i in range(25):
             assert membership(lats.lam_g, lats.lam_lb.basis_in_ambient.row(i))[0]
@@ -282,6 +287,26 @@ def test_rank_predicate_kx_large_n_matches_brute_force(n):
                 assert a**n * factorial(n) / c_x == r
     kept = [g for k, g in spaces._KX_DEN_OK if k == n]
     assert kept and all(factorial(n) % g == 0 for g in kept)
+
+
+def fraction_path_kx(r, n, c_x):
+    """rank_predicate_kx_orbit on Fractions: a^n = r c_X / n! by rational roots."""
+    ok, a = _rational_nth_root(Q(r) * c_x / factorial(n), n)
+    return (True, a, a.denominator == 1) if ok else (False, None, None)
+
+
+def test_rank_predicate_kx_integer_path_matches_fraction_path():
+    cube = (2**400 + 7) ** 3 * factorial(3)
+    extra = [10**6, -(10**6)] + [cube + d for d in (-1, 0, 1)]
+    for n in range(1, 7):
+        for c_x in (1, n + 1):
+            for r in list(range(-3000, 3001)) + extra:
+                assert rank_predicate_kx_orbit(r, n, c_x) == fraction_path_kx(r, n, c_x), (r, n, c_x)
+    assert rank_predicate_kx_orbit(cube, 3, 1) == (True, 2**400 + 7, True)
+    # a non-integral c_X keeps the Fraction path: r = 4 = a^2 2! / (1/8), a = 1/2
+    assert rank_predicate_kx_orbit(4, 2, Q(1, 8)) == (True, Q(1, 2), False)
+    for r in range(-50, 51):
+        assert rank_predicate_kx_orbit(r, 3, Q(3, 4)) == fraction_path_kx(r, 3, Q(3, 4))
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=7))

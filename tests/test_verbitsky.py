@@ -17,6 +17,7 @@ from extmukai.spaces import (
 )
 from extmukai.verbitsky import (
     SymElement,
+    _degree_monomials,
     _permanent,
     SymError,
     bessel_polynomial_coefficient,
@@ -29,6 +30,7 @@ from extmukai.verbitsky import (
     lefschetz_power_coefficient,
     pair_with_sh,
     pairing_bn,
+    kernel_piece_basis,
     project_t,
     psi_monomial,
     restricted_space,
@@ -444,3 +446,136 @@ def test_multiplicity_permanent_rank_one():
     # one distinct column taken k times: k! a^k
     for k in range(8):
         assert _permanent([[Q(3, 2)]] * k, [k]) == factorial(k) * Q(3, 2) ** k
+
+
+# -- references for the filtered psi, the one-pass exponential sum, the
+# integer Laplacian matrix and the kept complementary kernel pieces -----------
+
+
+def reference_laplacian(x):
+    """Contraction over every pair of positions of each monomial, on the
+    Fraction entries of the Gram."""
+    g = x.space.dtype.h2_gram
+    out = {}
+    for (a, m, c), v in x.coeffs.items():
+        terms = [((a - 1, m, c - 1), -a * c)] if a and c else []
+        for i in range(len(m)):
+            for j in range(i + 1, len(m)):
+                terms.append(((a, m[:i] + m[i + 1 : j] + m[j + 1 :], c), g[m[i], m[j]]))
+        for key, b in terms:
+            out[key] = out.get(key, Q(0)) + v * b
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_kernel_piece(space, n, degree):
+    """ker(Laplacian) on a degree piece, one Laplacian per monomial."""
+    from extmukai.linalg import kernel_basis
+
+    monos = _degree_monomials(space, n, degree)
+    img = _degree_monomials(space, n - 2, degree - 4)
+    if not img:
+        return [tuple(Q(int(i == j)) for j in range(len(monos))) for i in range(len(monos))]
+    rows = [[reference_laplacian(SymElement(space, n, {key: 1})).get(k2, Q(0)) for k2 in img] for key in monos]
+    return kernel_basis(Mat(rows).transpose())
+
+
+def _random_keys(space, n):
+    keys = []
+    for _ in range(5):
+        k = rng.randint(0, n)
+        c = rng.randint(0, n - k)
+        keys.append((n - k - c, tuple(sorted(rng.randrange(space.b2) for _ in range(k))), c))
+    return keys
+
+
+def per_k_exp_sum(space, lam, argument):
+    """sum_k (-1)^k / k! b_[n](psi(lam^k), argument) with the full psi of the
+    Lefschetz chain, one pairing per k."""
+    n = space.dtype.n
+    small = restricted_space(space, [lam])
+    arg = argument(small)
+    return sum(
+        Q((-1) ** k, factorial(k)) * pairing_bn(chain_psi(small, [(Q(1),)] * k, n), arg)
+        for k in range(2 * n + 1)
+    )
+
+
+@given(st.data(), st.integers(1, 4), st.sampled_from([1, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_filtered_psi_matches_full_psi(data, n, rank):
+    gram = RANK3 if rank == 3 else Mat(data.draw(symmetric_grams(rank)))
+    space = ExtMukaiSpace(custom_type(n, Q(5, 3), Q(1), gram))
+    # x mixes H^2 monomials with pure alpha-beta ones
+    x = data.draw(sym_elements(space, n)) + SymElement.alpha_beta_binomial(space, n, Q(3, 4))
+    w = tuple(data.draw(small_rationals) for _ in range(space.b2))
+    for j in range(2 * n + 1):
+        full = chain_psi(space, [w] * j, n)
+        assert pair_with_sh(space, [w] * j, x) == pairing_bn(full, x)
+    # a mixed monomial still runs the chain
+    v = tuple(data.draw(small_rationals) for _ in range(space.b2))
+    assert pair_with_sh(space, [w, v], x) == pairing_bn(chain_psi(space, [w, v], n), x)
+
+
+@pytest.mark.parametrize("family,n", [("K3n", n) for n in range(2, 7)] + [("Kumn", n) for n in range(2, 5)])
+def test_one_pass_exp_sum_matches_per_k_loop(family, n):
+    space = full_space(family, n)
+    rnd = random.Random(n)
+    lams = [[0] * space.b2, [1, 0] + [0] * (space.b2 - 2)]  # q = 0: zero and isotropic
+    lams += [[rnd.randint(-2, 2) for _ in range(space.b2)] for _ in range(3)]
+    lams.append([Q(1, 2), Q(3)] + [0] * (space.b2 - 2))
+    for lam in lams:
+        assert euler_char_line_bundle(space, lam) == per_k_exp_sum(space, lam, todd_argument)
+        assert euler_char_from_sqrt_todd(space, lam) == per_k_exp_sum(space, lam, sqrt_todd_argument)
+
+
+@pytest.mark.parametrize("gram", [RANK3, Mat([[Q(7, 2), Q(1, 3)], [Q(1, 3), Q(-5, 6)]]), Mat([[Q(2, 9)]])])
+def test_integer_laplacian_and_kernel_pieces_match_references(gram):
+    # the second and third Grams are non-integral (d = 6 and d = 9)
+    for n in range(1, 5):
+        space = ExtMukaiSpace(custom_type(n, Q(3), Q(n + 3, 4), gram))
+        for degree in range(0, 4 * n + 1, 2):
+            got = [tuple(el.coefficient(*key) for key in _degree_monomials(space, n, degree)) for el in kernel_piece_basis(space, n, degree)]
+            want = reference_kernel_piece(space, n, degree)
+            assert len(got) == len(want)
+            if got:
+                assert Mat(got).rref() == Mat(want).rref()
+        if n >= 2:
+            for _ in range(10):
+                x = SymElement(space, n)
+                x.coeffs = {k: Q(rng.randint(-4, 4), rng.randint(1, 3)) for k in _random_keys(space, n)}
+                assert laplacian(x).coeffs == reference_laplacian(x)
+
+
+@pytest.mark.parametrize("gram", [RANK3, Mat([[Q(7, 2), Q(1, 3)], [Q(1, 3), Q(-5, 6)]])])
+def test_project_t_through_complementary_key_matches_fresh_space(gram):
+    for n in (2, 3):
+        kept = ExtMukaiSpace(custom_type(n, Q(2), Q(1), gram))
+        for degree in range(0, 4 * n + 1, 2):
+            if 2 * degree >= 4 * n:
+                continue
+            low, high = _degree_monomials(kept, n, degree), _degree_monomials(kept, n, 4 * n - degree)
+            x_low = SymElement(kept, n, {k: Q(i + 1, 2) for i, k in enumerate(low)})
+            project_t(x_low)  # builds (n, degree) and fills (n, 4n - degree)
+            assert (n, 4 * n - degree) in kept._t_pieces
+            fresh = ExtMukaiSpace(custom_type(n, Q(2), Q(1), gram))
+            coeffs = {k: Q(3 - i, 5) for i, k in enumerate(high)}
+            got = project_t(SymElement(kept, n, coeffs))
+            want = project_t(SymElement(fresh, n, coeffs))
+            assert got.coeffs == want.coeffs
+            assert laplacian(got).is_zero() and project_t(got) == got
+
+
+def test_non_integral_gram_restricted_space():
+    # a restricted space of half-integral vectors has an H^2 Gram with d > 1
+    full = full_space("K3n", 3)
+    small = restricted_space(full, [[Q(1, 2), Q(1, 3)] + [0] * 21, [0, 0, Q(1, 2), 1] + [0] * 19])
+    assert small.dtype.h2_gram.denominator_lcm() > 1
+    small.dtype.family = "K3n"
+    for bar, arg in ((sqrt_todd_bar, sqrt_todd_argument), (todd_bar, todd_argument)):
+        tb = bar(small)
+        assert laplacian(tb).is_zero() and project_t(tb) == tb
+        for w in ((Q(1), Q(0)), (Q(2, 3), Q(-1))):
+            for j in range(0, 7):
+                # b_SH(w^j, T(x)) = b_[n](psi(w^j), x) for the kernel element tb
+                assert pair_with_sh(small, [w] * j, tb) == all_pairs_pairing(chain_psi(small, [w] * j, 3), tb)
+                assert pair_with_sh(small, [w] * j, arg(small)) == all_pairs_pairing(chain_psi(small, [w] * j, 3), arg(small))
