@@ -415,6 +415,7 @@ def cmd_moduli(args):
         or not all(isinstance(c, (int, float, str)) for c in v)
     ):
         raise InputError("v must be a list of %d numbers (r, c..., s)" % lat.rank)
+    v = [parse_rat(c) for c in v]
     v = lat.vector(v[0], v[1:-1], v[-1])
     fine, order = fineness(lat, v)
     ns_m = ns_of_moduli(lat, v)

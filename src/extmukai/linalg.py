@@ -12,9 +12,13 @@ values appear only at the boundary: `entries`, `row`, `column`,
 One integer elimination, `_eliminate`, serves `rref`, `rank`, `det`,
 `inverse`, `solve_linear` and `kernel_basis`: Gauss-Jordan that skips the
 rows with a zero in the pivot column and divides every row it updates by its
-content, so no fraction is formed.  Smith and Hermite normal forms run on
-integers too.  `congruence_diagonalize` is the one symmetric elimination:
-inertia indices and positive-definite bases are both read off its output.
+content, so no fraction is formed.  One integer Hermite routine, `_hnf`,
+serves every integer normal form: `hnf_row_basis` is its pivot rows,
+`integer_kernel_basis` (and so `saturation_basis`) its form taken mod D, and
+`smith_normal_form` alternates row and column Hermite passes until the
+matrix is diagonal.  `congruence_diagonalize` is the one symmetric
+elimination: inertia indices and positive-definite bases are both read off
+its output.
 
 Matrices are small (usually 25 rows or less); values are immutable and
 every function is pure.
@@ -447,134 +451,111 @@ def congruence_diagonalize(gram):
 # -- integer normal forms ----------------------------------------------------
 
 
+def _hnf(rows, k, d=0):
+    """Row Hermite form of the integer rows on their first k columns.
+
+    Returns (h, pivots): h spans the same subgroup as rows; row i <
+    len(pivots) has a positive pivot in column pivots[i] (increasing), zeros
+    to its left and below it in the first k columns and entries in
+    [0, pivot) above it; the later rows are zero on the first k columns.
+    The steps are unimodular and act on whole rows (an extended-gcd 2x2
+    step that merges a row into the pivot row, or a plain subtraction where
+    the pivot divides the entry, and reduction of the rows above), so
+    columns past k carry the transform.
+
+    With d > 0 the rows have width k and the subgroup taken is their span
+    plus d Z^k: column j merges d e_j too, and entries right of it are kept
+    in [0, d), which changes rows only by vectors of d Z^k not yet merged
+    (after Cohen, GTM 138, Alg. 2.4.8).
+    """
+    h = [list(v) for v in rows]
+    pivots = []
+    for j in range(k):
+        r = len(pivots)
+        if d:
+            h.insert(r, [0] * j + [d] + [0] * (k - j - 1))
+        if r == len(h):
+            break
+        for i in range(r + 1, len(h)):
+            a, b = h[r][j], h[i][j]
+            if not b:
+                continue
+            if a and not b % a:
+                q = b // a
+                h[i] = [t - q * s for s, t in zip(h[r], h[i])]
+            else:
+                g, x, y = xgcd(a, b)
+                h[r], h[i] = _pair(h[r], h[i], x, y, -b // g, a // g)
+        p = h[r][j]
+        if not p:
+            continue
+        if p < 0:
+            p, h[r] = -p, [-s for s in h[r]]
+        for i in range(r):
+            q = h[i][j] // p
+            if q:
+                h[i] = [s - q * t for s, t in zip(h[i], h[r])]
+        pivots.append(j)
+        if d:
+            h = [v[: j + 1] + [s % d for s in v[j + 1 :]] for v in h]
+    return h, pivots
+
+
+def _pair(v, w, a, b, c, d):
+    """The rows a v + b w and c v + d w."""
+    return [a * s + b * t for s, t in zip(v, w)], [c * s + d * t for s, t in zip(v, w)]
+
+
+def _is_diagonal(a):
+    return not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
 def smith_normal_form(mat):
     """Smith normal form with transforms: U*m*V = D, U, V unimodular.
 
     Input must be integral.  D is diagonal with nonnegative entries and
-    d_i | d_{i+1}.
+    d_i | d_{i+1}.  Row Hermite passes on [A | U] and on [A^T | V^T] take
+    turns until A is diagonal (Kannan-Bachem; Cohen, GTM 138, 2.4).  This
+    terminates: a pass leaves a_00 the gcd of its column (row), and a pivot
+    that divides an entry is kept, so a_00 shrinks until it divides its row
+    and column, which the next pass then clears for good; the rest follows
+    on the trailing block.  Then a 2x2 step turns each pair (a, b) of the
+    diagonal into (gcd, lcm).
     """
-    A = mat.int_entries()
-    r = len(A)
-    c = len(A[0]) if A else 0
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def col_op(j1, j2, f):
-        # col j2 += f * col j1
-        for i in range(r):
-            A[i][j2] += f * A[i][j1]
-        for i in range(c):
-            V[i][j2] += f * V[i][j1]
-
-    def row_op(i1, i2, f):
-        # row i2 += f * row i1
-        A[i2] = [a + f * b for a, b in zip(A[i2], A[i1])]
-        U[i2] = [a + f * b for a, b in zip(U[i2], U[i1])]
-
-    def swap_rows(i1, i2):
-        A[i1], A[i2], U[i1], U[i2] = A[i2], A[i1], U[i2], U[i1]
-
-    def swap_cols(j1, j2):
-        for row in A + V:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    t = 0
-    while t < min(r, c):
-        # locate a minimal nonzero pivot in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                a = abs(A[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    pivot = (i, j)
-        if pivot is None:
+    a = mat.int_entries()
+    r, c = mat.rows, mat.cols
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    vt = [[int(i == j) for j in range(c)] for i in range(c)]
+    while True:
+        h = _hnf([x + y for x, y in zip(a, u)], c)[0]
+        a, u = [w[:c] for w in h], [w[c:] for w in h]
+        if _is_diagonal(a):
             break
-        i, j = pivot
-        if i != t:
-            swap_rows(i, t)
-        if j != t:
-            swap_cols(t, j)
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, r):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_op(t, i, -q)
-                    if A[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-            # clear row t
-            for j in range(t + 1, c):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_op(t, j, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility: d_t must divide the rest of the block
-        d = A[t][t]
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if A[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(offender, t, 1)
-            continue
-        t += 1
-
-    for i in range(min(r, c)):
-        if A[i][i] < 0:
-            A[i] = [-a for a in A[i]]
-            U[i] = [-a for a in U[i]]
-    return Mat(U), Mat(A), Mat(V)
+        h = _hnf([list(x) + y for x, y in zip(zip(*a), vt)], r)[0]
+        a, vt = [list(x) for x in zip(*(w[:r] for w in h))], [w[r:] for w in h]
+        if _is_diagonal(a):
+            break
+    # the nonzero pivots of a Hermite form come first, so zeros end the diagonal
+    k = min(r, c)
+    for i in range(k):
+        for j in range(i + 1, k):
+            p, q = a[i][i], a[j][j]
+            if p and q % p:
+                g, x, y = xgcd(p, q)
+                p, q = p // g, q // g
+                a[i][i], a[j][j] = g, p * q * g
+                u[i], u[j] = _pair(u[i], u[j], x, y, -q, p)
+                vt[i], vt[j] = _pair(vt[i], vt[j], 1, 1, -y * q, x * p)
+    return _make(1, u), _make(1, a), _make(1, [list(x) for x in zip(*vt)])
 
 
 def hnf_row_basis(int_rows):
-    """Row-style Hermite basis of the subgroup of Z^c generated by the rows.
-
-    Returns a list of linearly independent integer rows spanning the same
-    subgroup (upper triangular up to column permutation).
-    """
-    rows = [list(r) for r in int_rows if any(r)]
-    if not rows:
-        return []
-    pivot_of_col = {}
-    for v in rows:
-        v = v[:]
-        while True:
-            j = next((k for k, a in enumerate(v) if a), None)
-            if j is None:
-                break
-            if j not in pivot_of_col:
-                if v[j] < 0:
-                    v = [-a for a in v]
-                pivot_of_col[j] = v
-                break
-            w = pivot_of_col[j]
-            q = v[j] // w[j]
-            v = [a - q * b for a, b in zip(v, w)]
-            if v[j]:
-                # remainder 0 < v[j] < w[j]: it becomes the new pivot
-                pivot_of_col[j], v = v, w
-    # normalize: reduce entries above each pivot
-    cols = sorted(pivot_of_col)
-    basis = [pivot_of_col[j] for j in cols]
-    for idx in range(len(basis) - 1, -1, -1):
-        j = cols[idx]
-        for k in range(idx):
-            q = basis[k][j] // basis[idx][j]
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[idx])]
-    return basis
+    """Hermite basis of the subgroup of Z^c generated by the integer rows:
+    linearly independent rows in echelon form, each with a positive pivot
+    and entries in [0, pivot) above it (unique for the subgroup)."""
+    rows = list(int_rows)
+    h, pivots = _hnf(rows, len(rows[0]) if rows else 0)
+    return h[: len(pivots)]
 
 
 def integer_kernel_basis(mat):
@@ -585,7 +566,8 @@ def integer_kernel_basis(mat):
     those with sum_f e_f t_f = 0 mod e_p on every pivot row: the t with
     (0, t) in the span of the rows (e_f over the pivot rows, unit f) and
     (e_p in its own column, 0).  That span holds D Z^* for D the lcm of the
-    e_p, so its Hermite basis is taken mod D (`_hnf_mod`)."""
+    e_p, so its Hermite form is taken mod D; being unique, it gives those t
+    as the rows with a pivot among the t columns."""
     m = [list(r) for r in mat._ints]
     pivots = _eliminate(m)[0]
     free = [f for f in range(mat.cols) if f not in pivots]
@@ -594,7 +576,7 @@ def integer_kernel_basis(mat):
     gens = [[m[r][f] for r in cons] + [int(i == j) for i in range(k)] for j, f in enumerate(free)]
     gens += [[m[r][pivots[r]] * (i == j) for i in range(h)] + [0] * k for j, r in enumerate(cons)]
     basis = []
-    for row in _hnf_mod(gens, h + k, lcm(*(m[r][pivots[r]] for r in cons)))[h:]:
+    for row in _hnf(gens, h + k, lcm(*(m[r][pivots[r]] for r in cons)))[0][h : h + k]:
         t = row[h:]
         x = [QZERO] * mat.cols
         for f, tf in zip(free, t):
@@ -602,36 +584,6 @@ def integer_kernel_basis(mat):
         for r, c in enumerate(pivots):
             x[c] = Q(-sum(m[r][f] * tf for f, tf in zip(free, t)) // m[r][c])
         basis.append(tuple(x))
-    return basis
-
-
-def _hnf_mod(gens, k, d):
-    """Upper triangular Hermite basis, positive diagonal and entries above
-    each pivot in [0, pivot), of the span of the integer k-vectors gens and
-    d Z^k, every entry kept in [0, d) on the way (after Cohen, GTM 138,
-    Alg. 2.4.8).  Column j merges d e_j with the rows nonzero there by
-    unimodular extended-gcd steps; the rows left zero in column j, with the
-    d e_i of the later columns, span the part of the lattice zero there."""
-    rows = [[x % d for x in v] for v in gens]
-    basis = []
-    for j in range(k):
-        piv = [0] * j + [d] + [0] * (k - j - 1)
-        rest = []
-        for v in rows:
-            if v[j]:
-                g, x, y = xgcd(piv[j], v[j])
-                a, b = piv[j] // g, v[j] // g
-                piv, v = [x * s + y * t for s, t in zip(piv, v)], [(a * t - b * s) % d for s, t in zip(piv, v)]
-                piv = piv[: j + 1] + [s % d for s in piv[j + 1 :]]
-            if any(v):
-                rest.append(v)
-        basis.append(piv)
-        rows = rest
-    for j in range(k):
-        for i in range(j):
-            q = basis[i][j] // basis[j][j]
-            if q:
-                basis[i] = [s - q * t for s, t in zip(basis[i], basis[j])]
     return basis
 
 

@@ -28,6 +28,11 @@ def rat_str(x):
 
 
 def parse_rat(s):
+    """A rational from "p", "p/q", a plain decimal or a JSON number.  A
+    string with an exponent part is refused at once: `Fraction` builds
+    10^exp in full before it can fail on the size."""
+    if isinstance(s, str) and "e" in s.lower():
+        raise FormatError("bad rational %r" % (s,))
     try:
         return Q(str(s).strip())
     except (ValueError, ZeroDivisionError) as exc:

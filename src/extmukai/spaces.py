@@ -22,7 +22,7 @@ split".
 """
 
 from functools import cached_property
-from math import factorial, gcd, isqrt
+from math import factorial, isqrt
 
 from .isometry import Isometry, QuadSpace, disc_action, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, standard_lattice
@@ -421,22 +421,14 @@ def rank_predicate_o_orbit(r, n):
     return False, None
 
 
-_KX_DEN_OK = {}  # (n, g) -> n!/g is an n-th power; at most d(n!) entries per n
-
-
 def kx_rank_core(r, n, c_int):
     """Integer core: the signed n-th-root numerator a_p when r = (a_p/a_q)^n
     n!/c for integers a_p, a_q, else None.  With g = gcd(r c, n!), a_q^n is
-    n!/g and a_p^n is r c/g; the verdict on n!/g is kept per (n, g)."""
-    num = r * c_int
-    fact = factorial(n)
-    g = gcd(num, fact)
-    ok = _KX_DEN_OK.get((n, g))
-    if ok is None:
-        ok = _KX_DEN_OK[n, g] = _integer_nth_root(fact // g, n) is not None
-    if not ok:
+    n!/g; then a_q^n | n! and v_p(n!) < n for every prime p force a_q = 1,
+    so r c must be a multiple of n! and a_p^n is r c / n!."""
+    p, rem = divmod(r * c_int, factorial(n))
+    if rem:
         return None
-    p = num // g
     if p < 0 and n % 2 == 0:
         return None
     a = _integer_nth_root(-p if p < 0 else p, n)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from extmukai.cli import SYM_MAX_N, main, parse_vector
 from extmukai.linalg import Mat
 from extmukai.serialize import (
+    FormatError,
     canonical_json,
     lattice_from_json,
     lattice_to_json,
@@ -25,12 +26,13 @@ from extmukai.spaces import ExtMukaiSpace, k3n_type
 from extmukai.verbitsky import sqrt_todd_argument
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "extmukai.cli"] + args,
         capture_output=True,
         text=True,
         input=stdin,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout
 
@@ -42,6 +44,11 @@ def test_rational_strings():
     assert parse_rat("-3") == Q(-3)
     with pytest.raises(Exception):
         parse_rat("x")
+    assert parse_rat("1.25") == Q(5, 4)
+    # Fraction("1e10000000") builds 10^10000000 before failing on its size
+    for text in ("1e5", "2E-3", "1e10000000"):
+        with pytest.raises(FormatError):
+            parse_rat(text)
 
 
 def test_matrix_and_lattice_roundtrip():
@@ -175,6 +182,27 @@ def test_cli_moduli():
     assert data["dimension"] == 4
     assert data["fine"] is True
     assert data["disc_lemma"]["identity_holds"] is True
+
+
+def test_cli_moduli_on_a_6x6_even_ns_returns():
+    # NS Gram of det 2271446447, on which the alternating-Euclid Smith form
+    # of the discriminant group ran for minutes
+    gram = [[-56, -7, -32, -12, -31, -2], [-7, 8, 15, -17, -33, 24], [-32, 15, 38, -35, 36, -28],
+            [-12, -17, -35, 20, -15, -7], [-31, -33, 36, -15, 10, 20], [-2, 24, -28, -7, 20, 64]]
+    payload = {"ns": {"gram": gram}, "v": [1, 0, 0, 0, 0, 0, 1, 1]}
+    code, out = run_cli(["moduli", "--input", "-"], stdin=json.dumps(payload), timeout=10)
+    assert code == 0, out
+    data = json.loads(out)["result"]
+    assert data["disc_lemma"]["all"] is True
+    assert data["invariants"]["ns_disc_orders"] == ["140829679714"]
+
+
+def test_cli_exponent_notation_exits_2_at_once():
+    code, out = run_cli(["vector", "--n", "2", "--lam", "1e10000000*e1"], timeout=10)
+    assert code == 2 and json.loads(out)["error"]["type"] == "FormatError"
+    payload = '{"ns": {"gram": [["2"]]}, "v": [1, "1e10000000", 0]}'
+    code, out = run_cli(["moduli", "--input", "-"], stdin=payload, timeout=10)
+    assert code == 2 and json.loads(out)["error"]["type"] == "FormatError"
 
 
 def test_cli_catalog_verbs():

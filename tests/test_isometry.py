@@ -233,19 +233,20 @@ def test_disc_action_examples():
 
 def test_disc_action_other_label():
     # on U(3) the swap exchanges the two Z/3 factors of A(U(3)) = (Z/3)^2;
-    # the witness is the first dual generator, in ambient coordinates
+    # the witness is the first dual generator, in ambient coordinates (the
+    # Hermite-based Smith form presents A(U(3)) with (1/3, 0) first)
     from extmukai.isometry import Isometry, QuadSpace
     from extmukai.lattice import QuadLattice
 
     u3 = Mat([[0, 3], [3, 0]])
     lat = QuadLattice.from_basis([(1, 0), (0, 1)], u3)  # full rank
     swap = Isometry(QuadSpace(u3), Mat([[0, 1], [1, 0]]))
-    assert disc_action(swap, lat) == ("other", (0, Q(1, 3)))
+    assert disc_action(swap, lat) == ("other", (Q(1, 3), 0))
     # U(3) as the first two coordinates of U(3) + <2>: not of full rank
     g3 = Mat([[0, 3, 0], [3, 0, 0], [0, 0, 2]])
     lat3 = QuadLattice.from_basis([(1, 0, 0), (0, 1, 0)], g3)
     swap3 = Isometry(QuadSpace(g3), Mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    assert disc_action(swap3, lat3) == ("other", (0, Q(1, 3), 0))
+    assert disc_action(swap3, lat3) == ("other", (Q(1, 3), 0, 0))
 
 
 def test_preserves_lattice_examples():

@@ -78,6 +78,41 @@ def test_disc_group_lambda_n2():
     assert dg.q_values[0] == Q(-1, 2) % 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_disc_group_lambda_presentation(n):
+    # A(Lambda) = Z/(2n-2), generated by delta~/(2n-2), q = -1/(2n-2) mod 2Z
+    dg = discriminant_group(k3n_lattices(ExtMukaiSpace(k3n_type(n))).lam)
+    assert dg.cyclic_orders == (2 * n - 2,)
+    assert dg.generators == ((Q(0),) * 24 + (Q(1, 2 * n - 2),),)
+    assert dg.q_values == (Q(-1, 2 * n - 2) % 2,)
+
+
+# an even Gram of det 2271446447 on which the alternating-Euclid Smith form
+# ran for minutes
+EVEN_GRAM_6 = [
+    [-56, -7, -32, -12, -31, -2],
+    [-7, 8, 15, -17, -33, 24],
+    [-32, 15, 38, -35, 36, -28],
+    [-12, -17, -35, 20, -15, -7],
+    [-31, -33, 36, -15, 10, 20],
+    [-2, 24, -28, -7, 20, 64],
+]
+
+
+def test_disc_group_of_a_6x6_even_gram_returns_at_once():
+    import time
+
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
+    start = time.perf_counter()
+    dg = discriminant_group(QuadLattice(Mat(EVEN_GRAM_6)))
+    assert time.perf_counter() - start < 1.0
+    d = sympy_smith(sympy.Matrix(EVEN_GRAM_6), domain=sympy.ZZ)
+    assert dg.cyclic_orders == tuple(sorted(abs(d[i, i]) for i in range(6) if abs(d[i, i]) > 1))
+    assert dg.order == 2271446447
+
+
 def test_disc_group_computed_once_per_lattice():
     lam = k3n_lattices(ExtMukaiSpace(k3n_type(3))).lam
     dg = discriminant_group(lam)

@@ -329,6 +329,22 @@ def test_hnf_row_basis_matches_sympy(rows):
     assert _sympy_invariants(sympy, [list(r) for r in rows] + basis) == inv
 
 
+def test_hnf_row_basis_is_the_canonical_form():
+    # echelon rows, positive pivots, entries in [0, pivot) above each pivot:
+    # the Hermite form is unique, so equal spans give equal bases
+    rng = random.Random(9)
+    for _ in range(300):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        basis = hnf_row_basis(rows)
+        pivots = [next(j for j, x in enumerate(v) if x) for v in basis]
+        assert pivots == sorted(set(pivots))
+        for i, (v, p) in enumerate(zip(basis, pivots)):
+            assert v[p] > 0
+            assert all(0 <= w[p] < v[p] for w in basis[:i]), (rows, basis)
+        assert hnf_row_basis(basis + rows[::-1]) == basis
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_rank_and_det_match_sympy(data):
@@ -453,8 +469,9 @@ def _check_saturated_kernel(sympy, m):
 
 
 def test_integer_kernel_of_a_rational_5x6_returns_at_once():
-    # the Smith form route let this matrix's entries grow past a million bits,
-    # for the kernel and for the saturation of its integer rows alike
+    # the alternating-Euclid Smith form let this matrix's entries grow past a
+    # million bits, for the kernel, for the saturation of its integer rows and
+    # for the Smith form of those rows alike
     import time
 
     sympy = pytest.importorskip("sympy")
@@ -468,9 +485,12 @@ def test_integer_kernel_of_a_rational_5x6_returns_at_once():
     start = time.perf_counter()
     integer_kernel_basis(Mat(m))
     saturation_basis(Mat(m).scale(840).int_entries())
+    u, d, v = smith_normal_form(Mat(m).scale(840))
     assert time.perf_counter() - start < 1.0
     assert len(_check_saturated_kernel(sympy, m)) == 1
     _check_saturation(sympy, Mat(m).scale(840).int_entries())
+    assert u * Mat(m).scale(840) * v == d
+    assert [d[i, i] for i in range(5)] == _sympy_invariants(sympy, Mat(m).scale(840).int_entries())
 
 
 def _check_saturation(sympy, rows):
