@@ -114,6 +114,10 @@ def parse_vector(space, text, h2_only=False):
     if text == "0":
         return tuple(Q(0) for _ in range(space.b2 if h2_only else space.dim))
     names = _named_vectors(space)
+
+    def _is_name(operand):
+        return operand in names or operand.split("/", 1)[0] in names
+
     total = [Q(0)] * space.dim
     term = ""
     terms = []
@@ -134,13 +138,13 @@ def parse_vector(space, text, h2_only=False):
         coeff = Q(1)
         name = t
         if "*" in t:
+            # the operand that names a vector ("e1", or "e1/2") is the vector
+            # and the other the coefficient, so an error quotes the coefficient
             left, right = t.split("*", 1)
-            try:
-                coeff = parse_rat(left)
-                name = right
-            except FormatError:
-                coeff = parse_rat(right)
-                name = left
+            if _is_name(left) and not _is_name(right):
+                left, right = right, left
+            coeff = parse_rat(left)
+            name = right
         if "/" in name:
             base, den = name.split("/", 1)
             if base in names:

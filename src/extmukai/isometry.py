@@ -24,6 +24,8 @@ from .lattice import NotFound, discriminant_group, divisibility, is_primitive
 from .linalg import (
     Mat,
     Q,
+    QONE,
+    QZERO,
     congruence_diagonalize,
     identity_plus_outer,
     vec_add,
@@ -62,7 +64,7 @@ class QuadSpace:
         return self.pairing(x, x)
 
     def basis_vector(self, i):
-        return tuple(Q(1) if j == i else Q(0) for j in range(self.dim))
+        return (QZERO,) * i + (QONE,) + (QZERO,) * (self.dim - 1 - i)
 
     def positive_basis(self):
         """A basis of a maximal positive-definite subspace (cached)."""

@@ -62,16 +62,17 @@ def vec_is_integral(v):
 
 def vec_primitive_part(v):
     """Scale a nonzero rational vector to a primitive integer vector."""
-    ints = _cleared(v)[1]
+    ints = cleared(v)[1]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(Q(x // g) for x in ints)
 
 
-def _cleared(v):
+def cleared(v):
     """(d, ints): d the lcm of the denominators of v (ints or Fractions) and
-    ints the integer vector d * v."""
+    ints the integer vector d * v, in lowest terms (d is coprime to the gcd
+    of ints, since each Fraction is reduced)."""
     d = 1
     for a in v:
         q = a.denominator
@@ -230,7 +231,7 @@ class Mat:
         """Matrix times column vector (entries ints or Fractions)."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        dv, w = _cleared(v)
+        dv, w = cleared(v)
         return _fractions([sum(map(mul, r, w)) for r in self._ints], self._den * dv)
 
     def bilinear(self, x, y):
@@ -238,8 +239,8 @@ class Mat:
         of every Gram matrix in the package."""
         if len(x) != self.rows or len(y) != self.cols:
             raise ValueError("shape mismatch")
-        dx, xs = _cleared(x)
-        dy, ys = _cleared(y)
+        dx, xs = cleared(x)
+        dy, ys = cleared(y)
         total = sum(xi * sum(map(mul, r, ys)) for xi, r in zip(xs, self._ints) if xi)
         return Q(total, self._den * dx * dy)
 
@@ -355,7 +356,7 @@ def identity_plus_outer(n, pairs):
     and, in them, only the columns where w is nonzero.  Reflections,
     Eichler transvections and B-field maps are all of this shape.
     """
-    pairs = [(_cleared(u), _cleared(w)) for u, w in pairs]
+    pairs = [(cleared(u), cleared(w)) for u, w in pairs]
     d = lcm(*(du * dw for (du, _), (dw, _) in pairs))
     m = [[d if i == j else 0 for j in range(n)] for i in range(n)]
     for (du, us), (dw, ws) in pairs:
@@ -377,7 +378,7 @@ def solve_linear(a, b):
     """
     if len(b) != a.rows:
         raise ValueError("shape mismatch")
-    db, bs = _cleared(b)
+    db, bs = cleared(b)
     # a x = b  <=>  db (d a) x = d (db b)
     m = [[db * x for x in r] + [a._den * y] for r, y in zip(a._ints, bs)]
     pivots = _eliminate(m)[0]

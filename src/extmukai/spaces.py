@@ -99,19 +99,22 @@ class ExtMukaiSpace(QuadSpace):
     def __init__(self, dtype, ns_sublattice=None):
         b2 = dtype.b2
         dim = b2 + 2
-        rows = [[Q(0)] * dim for _ in range(dim)]
-        rows[0][dim - 1] = Q(-1)
-        rows[dim - 1][0] = Q(-1)
-        for i in range(b2):
-            for j in range(b2):
-                rows[1 + i][1 + j] = dtype.h2_gram[i, j]
-        super().__init__(Mat(rows))
+        # the integer H^2 Gram d * G bordered by the hyperbolic corner -d,
+        # over d
+        h2 = dtype.h2_gram
+        d = h2.denominator_lcm()
+        rows = [[0] * (dim - 1) + [-d]]
+        rows += [[0] + r + [0] for r in (h2 if d == 1 else h2.scale(d)).int_entries()]
+        rows.append([-d] + [0] * (dim - 1))
+        super().__init__(Mat(rows) if d == 1 else Mat(rows).scale(Q(1, d)))
         self.dtype = dtype
         self.b2 = b2
         self.alpha = self.basis_vector(0)
         self.beta = self.basis_vector(dim - 1)
         # (n, degree) -> (kernel, dual, gram_inv) of verbitsky.project_t
         self._t_pieces = {}
+        # the K3n lattice bundle of k3n_lattices, built on first call
+        self._k3n = None
         self.ns_sublattice = None
         if ns_sublattice is not None:
             self.ns_sublattice = [tuple(Q(c) for c in v) for v in ns_sublattice]
@@ -267,7 +270,7 @@ def k3n_tilde_vectors(space):
 
 def k3n_lattices(space):
     """Lambda, Lambda_S, Lambda_g, Lambda_LB (built on first use) and the
-    vectors involved.
+    vectors involved, built on the first call for a space and kept on it.
 
     Basis orders:
       Lambda_S: (alpha~, K3 basis, beta)              (unimodular, rank 24)
@@ -276,6 +279,12 @@ def k3n_lattices(space):
     with alpha~ = alpha - delta/2 + (1-n)/4 beta and
     delta~ = delta + (n-1) beta.
     """
+    if space._k3n is None:
+        space._k3n = _build_k3n_lattices(space)
+    return space._k3n
+
+
+def _build_k3n_lattices(space):
     alpha_tilde, delta_tilde = k3n_tilde_vectors(space)
     dim = space.dim
     k3_basis = [space.basis_vector(i) for i in range(1, dim - 2)]

@@ -22,13 +22,20 @@ The machinery implements:
   * square-root-of-Todd and Todd linearisations, integrals of products of
     divisor classes, and Euler characteristics of line bundles.
 
+A `SymElement` has one stored representation, built once: a denominator
+d > 0 and a dict of nonzero integer numerators, in lowest terms, as a `Mat`
+keeps d and the integer rows of d * M.  Every kernel runs on those integers
+and on the H^2 Gram read as integer rows d * G (`_int_gram`), with H^2
+classes cleared to integers over their own denominator; a result is one
+denominator and one dict of numerators, and a scalar (a pairing) is one
+`Fraction`.  `Fraction` coefficients appear only at the boundary: `coeffs`,
+`coefficient` and `repr`.
+
 The pairing buckets the monomials of y by their alpha and beta degrees, so
 a monomial of x meets only the monomials it can pair with, and the H^2
 block of a pair is a permanent computed by a dynamic program over the
 multiplicities of its distinct columns (on a rank-r restricted space at most
-r distinct columns, whatever the symmetric degree).  The pairing, the
-Laplacian and the kernel pieces read the H^2 Gram as integer rows d * G and
-divide by d once.
+r distinct columns, whatever the symmetric degree).
 
 No work is done that the answer does not read:
 
@@ -50,9 +57,9 @@ occur; the numbers produced are identical to the full computation.
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial, gcd, lcm
 
-from .linalg import Mat, Q, kernel_basis
+from .linalg import Mat, Q, cleared, kernel_basis
 from .spaces import ExtMukaiSpace, custom_type
 
 
@@ -65,120 +72,150 @@ def _mono_degree(key):
     return 2 * (len(m) + 2 * c)
 
 
+def _clear(v):
+    """(d, ints): a rational vector (entries anything `Q` accepts) as d > 0
+    and the integer vector d * v."""
+    return cleared([e if type(e) is int or type(e) is Q else Q(e) for e in v])
+
+
+def _sym(space, n, den, nums):
+    """The SymElement nums / den (den > 0, integer numerators keyed by sorted
+    monomials) in lowest terms, zero numerators dropped."""
+    nums = {k: v for k, v in nums.items() if v}
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    x = object.__new__(SymElement)
+    x.space, x.n, x._denom, x._nums = space, n, den, nums
+    return x
+
+
 class SymElement:
     """An element of Sym^n of an extended Mukai space.
 
-    coeffs maps monomial keys (a, sorted-index-tuple, c) to rationals.  The
-    symmetric degree n may differ from the space's own n (powers of alpha in
-    a large symmetric power are useful as a computational device).
+    Stored as a denominator d > 0 and a dict of nonzero integer numerators
+    keyed by monomial (a, sorted-index-tuple, c), in lowest terms (d is
+    coprime to the gcd of the numerators; the zero element has d = 1).
+    `coeffs` maps the same keys to the rational coefficients; assigning it
+    rebuilds the stored form.  The symmetric degree n may differ from the
+    space's own n (powers of alpha in a large symmetric power are useful as
+    a computational device).
     """
+
+    __slots__ = ("space", "n", "_denom", "_nums")
 
     def __init__(self, space, n, coeffs=None):
         self.space = space
         self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for key, val in coeffs.items():
+        self.coeffs = coeffs or {}
+
+    @property
+    def coeffs(self):
+        return {k: Q(v, self._denom) for k, v in self._nums.items()}
+
+    @coeffs.setter
+    def coeffs(self, coeffs):
+        vals = {}
+        for key, val in coeffs.items():
+            if type(val) is not int and type(val) is not Q:
                 val = Q(val)
-                if val == 0:
-                    continue
-                a, m, c = key
-                if a + len(m) + c != n:
-                    raise SymError("monomial %r does not have total degree %d" % (key, n))
-                self.coeffs[(a, tuple(sorted(m)), c)] = val
+            if val == 0:
+                continue
+            a, m, c = key
+            if a + len(m) + c != self.n:
+                raise SymError("monomial %r does not have total degree %d" % (key, self.n))
+            vals[(a, tuple(sorted(m)), c)] = val
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        self._denom, ints = cleared(list(vals.values()))
+        self._nums = dict(zip(vals, ints))
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
     def monomial(space, n, a, m=(), c=0, coeff=1):
-        return SymElement(space, n, {(a, tuple(sorted(m)), c): Q(coeff)})
+        return SymElement(space, n, {(a, tuple(sorted(m)), c): coeff})
 
     @staticmethod
     def alpha_power(space, n, normalized=True):
         """alpha^n (divided by n! when normalized), the image of 1 under psi."""
-        coeff = Q(1, factorial(n)) if normalized else Q(1)
-        return SymElement.monomial(space, n, n, (), 0, coeff)
+        return _sym(space, n, factorial(n) if normalized else 1, {(n, (), 0): 1})
 
     @staticmethod
     def alpha_beta_binomial(space, n, s):
-        """(alpha + s beta)^n / n!."""
+        """(alpha + s beta)^n / n!: the coefficient of alpha^(n-i) beta^i is
+        binom(n, i) p^i q^(n-i) / (n! q^n) for s = p / q."""
         s = Q(s)
-        coeffs = {}
-        for i in range(n + 1):
-            coeffs[(n - i, (), i)] = s**i / (factorial(i) * factorial(n - i))
-        return SymElement(space, n, coeffs)
+        p, q = s.numerator, s.denominator
+        nums = {(n - i, (), i): comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)}
+        return _sym(space, n, factorial(n) * q**n, nums)
 
     @staticmethod
     def alpha_beta_product(space, n, shifts):
-        """prod_j (alpha + shifts[j] beta) / n!  (len(shifts) = n)."""
+        """prod_j (alpha + shifts[j] beta) / n!  (len(shifts) = n): with the
+        shifts cleared to S_j / q, the coefficient of alpha^(n-k) beta^k is
+        e_k(S) q^(n-k) / (n! q^n), e_k the elementary symmetric sums."""
         if len(shifts) != n:
             raise SymError("need exactly n linear factors")
-        esym = [1] + [0] * n  # ints while the shifts are integers
-        for s in map(Q, shifts):
-            s = s.numerator if s.denominator == 1 else s
+        q, ints = _clear(shifts)
+        esym = [1] + [0] * n
+        for s in ints:
             for k in range(n, 0, -1):
                 esym[k] += s * esym[k - 1]
-        coeffs = {}
-        for k in range(n + 1):
-            coeffs[(n - k, (), k)] = Q(esym[k], factorial(n))
-        return SymElement(space, n, coeffs)
+        nums = {(n - k, (), k): esym[k] * q ** (n - k) for k in range(n + 1)}
+        return _sym(space, n, factorial(n) * q**n, nums)
 
     # -- vector space structure ------------------------------------------------
 
     def __add__(self, other):
         if self.space is not other.space or self.n != other.n:
             raise SymError("space mismatch")
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            new = out.get(key, Q(0)) + val
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-        res = SymElement(self.space, self.n)
-        res.coeffs = out
-        return res
+        d = lcm(self._denom, other._denom)
+        fa, fb = d // self._denom, d // other._denom
+        out = {k: fa * v for k, v in self._nums.items()}
+        for k, v in other._nums.items():
+            out[k] = out.get(k, 0) + fb * v
+        return _sym(self.space, self.n, d, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = Q(c)
-        res = SymElement(self.space, self.n)
-        if c != 0:
-            res.coeffs = {k: c * v for k, v in self.coeffs.items()}
-        return res
+        nums = {k: c.numerator * v for k, v in self._nums.items()}
+        return _sym(self.space, self.n, self._denom * c.denominator, nums)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._nums
 
     def __eq__(self, other):
         return (
             isinstance(other, SymElement)
             and self.n == other.n
-            and self.coeffs == other.coeffs
+            and self._denom == other._denom
+            and self._nums == other._nums
         )
 
     def degree_piece(self, degree):
-        res = SymElement(self.space, self.n)
-        res.coeffs = {
-            k: v for k, v in self.coeffs.items() if _mono_degree(k) == degree
-        }
-        return res
+        nums = {k: v for k, v in self._nums.items() if _mono_degree(k) == degree}
+        return _sym(self.space, self.n, self._denom, nums)
 
     def degrees(self):
-        return sorted({_mono_degree(k) for k in self.coeffs})
+        return sorted({_mono_degree(k) for k in self._nums})
 
     def degree_pieces(self):
         return {d: self.degree_piece(d) for d in self.degrees()}
 
     def coefficient(self, a, m=(), c=0):
-        return self.coeffs.get((a, tuple(sorted(m)), c), Q(0))
+        return Q(self._nums.get((a, tuple(sorted(m)), c), 0), self._denom)
 
     def __repr__(self):
         items = sorted(self.coeffs.items())[:6]
         body = ", ".join("%s: %s" % (k, v) for k, v in items)
-        more = " ..." if len(self.coeffs) > 6 else ""
+        more = " ..." if len(self._nums) > 6 else ""
         return "<SymElement n=%d {%s}%s>" % (self.n, body, more)
 
 
@@ -208,10 +245,16 @@ def _permanent(rows, mult):
 
 @lru_cache(maxsize=64)
 def _int_gram(gram):
-    """(d, g): the H^2 Gram as d > 0 and the integer rows g of d * gram,
-    kept per Gram value."""
+    """(d, g, nonzero): the H^2 Gram as d > 0, the integer rows g of d * gram
+    and its nonzero entries as (i, j, g[i][j]), kept per Gram value."""
     d = gram.denominator_lcm()
-    return d, tuple(map(tuple, gram.scale(d).int_entries()))
+    g = tuple(map(tuple, gram.scale(d).int_entries()))
+    return d, g, tuple((i, j, e) for i, row in enumerate(g) for j, e in enumerate(row) if e)
+
+
+def _gram_pair(nonzero, u, v):
+    """u^T g v for integer vectors, over the nonzero entries of g."""
+    return sum(u[i] * e * v[j] for i, j, e in nonzero)
 
 
 def pairing_bn(x, y):
@@ -222,23 +265,43 @@ def pairing_bn(x, y):
     alpha^a m beta^c meets only the y monomials alpha^c m' beta^a (and then
     |m'| = |m|): y is bucketed by (c, a) once, and each pair contributes
     (-1)^(a+c) a! c! times the permanent of the H^2 block.  The permanents
-    run on the integer Gram d * G and are divided by d^|m| once per monomial
-    of x."""
+    run on the integer Gram d * G and the numerators of x and y; a monomial
+    of x is scaled by d^(top - |m|), top the largest |m| in x, and the sum is
+    divided by d^top and the two denominators once."""
     if x.space is not y.space or x.n != y.n:
         raise SymError("space mismatch")
-    d, g = _int_gram(x.space.dtype.h2_gram)
+    return _pairing(x.space, x.n, (x._denom, x._nums), _buckets((y._denom, y._nums)))
+
+
+def _buckets(y):
+    """(den, buckets) for y = (den, numerators): the monomials of y as
+    (sorted distinct H^2 indices, their multiplicities, numerator), keyed by
+    (beta degree, alpha degree), the degrees a monomial of x meets them at."""
+    den, nums = y
     buckets = {}
-    for (a, m, c), v in y.coeffs.items():
+    for (a, m, c), v in nums.items():
         cols = sorted(set(m))
         buckets.setdefault((c, a), []).append((cols, [m.count(j) for j in cols], v))
-    total = Q(0)
-    for (a, m, c), vx in x.coeffs.items():
+    return den, buckets
+
+
+def _pairing(space, n, x, y_buckets):
+    """b_[n] of x = (den, numerators) and y given by `_buckets`, on space."""
+    d, g, _ = _int_gram(space.dtype.h2_gram)
+    (dx, xnums), (dy, buckets) = x, y_buckets
+    top = max((len(m) for _, m, _ in xnums), default=0)
+    total = 0
+    for (a, m, c), vx in xnums.items():
         part = 0
         for cols, mult, vy in buckets.get((a, c), ()):
             part += vy * _permanent([[g[i][j] for j in cols] for i in m], mult)
         if part:
-            total += vx * part * Q((-1) ** (a + c) * factorial(a) * factorial(c), d ** len(m))
-    return (-1) ** x.n * x.space.dtype.c_x * total
+            part *= vx * factorial(a) * factorial(c) * d ** (top - len(m))
+            total += -part if (a + c) % 2 else part
+    c_x = space.dtype.c_x
+    if n % 2:
+        total = -total
+    return Q(total * c_x.numerator, dx * dy * d**top * c_x.denominator)
 
 
 # -- operators -----------------------------------------------------------------
@@ -271,38 +334,40 @@ def laplacian(x):
     """Contraction sum_{i<j} b(v_i, v_j) v_1 ... v^_i ... v^_j ... v_n."""
     if x.n < 2:
         raise SymError("laplacian needs symmetric degree >= 2")
-    d, g = _int_gram(x.space.dtype.h2_gram)
+    d, g, _ = _int_gram(x.space.dtype.h2_gram)
     out = {}
-    for key, val in x.coeffs.items():
+    for key, val in x._nums.items():
         for k2, e in _contractions(key, g, d):
             out[k2] = out.get(k2, 0) + val * e
-    res = SymElement(x.space, x.n - 2)
-    res.coeffs = {k: v / d if d != 1 else v for k, v in out.items() if v}
-    return res
+    return _sym(x.space, x.n - 2, x._denom * d, out)
 
 
 def lefschetz_e(omega, x):
     """Derivation action of e_omega: alpha -> omega, mu -> b(omega, mu) beta,
-    beta -> 0.  omega is an H^2 coordinate vector."""
+    beta -> 0.  omega is an H^2 coordinate vector.
+
+    With omega = w / e (w integral) and the Gram g / d, both images are
+    written over d e: alpha -> d w, mu_i -> (g w)_i beta."""
     space = x.space
-    omega = tuple(Q(c) for c in omega)
-    if len(omega) != space.b2:
+    e, w = _clear(omega)
+    if len(w) != space.b2:
         raise SymError("omega must be an H^2 vector")
-    gomega = space.dtype.h2_gram.apply(omega)  # pairing values with basis
-    support = [i for i, c in enumerate(omega) if c != 0]
+    d, _, nonzero = _int_gram(space.dtype.h2_gram)
+    gw = [0] * len(w)  # d e times the pairings with the basis
+    for i, j, t in nonzero:
+        gw[i] += t * w[j]
+    support = [i for i, c in enumerate(w) if c]
     out = {}
-    for (a, m, c), val in x.coeffs.items():
-        terms = [((a - 1, tuple(sorted(m + (i,))), c), a * omega[i]) for i in support] if a else []
+    for (a, m, c), val in x._nums.items():
+        terms = [((a - 1, tuple(sorted(m + (i,))), c), a * d * w[i]) for i in support] if a else []
         for i in sorted(set(m)):
-            if gomega[i]:
+            if gw[i]:
                 rest = list(m)
                 rest.remove(i)
-                terms.append(((a, tuple(rest), c + 1), m.count(i) * gomega[i]))
-        for key, e in terms:
-            out[key] = out.get(key, 0) + val * e
-    res = SymElement(space, x.n)
-    res.coeffs = {k: v for k, v in out.items() if v}
-    return res
+                terms.append(((a, tuple(rest), c + 1), m.count(i) * gw[i]))
+        for key, t in terms:
+            out[key] = out.get(key, 0) + val * t
+    return _sym(space, x.n, x._denom * d * e, out)
 
 
 def psi_monomial(space, omegas, n=None):
@@ -317,7 +382,7 @@ def psi_monomial(space, omegas, n=None):
 def _psi(space, omegas, n, keep=None):
     """psi_monomial; for a repeated class with keep given, only the monomials
     whose (alpha, beta) degrees lie in keep."""
-    omegas = [tuple(Q(c) for c in w) for w in omegas]
+    omegas = [tuple(w) for w in omegas]
     if len(omegas) > 2 * n:
         raise SymError("monomial degree exceeds 2n")
     if not omegas or all(w == omegas[0] for w in omegas):
@@ -335,36 +400,42 @@ def _b_field_power(space, omega, n, j=None, keep=None):
 
     The coefficient on alpha^a omega^k beta^c, a + k + c = n, is
     (q/2)^c / (a! k! c!), and omega^k / k! expands as the sum over |mu| = k
-    of prod omega_i^mu_i / mu_i!."""
+    of prod omega_i^mu_i / mu_i!.  In integers, with omega = w / e and
+    q/2 = p / r: the coefficient is the multinomial n! / (a! mu! c!) times
+    w^mu p^c / (n! e^k r^c), all written over n! e^top r^cmax."""
     if j != 0 and len(omega) != space.b2:
         raise SymError("omega must be an H^2 vector")
-    half_q = space.dtype.h2_gram.bilinear(omega, omega) / 2 if omega else Q(0)
+    e, w = _clear(omega)
+    p, r = 0, 1  # q/2 = p / r
+    if any(w):
+        d, _, nonzero = _int_gram(space.dtype.h2_gram)
+        p, r = _gram_pair(nonzero, w, w), 2 * d * e * e
     if j is None:
         kc = [(k, c) for k in range(n + 1) for c in range(n - k + 1)]
     else:  # k + 2c = j, and a >= 0 needs k <= 2n - j
         kc = [(k, (j - k) // 2) for k in range(j % 2, min(j, 2 * n - j) + 1, 2)]
     by_size = {}
     for k, c in kc:
-        if (half_q or not c) and (keep is None or (n - k - c, c) in keep):
+        if (p or not c) and (keep is None or (n - k - c, c) in keep):
             by_size.setdefault(k, []).append(c)
     top = max(by_size, default=0)
-    powers = {(): Q(1)}  # sorted multiset -> prod omega_i^mu_i / mu_i!
-    for i, w in enumerate(omega):
-        if w:
+    cmax = max((c for cs in by_size.values() for c in cs), default=0)
+    powers = {(): 1}  # sorted multiset -> |mu|! / mu! * w^mu
+    for i, wi in enumerate(w):
+        if wi:
             for m, v in list(powers.items()):
-                for t in range(1, top - len(m) + 1):
-                    v = v * w / t
+                k = len(m)
+                for t in range(1, top - k + 1):
+                    v = v * wi * (k + t) // t  # exact: binom(k + t, t) w_i^t from the start
                     powers[m + (i,) * t] = v
     scale = factorial(j) if j else 1
     out = {}
     for m, v in powers.items():
         k = len(m)
         for c in by_size.get(k, ()):
-            a = n - k - c
-            out[(a, m, c)] = v * half_q**c * Q(scale, factorial(a) * factorial(c))
-    res = SymElement(space, n)
-    res.coeffs = out
-    return res
+            multinomial = comb(n, k) * comb(n - k, c)
+            out[(n - k - c, m, c)] = v * multinomial * scale * p**c * r ** (cmax - c) * e ** (top - k)
+    return _sym(space, n, factorial(n) * r**cmax * e**top, out)
 
 
 def pair_with_sh(space, monomial, x, with_detail=False):
@@ -376,12 +447,12 @@ def pair_with_sh(space, monomial, x, with_detail=False):
     whether the degrees matched.
     """
     n = x.n
-    psi = _psi(space, monomial, n, {(c, a) for a, _, c in x.coeffs})
+    psi = _psi(space, monomial, n, {(c, a) for a, _, c in x._nums})
     val = pairing_bn(psi, x)
     if not with_detail:
         return val
     want = 4 * n - 2 * len(monomial)
-    matched = all(d == want for d in x.degrees()) if x.coeffs else False
+    matched = all(d == want for d in x.degrees()) if x._nums else False
     return val, {"degree_matched": matched, "pairing_degree": want}
 
 
@@ -397,16 +468,15 @@ def kernel_piece_basis(space, n, degree):
     if not monos:
         return []
     img = {k: i for i, k in enumerate(_degree_monomials(space, n - 2, degree - 4))}
-    d, g = _int_gram(space.dtype.h2_gram)
+    d, g, _ = _int_gram(space.dtype.h2_gram)
     rows = [[0] * len(monos) for _ in range(len(img) or 1)]  # no image: the zero row
     for j, key in enumerate(monos):
         for k2, e in _contractions(key, g, d):
             rows[img[k2]][j] += e
     out = []
     for vec in kernel_basis(Mat(rows)):
-        el = SymElement(space, n)
-        el.coeffs = {k: c for k, c in zip(monos, vec) if c != 0}
-        out.append(el)
+        den, ints = cleared(vec)
+        out.append(_sym(space, n, den, dict(zip(monos, ints))))
     return out
 
 
@@ -438,37 +508,49 @@ def project_t(x):
     or small n.  The kernel pieces and the inverse cross Gram of each
     (n, degree) are kept on the space (`ExtMukaiSpace._t_pieces`) and live
     as long as it does; building one key fills its complementary key too.
+    A kept piece is a (denominator, numerators) pair, with no reference
+    back to the space, so a dropped space is freed at once.  Each degree
+    piece of x is bucketed once for all its pairings, and the result is
+    summed in integers over the lcm of the denominators of its terms cf * u.
     """
     space, n = x.space, x.n
-    out = {}
+    terms = []
     for degree, piece in x.degree_pieces().items():
         if degree > 4 * n:
             raise SymError("degree out of range")
         kernel, dual, gram_inv = space._t_pieces.get((n, degree)) or _t_piece(space, n, degree)
         if not kernel:
             continue
-        rhs = [pairing_bn(u, piece) for u in dual]
-        for cf, u in zip(gram_inv.apply(rhs), kernel):
-            if cf:
-                for k, v in u.coeffs.items():
-                    out[k] = out.get(k, 0) + cf * v
-    result = SymElement(space, n)
-    result.coeffs = {k: v for k, v in out.items() if v}
-    return result
+        column = _buckets((piece._denom, piece._nums))
+        rhs = [_pairing(space, n, u, column) for u in dual]
+        terms += [(cf, u) for cf, u in zip(gram_inv.apply(rhs), kernel) if cf]
+    den = lcm(*(cf.denominator * du for cf, (du, _) in terms))
+    out = {}
+    for cf, (du, nums) in terms:
+        f = cf.numerator * (den // (cf.denominator * du))
+        for k, v in nums.items():
+            out[k] = out.get(k, 0) + f * v
+    return _sym(space, n, den, out)
 
 
 def _t_piece(space, n, degree):
-    """(kernel, dual, gram_inv) of `project_t` for (n, degree), kept on the
-    space under (n, degree) and, with kernel and dual swapped and gram_inv
-    transposed (b_[n] is symmetric), under (n, 4n - degree)."""
-    kernel = kernel_piece_basis(space, n, degree)
-    dual = kernel if 2 * degree == 4 * n else kernel_piece_basis(space, n, 4 * n - degree)
+    """(kernel, dual, gram_inv) of `project_t` for (n, degree), the kernel
+    pieces as (denominator, numerators) pairs, kept on the space under
+    (n, degree) and, with kernel and dual swapped and gram_inv transposed
+    (b_[n] is symmetric), under (n, 4n - degree)."""
+
+    def pairs(deg):
+        return [(u._denom, u._nums) for u in kernel_piece_basis(space, n, deg)]
+
+    kernel = pairs(degree)
+    dual = kernel if 2 * degree == 4 * n else pairs(4 * n - degree)
     if len(kernel) != len(dual):
         raise SymError("kernel pieces of complementary degrees disagree")
     gram_inv = None
     if kernel:
+        columns = [_buckets(v) for v in kernel]
         try:
-            gram_inv = Mat([[pairing_bn(u, v) for v in kernel] for u in dual]).inverse()
+            gram_inv = Mat([[_pairing(space, n, u, col) for col in columns] for u in dual]).inverse()
         except ValueError:
             raise SymError("degenerate pairing on a kernel piece") from None
     space._t_pieces[n, 4 * n - degree] = (dual, kernel, None if gram_inv is None else gram_inv.transpose())
@@ -553,8 +635,15 @@ def restricted_space(space, h2_vectors, ns_indices=None):
     vectors produce identical values here (the pairing only consults the
     cross Gram), at a fraction of the cost for large b_2.
     """
-    vecs = [tuple(Q(c) for c in v) for v in h2_vectors]
-    gram = Mat([[space.bbf(u, v) for v in vecs] for u in vecs])
+    d, _, nonzero = _int_gram(space.dtype.h2_gram)
+    vecs = [_clear(v) for v in h2_vectors]
+    if any(len(v) != space.b2 for _, v in vecs):
+        raise SymError("H^2 vectors of length %d expected" % space.b2)
+    # every vector over the common denominator e: the Gram is the integer
+    # Gram of those numerators over d e^2
+    e = lcm(*(dv for dv, _ in vecs))
+    vecs = [[e // dv * c for c in v] for dv, v in vecs]
+    gram = Mat([[_gram_pair(nonzero, u, v) for v in vecs] for u in vecs]).scale(Q(1, d * e * e))
     dtype = custom_type(space.dtype.n, space.dtype.c_x, space.dtype.r_x, gram)
     dtype.family = space.dtype.family  # keep Todd formulas available
     return ExtMukaiSpace(dtype)
@@ -582,8 +671,8 @@ def _exp_pairing_sum(space, lam, argument):
     the argument's (alpha, beta) degrees are built."""
     small = restricted_space(space, [lam])
     arg = argument(small)
-    keep = {(c, a) for a, _, c in arg.coeffs}
-    return pairing_bn(_b_field_power(small, (Q(-1),), space.dtype.n, keep=keep), arg)
+    keep = {(c, a) for a, _, c in arg._nums}
+    return pairing_bn(_b_field_power(small, (-1,), space.dtype.n, keep=keep), arg)
 
 
 # -- expansion coefficients -------------------------------------------------------

@@ -205,6 +205,15 @@ def test_cli_exponent_notation_exits_2_at_once():
     assert code == 2 and json.loads(out)["error"]["type"] == "FormatError"
 
 
+def test_cli_error_quotes_the_bad_coefficient():
+    # the operand of "*" that names a vector is the vector, so the error
+    # quotes the other one
+    for lam, bad in (("x*e1", "x"), ("1e3*e1", "1e3")):
+        code, out = run_cli(["vector", "--n", "2", "--lam", lam])
+        assert code == 2
+        assert json.loads(out)["error"] == {"message": "bad rational %r" % bad, "type": "FormatError"}
+
+
 def test_cli_catalog_verbs():
     code, out = run_cli(["catalog", "list"])
     assert code == 0

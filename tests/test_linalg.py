@@ -427,24 +427,40 @@ def test_kernel_basis_matches_sympy(m):
     assert kernel_basis(Mat(m)) == want
 
 
-# -- the representation of Mat stays inside linalg.py ----------------------------
+# -- the representations of Mat and SymElement stay inside their modules --------
 
 
-def test_no_module_reads_mat_internals():
-    """Only linalg.py knows how a Mat is stored: no other module reads a
-    private slot or method of Mat (any `x._den`, ...) or imports a private
-    name of linalg."""
-    private = {n for n in vars(Mat) if n.startswith("_") and not n.startswith("__")}
-    assert {"_den", "_ints"} <= private
+def _private_readers(cls, home):
+    """(module, line, name) for every read of a private slot or method of cls
+    (any `x._den`, ...) and every import of a private name of the module
+    `home`, in the package modules other than home."""
+    private = {n for n in vars(cls) if n.startswith("_") and not n.startswith("__")}
     offenders = []
     for path in sorted(Path(extmukai.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
+        if path.name == home + ".py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in private:
                 offenders.append((path.name, node.lineno, node.attr))
-            elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            elif isinstance(node, ast.ImportFrom) and node.module == home:
                 offenders += [(path.name, node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return private, offenders
+
+
+def test_no_module_reads_mat_internals():
+    """Only linalg.py knows how a Mat is stored."""
+    private, offenders = _private_readers(Mat, "linalg")
+    assert {"_den", "_ints"} <= private
+    assert offenders == []
+
+
+def test_no_module_reads_sym_element_internals():
+    """Only verbitsky.py knows how a SymElement is stored (its denominator
+    and integer numerators)."""
+    from extmukai.verbitsky import SymElement
+
+    private, offenders = _private_readers(SymElement, "verbitsky")
+    assert {"_denom", "_nums"} <= private
     assert offenders == []
 
 

@@ -136,6 +136,20 @@ def test_lambda_lb_between_lattices():
         assert not lats.lam_lb.same_subset_as(lats.lam)
 
 
+def test_k3n_lattices_kept_on_the_space():
+    space = ExtMukaiSpace(k3n_type(3))
+    lats = k3n_lattices(space)
+    assert k3n_lattices(space) is lats
+    # Lambda_LB is still built on first access, and kept with the bundle
+    assert "lam_lb" not in vars(lats)
+    lam_lb = lats.lam_lb
+    assert k3n_lattices(space).lam_lb is lam_lb
+    # an equal space gets its own bundle
+    assert k3n_lattices(ExtMukaiSpace(k3n_type(3))) is not lats
+    with pytest.raises(SpaceError):
+        k3n_lattices(ExtMukaiSpace(kumn_type(2)))
+
+
 def test_lambda_lb_hermite_basis():
     # the Hermite basis of the line-bundle span: the identity, but for the
     # alpha row, which carries 1/4 (n = 2) or 1/2 (n = 3) of beta

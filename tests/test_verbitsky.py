@@ -2,7 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +226,24 @@ def test_project_t_state_lives_with_its_space():
     del small, tb
     gc.collect()
     assert ref() is None
+
+
+def test_dropped_space_is_freed_without_the_cycle_collector():
+    # the kept kernel pieces are integer pairs with no reference back to the
+    # space, so dropping the space frees it at once
+    small = restricted_space(full_space("K3n", 3), [[1, 1] + [0] * 21])
+    todd_bar(small)
+    sqrt_todd_bar(small)
+    assert small._t_pieces
+    ref = weakref.ref(small)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del small
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sqrt_todd_values():
@@ -579,3 +597,107 @@ def test_non_integral_gram_restricted_space():
                 # b_SH(w^j, T(x)) = b_[n](psi(w^j), x) for the kernel element tb
                 assert pair_with_sh(small, [w] * j, tb) == all_pairs_pairing(chain_psi(small, [w] * j, 3), tb)
                 assert pair_with_sh(small, [w] * j, arg(small)) == all_pairs_pairing(chain_psi(small, [w] * j, 3), arg(small))
+
+
+# -- the integer representation: canonical form, round trip, and the kernels
+# against Fraction references on non-integral Grams ---------------------------
+
+NON_INTEGRAL_GRAMS = [Mat([[Q(7, 2), Q(1, 3)], [Q(1, 3), Q(-5, 6)]]), Mat([[Q(2, 9)]])]  # d = 6, 9
+
+
+def assert_canonical(x):
+    """One stored form: den > 0, integer numerators, none zero, gcd 1 with den."""
+    den, nums = x._denom, x._nums
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert all(a + len(m) + c == x.n and list(m) == sorted(m) for a, m, c in nums)
+
+
+@given(st.data(), st.integers(1, 4), st.sampled_from([0, 1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_integer_representation_round_trip(data, n, which):
+    gram = [RANK3, *NON_INTEGRAL_GRAMS][which]
+    space = ExtMukaiSpace(custom_type(n, Q(5, 2), Q(1), gram))
+    x = data.draw(sym_elements(space, n))
+    y = data.draw(sym_elements(space, n))
+    w = tuple(data.draw(small_rationals) for _ in range(space.b2))
+    made = [x, x + y, x - x, x.scale(data.draw(small_rationals)), x.scale(0), lefschetz_e(w, x)]
+    made += list(x.degree_pieces().values())
+    if n >= 2:
+        made.append(laplacian(x))
+    for el in made:
+        assert_canonical(el)
+        assert SymElement(space, el.n, el.coeffs) == el
+        assert all(type(v) is Q for v in el.coeffs.values())
+    assert (x - x).is_zero() and (x - x)._denom == 1
+
+
+def reference_lefschetz(space, omega, coeffs):
+    """e_omega on Fraction coefficients, one term per position of each
+    monomial, with the pairings b(omega, e_i) from the Fraction Gram."""
+    g = space.dtype.h2_gram
+    gomega = [sum(g[i, j] * omega[j] for j in range(space.b2)) for i in range(space.b2)]
+    out = {}
+    for (a, m, c), v in coeffs.items():
+        terms = [((a - 1, tuple(sorted(m + (i,))), c), a * omega[i]) for i in range(space.b2)] if a else []
+        terms += [((a, m[:p] + m[p + 1 :], c + 1), gomega[m[p]]) for p in range(len(m))]
+        for key, t in terms:
+            out[key] = out.get(key, Q(0)) + v * t
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_psi(space, omegas, n):
+    coeffs = {(n, (), 0): Q(1, factorial(n))}
+    for w in reversed(omegas):
+        coeffs = reference_lefschetz(space, w, coeffs)
+    return coeffs
+
+
+@given(st.data(), st.integers(1, 4), st.sampled_from(NON_INTEGRAL_GRAMS))
+@settings(max_examples=60, deadline=None)
+def test_lefschetz_and_psi_match_fraction_reference(data, n, gram):
+    space = ExtMukaiSpace(custom_type(n, Q(3), Q(n + 3, 4), gram))
+    w = tuple(data.draw(small_rationals) for _ in range(space.b2))
+    v = tuple(data.draw(small_rationals) for _ in range(space.b2))
+    x = data.draw(sym_elements(space, n))
+    assert lefschetz_e(w, x).coeffs == reference_lefschetz(space, w, x.coeffs)
+    j = data.draw(st.integers(0, 2 * n))
+    assert psi_monomial(space, [w] * j, n=n).coeffs == reference_psi(space, [w] * j, n)  # closed form
+    mixed = [w, v] + [w] * data.draw(st.integers(0, 2 * n - 2))
+    assert psi_monomial(space, mixed, n=n).coeffs == reference_psi(space, mixed, n)  # chain
+
+
+def reference_project_t(x):
+    """T(x) from the reference kernel pieces, the all-pairs pairing and one
+    solve per degree piece, in Fractions."""
+    from extmukai.linalg import solve_linear
+
+    space, n = x.space, x.n
+    out = {}
+    for degree in x.degrees():
+        piece = x.degree_piece(degree)
+        monos, dual_monos = _degree_monomials(space, n, degree), _degree_monomials(space, n, 4 * n - degree)
+        kernel = [SymElement(space, n, dict(zip(monos, u))) for u in reference_kernel_piece(space, n, degree)]
+        dual = [SymElement(space, n, dict(zip(dual_monos, u))) for u in reference_kernel_piece(space, n, 4 * n - degree)]
+        if not kernel:
+            continue
+        gram = Mat([[all_pairs_pairing(u, t) for t in kernel] for u in dual])
+        cfs = solve_linear(gram, [all_pairs_pairing(u, piece) for u in dual])
+        for cf, t in zip(cfs, kernel):
+            for k, c in t.coeffs.items():
+                out[k] = out.get(k, Q(0)) + cf * c
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("gram", [RANK3] + NON_INTEGRAL_GRAMS)
+def test_project_t_on_rational_input_matches_reference(gram):
+    rnd = random.Random(23)
+    for n in (2, 3):
+        space = ExtMukaiSpace(custom_type(n, Q(2, 3), Q(1), gram))
+        for _ in range(4):
+            x = SymElement(space, n, {k: Q(rnd.randint(-5, 5), rnd.randint(1, 6)) for k in _random_keys(space, n)})
+            x = x + SymElement.alpha_beta_binomial(space, n, Q(rnd.randint(-3, 3), rnd.randint(1, 4)))
+            tx = project_t(x)
+            assert_canonical(tx)
+            assert tx.coeffs == reference_project_t(x)
