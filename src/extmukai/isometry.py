@@ -9,7 +9,10 @@ bounded subgroup generation.
 
 On a full-rank lattice L an isometry keeps its matrix in lattice coordinates
 (`Isometry.on_lattice`), which decides both g(L) = L and the action on A(L).
-Eichler transport runs on integers; its words become Fractions on return.
+
+Generators, spinor norm and Eichler transport run on the sparse integer
+rows of d G that a QuadSpace keeps (`QuadSpace.int_product`); `Fraction`s
+appear only where a result is handed out, such as a transport word.
 
 Spinor norm convention: spin(s_v) = +1 iff b(v, v) < 0.  With this choice
 every transvection and every reflection along a negative-square vector has
@@ -20,12 +23,16 @@ which agrees with the product of sign(-b(v_i, v_i)) over any reflection
 decomposition and is manifestly decomposition-independent.
 """
 
-from .lattice import NotFound, discriminant_group, divisibility, is_primitive
+from math import gcd
+from operator import mul
+
+from .lattice import LatticeError, NotFound, discriminant_group, is_primitive
 from .linalg import (
     Mat,
     Q,
     QONE,
     QZERO,
+    cleared,
     congruence_diagonalize,
     identity_plus_outer,
     vec_add,
@@ -50,7 +57,9 @@ class QuadSpace:
         self.gram = gram
         self.dim = gram.rows
         self._pos_basis = None
+        self._pos_ints = None  # sparse (P row, (d G) P row) per positive vector
         self._gram_inv = None
+        self._int_rows = [_sparse(r) for r in gram.cleared()[1]]  # of d G
 
     def gram_inverse(self):
         if self._gram_inv is None:
@@ -60,6 +69,19 @@ class QuadSpace:
     def pairing(self, x, y):
         return self.gram.bilinear(x, y)
 
+    def int_product(self, v):
+        """(e, vi, gv) for v of ints or Fractions: v = vi / e, vi integral, and
+        gv = (d G) vi for d = `gram.denominator_lcm()`, so b(v, x) = gv.x / (d e)."""
+        if len(v) != self.dim:
+            raise ValueError("shape mismatch")
+        e, vi = cleared(v)
+        gv = [0] * self.dim  # d G symmetric: sum the columns where vi is nonzero
+        for j, c in enumerate(vi):
+            if c:
+                for i, g in self._int_rows[j]:
+                    gv[i] += g * c
+        return e, vi, gv
+
     def norm(self, x):
         return self.pairing(x, x)
 
@@ -67,10 +89,13 @@ class QuadSpace:
         return (QZERO,) * i + (QONE,) + (QZERO,) * (self.dim - 1 - i)
 
     def positive_basis(self):
-        """A basis of a maximal positive-definite subspace (cached)."""
+        """A basis of a maximal positive-definite subspace (cached), kept
+        with its integer rows P and (d G) P for `spinor_norm`."""
         if self._pos_basis is None:
             diag, trans = congruence_diagonalize(self.gram)
             self._pos_basis = [trans.row(i) for i, d in enumerate(diag) if d > 0]
+            prods = map(self.int_product, self._pos_basis)
+            self._pos_ints = [(_sparse(p), _sparse(gp)) for _, p, gp in prods]
         return self._pos_basis
 
     def __eq__(self, other):
@@ -78,6 +103,11 @@ class QuadSpace:
 
     def __hash__(self):
         return hash(self.gram)
+
+
+def _sparse(v):
+    """The nonzero entries of v as (index, entry) pairs."""
+    return tuple((i, c) for i, c in enumerate(v) if c)
 
 
 class Isometry:
@@ -150,13 +180,14 @@ def minus_identity(space):
 
 
 def reflection(space, v):
-    """Reflection along an anisotropic vector: x -> x - 2 b(x,v)/b(v,v) v."""
-    q = space.norm(v)
+    """Reflection along an anisotropic vector: x -> x - 2 b(x,v)/b(v,v) v,
+    that is I - (2 / q) vi gv^T for v = vi / e, gv = (d G) vi, q = vi . gv."""
+    _, vi, gv = space.int_product(v)
+    q = sum(map(mul, vi, gv))
     if q == 0:
         raise IsometryError("isotropic vector")
-    c = -2 / q
-    w = tuple(c * x for x in space.gram.apply(v))  # -2 b(e_j, v) / q
-    return Isometry(space, identity_plus_outer(space.dim, [(v, w)]), check=False)
+    terms = [(q, vi, [-2 * x for x in gv])]
+    return Isometry(space, identity_plus_outer(space.dim, terms), check=False)
 
 
 def eichler_transvection(space, e, a):
@@ -165,14 +196,19 @@ def eichler_transvection(space, e, a):
     Requires b(e, e) = 0 and b(e, a) = 0.  Determinant +1, spinor norm +1,
     trivial on any discriminant group of a lattice containing e and a.
     """
-    if space.norm(e) != 0:
+    de, ei, ge = space.int_product(e)
+    if sum(map(mul, ei, ge)):
         raise IsometryError("e must be isotropic")
-    if space.pairing(e, a) != 0:
+    da, ai, ga = space.int_product(a)
+    if sum(map(mul, ei, ga)):
         raise IsometryError("a must be orthogonal to e")
-    half_qa = space.norm(a) / 2
-    ge, ga = space.gram.apply(e), space.gram.apply(a)  # b(e, e_j), b(a, e_j)
-    we = tuple(-x - half_qa * y for x, y in zip(ga, ge))
-    return Isometry(space, identity_plus_outer(space.dim, [(e, we), (a, ge)]), check=False)
+    # t = I + e (-G a - b(a,a)/2 G e)^T + a (G e)^T, and with s = d de da
+    # and b(a, a) = qa / (d da^2) that is ei w^T / (2 s^2) + ai ge^T / s
+    s = space.gram.denominator_lcm() * de * da
+    qa = sum(map(mul, ai, ga))
+    w = [-2 * s * x - qa * y for x, y in zip(ga, ge)]
+    terms = [(2 * s * s, ei, w), (s, ai, ge)]
+    return Isometry(space, identity_plus_outer(space.dim, terms), check=False)
 
 
 # -- Cartan-Dieudonne ---------------------------------------------------------
@@ -247,28 +283,20 @@ def spinor_norm(g):
 
     Computed as sign det of g compressed to a maximal positive-definite
     subspace; equals the product of sign(-b(v,v)) over any reflection
-    decomposition of g.
+    decomposition of g.  Read off det P (d G) m P^T, for P the integer rows
+    of that basis and M = m / d_M: positive scalings keep the sign.
     """
-    pos = g.space.positive_basis()
+    g.space.positive_basis()
+    pos = g.space._pos_ints
     if not pos:
         return 1
-    images = [g(u) for u in pos]
-    rows = []
-    for u in pos:
-        qu = g.space.norm(u)
-        rows.append([g.space.pairing(u, img) / qu for img in images])
+    m = g.matrix.cleared()[1]
+    rows = [[sum(x * sum(m[i][j] * y for j, y in p) for i, x in gp) for p, _ in pos]
+            for _, gp in pos]
     d = Mat(rows).det()
     if d == 0:
         raise IsometryError("not an isometry of the real form")
     return 1 if d > 0 else -1
-
-
-def spinor_norm_from_reflections(space, vectors):
-    s = 1
-    for v in vectors:
-        if space.norm(v) > 0:
-            s = -s
-    return s
 
 
 # -- lattice interaction ------------------------------------------------------
@@ -407,12 +435,11 @@ class TransvectionWord:
         return len(self.pairs)
 
 
-def _find_hyperbolic_pairs(lat, count=2):
-    """Locate `count` pairwise orthogonal basis-vector hyperbolic pairs.
-
-    Returns tuples (i, j, s): q(e_i) = q(e_j) = 0, b(e_i, s*e_j) = 1.  The
-    remaining basis vectors must be orthogonal to all chosen pairs (the
-    lattice splits off the planes on the nose); otherwise raises.
+def _hyperbolic_frame(lat):
+    """Two pairwise orthogonal basis-vector hyperbolic planes of an even
+    integral lattice, as sparse units (E1, F1, E2, F2) with q(E) = q(F) = 0,
+    b(E, F) = 1, and the list of the other basis indices, which must be
+    orthogonal to both planes (L splits them off on the nose); else raises.
     """
     g = lat.gram
     found = []
@@ -428,60 +455,70 @@ def _find_hyperbolic_pairs(lat, count=2):
             found.append((i, j, 1 if g[i, j] == 1 else -1))
             used.update((i, j))
             break
-        if len(found) == count:
+        if len(found) == 2:
             break
-    if len(found) < count:
-        raise IsometryError("lattice does not expose %d orthogonal hyperbolic planes" % count)
-    rest = [k for k in range(lat.rank) if all(k not in pair[:2] for pair in found)]
+    if len(found) < 2:
+        raise IsometryError("lattice does not expose 2 orthogonal hyperbolic planes")
+    rest = [k for k in range(lat.rank) if k not in used]
     for k in rest:
         for pair in found:
             if g[k, pair[0]] != 0 or g[k, pair[1]] != 0:
                 raise IsometryError("hyperbolic planes do not split off orthogonally")
-    return found, rest
+    if not lat.is_even():
+        raise IsometryError("transport needs an even integral lattice")
+    (i1, j1, s1), (i2, j2, s2) = found
+    return ((i1, 1),), ((j1, s1),), ((i2, 1),), ((j2, s2),), rest
+
+
+def _transport_data(lat):
+    """(space, frame), kept in `QuadLattice._transport`: the QuadSpace of the
+    Gram of L, for its integer rows, and `_hyperbolic_frame(lat)` or the
+    message of the error it raised.  Neither refers back to L."""
+    if lat._transport is None:
+        try:
+            frame = _hyperbolic_frame(lat)
+        except IsometryError as exc:
+            frame = str(exc)
+        lat._transport = QuadSpace(lat.gram), frame
+    return lat._transport
 
 
 class _Reducer:
     """Drives the transvection reduction of a vector over L = U1 + U2 + L0.
 
-    Works in plain integer arithmetic on the integer Gram rows (the lattice
-    must be even and integral); words are lists of integer (e, a) pairs.
+    Works in plain integers on the sparse Gram rows of the (even integral)
+    lattice: v is a list of ints, and E1, F1, E2, F2, the rest units and
+    every (e, a) of a word are tuples of (index, coefficient) pairs, so a
+    step touches only the support of e and a.
     """
 
-    def __init__(self, lat):
-        pairs, rest = _find_hyperbolic_pairs(lat, 2)
-        p1, p2 = pairs
-        if not lat.is_even():
-            raise IsometryError("transport needs an even integral lattice")
-        self.lat = lat
-        # sparse integer Gram rows: (column, entry) for the nonzero entries
-        self.rows = [[(j, g) for j, g in enumerate(r) if g] for r in lat.gram.int_entries()]
-        self.rest = rest
-        self.E1 = self._unit(p1[0])
-        self.F1 = self._unit(p1[1], p1[2])
-        self.E2 = self._unit(p2[0])
-        self.F2 = self._unit(p2[1], p2[2])
+    def __init__(self, rows, frame):
+        self.rows = rows
+        self.E1, self.F1, self.E2, self.F2, self.rest = frame
         self.word = []
         self.v = None
 
-    def _unit(self, idx, sign=1):
-        u = [0] * self.lat.rank
-        u[idx] = sign
-        return tuple(u)
-
     def _pair(self, x, y):
-        """b(x, y), touching only the nonzero entries of x."""
-        return sum(xi * sum(g * y[j] for j, g in self.rows[i]) for i, xi in enumerate(x) if xi)
+        """b(x, y) for a sparse x and a list y."""
+        return sum(c * sum(g * y[j] for j, g in self.rows[i]) for i, c in x)
 
     # elementary actions -----------------------------------------------------
 
     def step(self, v, e, a):
-        """t(e, a)(v) on integer vectors."""
+        """t(e, a)(v) as a new list."""
         be = self._pair(e, v)
-        coef_e = -self._pair(a, v) - (self._pair(a, a) // 2) * be
-        return tuple(vi + coef_e * ei + be * ai for vi, ei, ai in zip(v, e, a))
+        dense_a = dict(a)
+        qa = sum(c * sum(g * dense_a.get(j, 0) for j, g in self.rows[i]) for i, c in a)
+        coef_e = -self._pair(a, v) - (qa // 2) * be
+        v = list(v)
+        for i, c in e:
+            v[i] += coef_e * c
+        for i, c in a:
+            v[i] += be * c
+        return v
 
     def t(self, e, a):
-        if any(a):
+        if a:
             self.v = self.step(self.v, e, a)
             self.word.append((e, a))
 
@@ -503,7 +540,7 @@ class _Reducer:
 
     @staticmethod
     def _scale(t, v):
-        return tuple(t * c for c in v)
+        return tuple((i, t * c) for i, c in v) if t else ()
 
     def row1_add(self, t):  # row1 += t * row2
         self.t(self.E1, self._scale(-t, self.E2))
@@ -587,7 +624,7 @@ class _Reducer:
     # full reduction -----------------------------------------------------------
 
     def rest_pairings(self):
-        return [self._pair(self._unit(k), self.v) for k in self.rest]
+        return [sum(g * self.v[j] for j, g in self.rows[k]) for k in self.rest]
 
     def reduce(self, v):
         """Carry v to d E1 + b F1 + d*zeta, d = div(v) > 0, zeta canonical."""
@@ -595,10 +632,9 @@ class _Reducer:
         self.word = []
         a1, b1, a2, b2 = self.coords()
         if a1 == b1 == a2 == b2 == 0:
-            for k in self.rest:
-                x = self._unit(k)
-                if self._pair(x, self.v) != 0:
-                    self.t(self.F1, x)
+            for k, pk in zip(self.rest, self.rest_pairings()):
+                if pk != 0:
+                    self.t(self.F1, ((k, 1),))
                     break
             else:
                 raise IsometryError("vector pairs to zero with the whole lattice")
@@ -614,72 +650,71 @@ class _Reducer:
             a1 = self.coords()[0]
             for k, pk in zip(self.rest, self.rest_pairings()):
                 if pk % a1 != 0:
-                    self.t(self.E2, self._unit(k))
+                    self.t(self.E2, ((k, 1),))
                     self.plane_smith()
                     changed = True
                     break
         d = self.coords()[0]
         # canonicalize the L0 part to d * (class representative): subtract the
         # integer part of each rest coordinate divided by d
-        y = [0] * self.lat.rank
-        nonzero = False
-        for k in self.rest:
-            delta = self.v[k] // d
-            if delta:
-                y[k] = delta
-                nonzero = True
-        if nonzero:
-            self.t(self.F1, self._scale(-1, tuple(y)))
+        self.t(self.F1, tuple((k, -(self.v[k] // d)) for k in self.rest if self.v[k] // d))
         return self.word, self.v
 
 
 def disc_class_rep(lat, v):
-    """Canonical representative of [v / div(v)] in A(L): coordinates mod Z."""
-    d = divisibility(lat, v)
-    return tuple((c / d) % 1 for c in v)
+    """Canonical representative of [v / div(v)] in A(L) for an integral v:
+    (D, nums) with v / div(v) = nums / D mod Z, in lowest terms."""
+    if vec_is_zero(v) or not vec_is_integral(v):
+        raise LatticeError("nonzero integral vector required")
+    den = lat.gram.denominator_lcm()
+    _, vi, gv = _transport_data(lat)[0].int_product(v)
+    if any(p % den for p in gv):
+        raise LatticeError("integral lattice required")
+    div = gcd(*gv) // den
+    nums = [c % div for c in vi]
+    g = gcd(div, *nums)
+    return div // g, tuple(x // g for x in nums)
+
+
+def _fractions(v, n):
+    """The sparse integer vector v as n Fractions."""
+    out = [QZERO] * n
+    for i, c in v:
+        out[i] = Q(c)
+    return tuple(out)
 
 
 def eichler_transport(lat, v, w):
     """Word of Eichler transvections carrying v to w inside L = U + U + L0.
 
-    Preconditions checked: v, w primitive, equal square, equal class in
-    A(L).  Mismatches return NotFound('square' | 'primitivity' |
+    Preconditions checked: v, w (ints or Fractions) primitive, equal
+    square, equal class in A(L).  Mismatches return NotFound('square' | 'primitivity' |
     'disc class').  The word is verified by application before returning.
+    Runs on the integer rows kept on L; the word becomes Fractions on return.
     """
-    v = tuple(Q(c) for c in v)
-    w = tuple(Q(c) for c in w)
     if not (is_primitive(lat, v) and is_primitive(lat, w)):
         return NotFound("primitivity")
-    if lat.norm(v) != lat.norm(w):
+    space, frame = _transport_data(lat)
+    (_, vi, gv), (_, wi, gw) = space.int_product(v), space.int_product(w)
+    if sum(map(mul, vi, gv)) != sum(map(mul, wi, gw)):
         return NotFound("square")
     if disc_class_rep(lat, v) != disc_class_rep(lat, w):
         return NotFound("disc class")
-    if v == w:
+    if vi == wi:
         return TransvectionWord(lat, [])
-    red = _Reducer(lat)
-    vi, wi = tuple(c.numerator for c in v), tuple(c.numerator for c in w)
+    if isinstance(frame, str):
+        raise IsometryError(frame)
+    red = _Reducer(space._int_rows, frame)
     word_v, v_red = red.reduce(vi)
     word_w, w_red = red.reduce(wi)
     if v_red != w_red:
         return NotFound("reduction mismatch")
     # the word of v, then the inverse of the word of w: t(e, a)^-1 = t(e, -a)
-    pairs = word_v + [(e, tuple(-c for c in a)) for e, a in reversed(word_w)]
+    pairs = word_v + [(e, red._scale(-1, a)) for e, a in reversed(word_w)]
     x = vi
     for e, a in pairs:
         x = red.step(x, e, a)
     if x != wi:
         return NotFound("verification failed")
-    q = {t: tuple(map(Q, t)) for t in {t for pair in pairs for t in pair}}
+    q = {t: _fractions(t, lat.rank) for t in {t for pair in pairs for t in pair}}
     return TransvectionWord(lat, [(q[e], q[a]) for e, a in pairs])
-
-
-def transport_word_isometry(space, lat, word):
-    """Materialize a transport word (lattice coordinates) on the ambient
-    space; word pairs apply first-to-last, so later factors multiply on
-    the left."""
-    g = identity_isometry(space)
-    for e, a in word.pairs:
-        ge = lat.ambient_vector(e)
-        ga = lat.ambient_vector(a)
-        g = eichler_transvection(space, ge, ga).compose(g)
-    return g

@@ -18,8 +18,6 @@ from .linalg import (
     Q,
     congruence_diagonalize,
     integer_kernel_basis,
-    kernel_basis,
-    saturation_basis,
     smith_normal_form,
     solve_linear,
     vec_is_zero,
@@ -45,6 +43,7 @@ class QuadLattice:
         self._basis_t_inv = None
         self._nondegenerate = None
         self._disc = None  # the DiscGroup, set by discriminant_group()
+        self._transport = None  # integer Gram rows, set by isometry.eichler_transport()
         if basis_in_ambient is not None:
             if ambient_gram is None:
                 raise LatticeError("embedded lattice needs the ambient gram")
@@ -231,10 +230,7 @@ def divisibility(lat, v):
     pairings = lat.gram.apply(v)
     if not all(p.denominator == 1 for p in pairings):
         raise LatticeError("integral lattice required")
-    d = 0
-    for p in pairings:
-        d = gcd(d, p.numerator)
-    return d
+    return gcd(*(p.numerator for p in pairings))
 
 
 def is_primitive(lat, v):
@@ -243,10 +239,7 @@ def is_primitive(lat, v):
         raise LatticeError("zero vector")
     if not all(c.denominator == 1 for c in v):
         raise LatticeError("integral vector required")
-    g = 0
-    for c in v:
-        g = gcd(g, c.numerator)
-    return g == 1
+    return gcd(*(c.numerator for c in v)) == 1
 
 
 def orthogonal_complement(lat, generators):
@@ -271,17 +264,6 @@ def orthogonal_complement(lat, generators):
         rows = [lat.ambient_vector(b) for b in basis]
         return QuadLattice.from_basis(rows, lat.ambient_gram)
     return QuadLattice.from_basis(basis, lat.gram)
-
-
-def saturate(lat, int_rows):
-    """Saturation inside L of the sublattice spanned by integer coordinate rows."""
-    sat = saturation_basis([[int(c) for c in r] for r in int_rows])
-    if not sat:
-        return QuadLattice(Mat.zero(0, 0), Mat.zero(0, lat.rank), lat.gram, name="0")
-    if lat.basis_in_ambient is not None:
-        rows = [lat.ambient_vector([Q(c) for c in b]) for b in sat]
-        return QuadLattice.from_basis(rows, lat.ambient_gram)
-    return QuadLattice.from_basis([[Q(c) for c in b] for b in sat], lat.gram)
 
 
 class NotFound:

@@ -5,9 +5,10 @@ A `Mat` has one stored representation, built once: a denominator d > 0 and
 the integer rows of d * M, in canonical form (d is coprime to the gcd of the
 entries, so the zero matrix has d = 1).  Equality and hashing compare those
 integers; products, `apply` and `bilinear` (every quadratic-form pairing of
-the package) run on them and divide by d once per result entry.  `Fraction`
-values appear only at the boundary: `entries`, `row`, `column`,
-`__getitem__` and `repr`.
+the package) run on them and divide by d once per result entry.  `cleared`
+hands the integer form itself to callers that keep to integers (the
+isometry layer); `Fraction` values appear only at the boundary: `entries`,
+`row`, `column`, `__getitem__` and `repr`.
 
 One integer elimination, `_eliminate`, serves `rref`, `rank`, `det`,
 `inverse`, `solve_linear` and `kernel_basis`: Gauss-Jordan that skips the
@@ -256,6 +257,11 @@ class Mat:
     def is_symmetric(self):
         return self.rows == self.cols and self._ints == tuple(zip(*self._ints))
 
+    def cleared(self):
+        """(d, rows): the stored form, d > 0 and the integer rows of d * M
+        (tuples), in lowest terms."""
+        return self._den, self._ints
+
     def int_entries(self):
         if self._den != 1:
             raise ValueError("integrality required")
@@ -349,25 +355,24 @@ def _over_pivots(m, pivots, start, d):
     return _make(den, [[x * fr for x in row[start:]] for row, fr in zip(m, f)])
 
 
-def identity_plus_outer(n, pairs):
-    """The n x n matrix I + sum of u w^T over the (u, w) pairs.
+def identity_plus_outer(n, terms):
+    """The n x n matrix I + sum of (1/d) u w^T over the (d, u, w) terms: d a
+    nonzero integer, u and w integer vectors (read off the integer Gram rows
+    by the reflection and Eichler transvection constructors).
 
-    Starts from the identity and touches only the rows where u is nonzero
-    and, in them, only the columns where w is nonzero.  Reflections,
-    Eichler transvections and B-field maps are all of this shape.
-    """
-    pairs = [(cleared(u), cleared(w)) for u, w in pairs]
-    d = lcm(*(du * dw for (du, _), (dw, _) in pairs))
-    m = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-    for (du, us), (dw, ws) in pairs:
-        f = d // (du * dw)
-        nonzero = [(j, f * b) for j, b in enumerate(ws) if b]
-        for i, a in enumerate(us):
+    Touches only the rows where u is nonzero and, in them, only the columns
+    where w is nonzero."""
+    big = lcm(*(d for d, _, _ in terms))
+    m = [[big if i == j else 0 for j in range(n)] for i in range(n)]
+    for d, u, w in terms:
+        f = big // d
+        nonzero = [(j, f * b) for j, b in enumerate(w) if b]
+        for i, a in enumerate(u):
             if a:
                 row = m[i]
                 for j, b in nonzero:
                     row[j] += a * b
-    return _make(d, m)
+    return _make(big, m)
 
 
 def solve_linear(a, b):

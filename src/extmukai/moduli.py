@@ -16,6 +16,7 @@ and the summary of lattice-level invariants shared by derived partners.
 
 from math import gcd
 
+from .isometry import QuadSpace, eichler_transvection
 from .lattice import (
     QuadLattice,
     discriminant_group,
@@ -53,9 +54,6 @@ class AlgebraicMukaiLattice:
             raise ModuliError("NS part of length %d expected" % self.rho)
         return (Q(r), Q(s)) + c
 
-    def unpack(self, coords):
-        return coords[0], tuple(coords[2:]), coords[1]
-
     def pairing(self, v, w):
         return self.lattice.pairing(v, w)
 
@@ -63,19 +61,10 @@ class AlgebraicMukaiLattice:
         return self.lattice.pairing(v, v)
 
     def b_field(self, mu):
-        """The isometry (r, c, s) -> (r, c + r mu, s + c.mu + r mu^2/2)."""
-        mu = tuple(Q(x) for x in mu)
-        cols = []
-        qmu = self.ns_gram.bilinear(mu, mu)
-        cols.append(self.vector(1, mu, qmu / 2))          # image of (1,0,0)
-        cols.append(self.vector(0, (0,) * self.rho, 1))   # image of (0,0,1)
-        for i in range(self.rho):
-            c = tuple(Q(1) if j == i else Q(0) for j in range(self.rho))
-            cols.append(self.vector(0, c, self.ns_gram.bilinear(mu, c)))
-        m = Mat.from_columns(cols)
-        if (m.transpose() * self.lattice.gram * m) != self.lattice.gram:
-            raise ModuliError("b-field construction failed")
-        return m
+        """The isometry (r, c, s) -> (r, c + r mu, s + c.mu + r mu^2/2): the
+        Eichler transvection t(-(0,0,1), mu)."""
+        e, a = self.vector(0, (0,) * self.rho, -1), self.vector(0, mu, 0)
+        return eichler_transvection(QuadSpace(self.lattice.gram), e, a).matrix
 
 
 def _require_primitive(lat, v):

@@ -43,10 +43,6 @@ def vector_to_json(v):
     return [rat_str(c) for c in v]
 
 
-def vector_from_json(data):
-    return tuple(parse_rat(c) for c in data)
-
-
 def matrix_to_json(m):
     return [[rat_str(c) for c in row] for row in m.entries()]
 

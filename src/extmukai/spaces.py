@@ -24,9 +24,9 @@ split".
 from functools import cached_property
 from math import factorial, isqrt
 
-from .isometry import Isometry, QuadSpace, disc_action, preserves_lattice, spinor_norm
+from .isometry import QuadSpace, disc_action, eichler_transvection, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, standard_lattice
-from .linalg import (Mat, Q, hnf_row_basis, identity_plus_outer, integer_kernel_basis, kernel_basis,
+from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kernel_basis,
                      saturation_basis, solve_linear, vec_is_zero)
 
 
@@ -101,10 +101,9 @@ class ExtMukaiSpace(QuadSpace):
         dim = b2 + 2
         # the integer H^2 Gram d * G bordered by the hyperbolic corner -d,
         # over d
-        h2 = dtype.h2_gram
-        d = h2.denominator_lcm()
+        d, h2 = dtype.h2_gram.cleared()
         rows = [[0] * (dim - 1) + [-d]]
-        rows += [[0] + r + [0] for r in (h2 if d == 1 else h2.scale(d)).int_entries()]
+        rows += [[0, *r, 0] for r in h2]
         rows.append([-d] + [0] * (dim - 1))
         super().__init__(Mat(rows) if d == 1 else Mat(rows).scale(Q(1, d)))
         self.dtype = dtype
@@ -399,7 +398,8 @@ def b_field(space, lam):
         B(r alpha + mu + s beta)
             = r alpha + mu + r lambda + (s + b(lambda, mu) + r b(lambda, lambda)/2) beta
 
-    for lambda in H^2.  B_lambda o B_mu = B_{lambda + mu}.
+    for lambda in H^2.  B_lambda o B_mu = B_{lambda + mu}.  It is the
+    Eichler transvection t(-beta, lambda).
     """
     lam = tuple(Q(c) for c in lam)
     if len(lam) == space.dim:
@@ -408,13 +408,7 @@ def b_field(space, lam):
         lam = space.h2_part(lam)
     if len(lam) != space.b2:
         raise SpaceError("lambda must be an H^2 vector")
-    glam = space.dtype.h2_gram.apply(lam)  # b(lambda, mu_i) for every H^2 basis mu_i
-    qlam = space.bbf(lam, lam)
-    pairs = [
-        (space.vector(0, lam, 0), space.alpha),  # r alpha -> r lambda
-        (space.beta, (qlam / 2,) + glam + (Q(0),)),  # beta coefficient
-    ]
-    return Isometry(space, identity_plus_outer(space.dim, pairs), check=False)
+    return eichler_transvection(space, (0,) * (space.dim - 1) + (-1,), (0,) + lam + (0,))
 
 
 def rank_predicate_o_orbit(r, n):

@@ -247,8 +247,7 @@ def _permanent(rows, mult):
 def _int_gram(gram):
     """(d, g, nonzero): the H^2 Gram as d > 0, the integer rows g of d * gram
     and its nonzero entries as (i, j, g[i][j]), kept per Gram value."""
-    d = gram.denominator_lcm()
-    g = tuple(map(tuple, gram.scale(d).int_entries()))
+    d, g = gram.cleared()
     return d, g, tuple((i, j, e) for i, row in enumerate(g) for j, e in enumerate(row) if e)
 
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -122,6 +123,16 @@ def test_cli_output_byte_stable():
     _, out1 = run_cli(["vector", "--n", "2", "--lam", "delta"])
     _, out2 = run_cli(["vector", "--n", "2", "--lam", "delta"])
     assert out1 == out2
+
+
+# exit codes and stdout of transport, isometry-info and lattice-check as
+# recorded before the isometry layer moved to integer rows
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["args"]))
+def test_cli_output_matches_golden(case):
+    assert run_cli(case["args"]) == (case["exit"], case["stdout"])
 
 
 def test_cli_lattice_check_counterexample():

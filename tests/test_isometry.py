@@ -1,4 +1,8 @@
+import gc
+import hashlib
+import json
 import random
+import weakref
 from fractions import Fraction as Q
 from math import gcd
 
@@ -17,13 +21,37 @@ from extmukai.isometry import (
     preserves_lattice,
     reflection,
     spinor_norm,
-    spinor_norm_from_reflections,
 )
-from extmukai.lattice import NotFound
+from extmukai.lattice import NotFound, QuadLattice
 from extmukai.linalg import Mat, vec_add, vec_scale, vec_sub
-from extmukai.spaces import ExtMukaiSpace, b_field, k3n_lattices, k3n_type
+from extmukai.spaces import ExtMukaiSpace, b_field, custom_type, k3n_lattices, k3n_type
 
 rng = random.Random(2024)
+
+
+# -- references ----------------------------------------------------------------
+
+
+def spinor_norm_from_reflections(space, vectors):
+    """The spinor norm of s_{v_1} o ... o s_{v_k}: the product of
+    sign(-b(v, v)) over the reflection vectors."""
+    s = 1
+    for v in vectors:
+        if space.norm(v) > 0:
+            s = -s
+    return s
+
+
+def transport_word_isometry(space, lat, word):
+    """Materialize a transport word (lattice coordinates) on the ambient
+    space; word pairs apply first-to-last, so later factors multiply on
+    the left."""
+    g = identity_isometry(space)
+    for e, a in word.pairs:
+        ge = lat.ambient_vector(e)
+        ga = lat.ambient_vector(a)
+        g = eichler_transvection(space, ge, ga).compose(g)
+    return g
 
 
 def k3n_setup(n):
@@ -193,18 +221,29 @@ def test_spinor_norm_multiplicative_and_decomposition_independent():
 
 
 def test_spinor_norm_shuffled_basis():
-    # recompute through a conjugated (shuffled) coordinate system
+    # recompute in the coordinates of a shuffled and sheared basis A (rows:
+    # new basis vectors), where the Gram is A G A^T and g is A^-T M A^T;
+    # the positive-square reflection brings spinor norm -1 into the mix
     space, lats = k3n_setup(2)
     perm = list(range(25))
     rng.shuffle(perm)
-    p = Mat([[Q(1) if perm[i] == j else Q(0) for j in range(25)] for i in range(25)])
+    shear = [[Q(int(i == j)) if j <= i else Q(rng.randint(-2, 2), rng.randint(1, 3))
+              for j in range(25)] for i in range(25)]
+    a = Mat([[Q(1) if perm[i] == j else Q(0) for j in range(25)] for i in range(25)]) * Mat(shear)
+    at = a.transpose()
     from extmukai.isometry import Isometry, QuadSpace
 
-    qs = QuadSpace(p * space.gram * p.transpose())
+    qs = QuadSpace(a * space.gram * at)
+    flip = reflection(space, vec_add(space.basis_vector(1), space.basis_vector(2)))
+    signs = set()
     for _ in range(10):
         g = random_catalog_isometry(space, lats)
-        g2 = Isometry(qs, p * g.matrix * p.inverse(), check=False)
+        if rng.randint(0, 1):
+            g = g.compose(flip)
+        g2 = Isometry(qs, at.inverse() * g.matrix * at)
         assert spinor_norm(g2) == spinor_norm(g)
+        signs.add(spinor_norm(g))
+    assert signs == {1, -1}
 
 
 def test_reflection_conjugation():
@@ -341,8 +380,6 @@ def test_transport_square_mismatch():
 
 
 def test_transport_word_isometry_matches():
-    from extmukai.isometry import transport_word_isometry
-
     space, lats = k3n_setup(2)
     lam = lats.lam
     v = lam.coords_of_ambient(vec_add(lats.alpha_tilde, space.beta))
@@ -366,17 +403,26 @@ def _transvect_int(gram, e, a, x):
     return tuple(xi + ce * ei + be * ai for xi, ei, ai in zip(x, e, a))
 
 
+# sha256 over the JSON of each word's (e, a) entries as strings, for the
+# four draws of test_transport_matches_reference_apply, as the Fraction
+# implementation of the reducer gave them
+TRANSPORT_WORD_DIGESTS = {
+    2: "056d891ce1b7c3d77bae1a43fa757107689e0005aaac12e01aa50ba4a724fccf",
+    3: "38770ac4e114cb83fe5e828010c010ba8b85ecce4baf3c912dfcc6f35f63ec1e",
+    5: "cf33ff17c68faebe5ab558944264ca483a443035daeee1befacc4f97ec461131",
+}
+
+
 @pytest.mark.parametrize("n", (2, 3, 5))
 def test_transport_matches_reference_apply(n):
     # (v, w) in Lambda as the benchmark draws them: v primitive, w its image
     # under integer transvections along alpha~, beta, alpha~ (b(alpha~, beta) = -1)
-    from extmukai.isometry import transport_word_isometry
-
     space, lats = k3n_setup(n)
     lam = lats.lam
     gram = [[int(c) for c in r] for r in lam.gram.entries()]
     draw = random.Random(100 + n)
     units = [tuple(int(i == k) for i in range(25)) for k in range(25)]
+    digest = hashlib.sha256()
     for _ in range(4):
         v = (0,)
         while gcd(*v) != 1:
@@ -393,6 +439,44 @@ def test_transport_matches_reference_apply(n):
         assert word.apply(vq) == wq
         g = transport_word_isometry(space, lam, word)
         assert g(lam.ambient_vector(vq)) == lam.ambient_vector(wq)
+        entries = [[[str(c) for c in e], [str(c) for c in a]] for e, a in word.pairs]
+        digest.update(json.dumps(entries).encode())
+    assert digest.hexdigest() == TRANSPORT_WORD_DIGESTS[n]
+
+
+def test_transport_data_kept_on_the_lattice():
+    # the integer Gram rows and the hyperbolic frame are built on the first
+    # transport and reused; v and w are the basis vectors e1 and e2 of Lambda
+    space, lats = k3n_setup(2)
+    lam = QuadLattice(lats.lam.gram)
+    assert lam._transport is None
+    v, w = (tuple(Q(int(i == k)) for i in range(25)) for k in (1, 2))
+    assert eichler_transport(lam, v, w).apply(v) == w
+    data = lam._transport
+    rows, frame = data[0]._int_rows, data[1]
+    assert all(type(x) is int for r in rows for pair in r for x in pair)
+    assert all(type(x) is int for u in frame[:4] for pair in u for x in pair)
+    assert eichler_transport(lam, w, v).apply(w) == v
+    assert lam._transport is data
+
+
+def test_dropped_lattice_is_freed_without_the_cycle_collector():
+    # the kept transport rows are plain ints with no reference back to the
+    # lattice, so dropping the lattice frees it at once
+    space, lats = k3n_setup(3)
+    lam = QuadLattice.from_basis(lats.lam.basis_in_ambient.entries(), space.gram)
+    v, w = (tuple(Q(int(i == k)) for i in range(25)) for k in (1, 2))
+    assert eichler_transport(lam, v, w)
+    assert lam._transport is not None
+    ref = weakref.ref(lam)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del lam
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- generators against their column-by-column definitions ---------------------
@@ -434,7 +518,11 @@ def b_field_by_columns(space, lam):
     return Mat.from_columns(cols)
 
 
+# K3[n] at n = 2, 3, 5, and a space whose H^2 Gram has denominator d = 18
 GENERATOR_SPACES = {n: ExtMukaiSpace(k3n_type(n)) for n in (2, 3, 5)}
+GENERATOR_SPACES["d18"] = ExtMukaiSpace(custom_type(2, 1, 1, Mat.block_diagonal([
+    Mat([[Q(7, 2), Q(1, 3)], [Q(1, 3), Q(-5, 6)]]), Mat([[0, 1], [1, 0]]), Mat([[Q(2, 9)]]),
+])))
 small_rationals = st.one_of(
     st.just(Q(0)),
     st.builds(Q, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)),
@@ -445,35 +533,87 @@ def rational_vectors(length):
     return st.lists(small_rationals, min_size=length, max_size=length).map(tuple)
 
 
-@given(st.sampled_from((2, 3, 5)), st.data())
+def isotropic_pair(space, data):
+    """(e, f): e isotropic and b(e, f) != 0."""
+    if data.draw(st.booleans()):
+        # e = x alpha + mu + b(mu, mu)/(2x) beta is isotropic; b(e, beta) = -x
+        x = data.draw(small_rationals.filter(bool))
+        mu = data.draw(rational_vectors(space.b2))
+        return space.vector(x, mu, space.bbf(mu, mu) / (2 * x)), space.beta
+    # e = s beta; b(e, alpha) = -s
+    return vec_scale(data.draw(small_rationals.filter(bool)), space.beta), space.alpha
+
+
+def transvection_data(space, data):
+    """(e, a): e isotropic, a rational and orthogonal to e."""
+    e, f = isotropic_pair(space, data)
+    a0 = data.draw(rational_vectors(space.dim))
+    return e, vec_sub(a0, vec_scale(space.pairing(e, a0) / space.pairing(e, f), f))
+
+
+space_keys = st.sampled_from(list(GENERATOR_SPACES))
+
+
+@given(space_keys, st.data())
 @settings(max_examples=40, deadline=None)
-def test_reflection_matches_column_definition(n, data):
-    space = GENERATOR_SPACES[n]
+def test_reflection_matches_column_definition(key, data):
+    space = GENERATOR_SPACES[key]
     v = data.draw(rational_vectors(space.dim))
     assume(space.norm(v) != 0)
     assert reflection(space, v).matrix == reflection_by_columns(space, v)
 
 
-@given(st.sampled_from((2, 3, 5)), st.data())
+@given(space_keys, st.data())
 @settings(max_examples=40, deadline=None)
-def test_transvection_matches_column_definition(n, data):
-    space = GENERATOR_SPACES[n]
-    if data.draw(st.booleans()):
-        # e = x alpha + mu + b(mu, mu)/(2x) beta is isotropic; b(e, beta) = -x
-        x = data.draw(small_rationals.filter(bool))
-        mu = data.draw(rational_vectors(space.b2))
-        e, f = space.vector(x, mu, space.bbf(mu, mu) / (2 * x)), space.beta
-    else:
-        # e = s beta; b(e, alpha) = -s
-        e, f = vec_scale(data.draw(small_rationals.filter(bool)), space.beta), space.alpha
-    a0 = data.draw(rational_vectors(space.dim))
-    a = vec_sub(a0, vec_scale(space.pairing(e, a0) / space.pairing(e, f), f))
+def test_transvection_matches_column_definition(key, data):
+    space = GENERATOR_SPACES[key]
+    e, a = transvection_data(space, data)
     assert eichler_transvection(space, e, a).matrix == transvection_by_columns(space, e, a)
 
 
-@given(st.sampled_from((2, 3, 5)), st.data())
+@given(space_keys, st.data())
 @settings(max_examples=40, deadline=None)
-def test_b_field_matches_column_definition(n, data):
-    space = GENERATOR_SPACES[n]
+def test_b_field_matches_column_definition(key, data):
+    space = GENERATOR_SPACES[key]
     lam = data.draw(rational_vectors(space.b2))
     assert b_field(space, lam).matrix == b_field_by_columns(space, lam)
+
+
+@given(space_keys, st.data())
+@settings(max_examples=30, deadline=None)
+def test_generator_rejections(key, data):
+    # an isotropic reflection vector, a non-isotropic e and an a not
+    # orthogonal to e are refused with the same errors, whatever the scaling
+    space = GENERATOR_SPACES[key]
+    e, f = isotropic_pair(space, data)
+    with pytest.raises(IsometryError, match="^isotropic vector$"):
+        reflection(space, e)
+    a = vec_add(data.draw(rational_vectors(space.dim)), f)
+    assume(space.pairing(e, a) != 0)
+    with pytest.raises(IsometryError, match="^a must be orthogonal to e$"):
+        eichler_transvection(space, e, a)
+    assume(space.norm(a) != 0)
+    with pytest.raises(IsometryError, match="^e must be isotropic$"):
+        eichler_transvection(space, a, e)
+
+
+@given(space_keys, st.data())
+@settings(max_examples=24, deadline=None)
+def test_spinor_norm_matches_reflection_decomposition(key, data):
+    # words of B-fields (half-integral entries included), reflections in
+    # rational vectors and transvections against the sign product over a
+    # Cartan-Dieudonne decomposition
+    space = GENERATOR_SPACES[key]
+    halves = st.builds(Q, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2)))
+    g = identity_isometry(space)
+    for kind in data.draw(st.lists(st.sampled_from("Bst"), min_size=1, max_size=3)):
+        if kind == "B":
+            h = b_field(space, data.draw(st.lists(halves, min_size=space.b2, max_size=space.b2)))
+        elif kind == "s":
+            v = data.draw(rational_vectors(space.dim))
+            assume(space.norm(v) != 0)
+            h = reflection(space, v)
+        else:
+            h = eichler_transvection(space, *transvection_data(space, data))
+        g = g.compose(h)
+    assert spinor_norm(g) == spinor_norm_from_reflections(space, cartan_dieudonne(g))

@@ -14,8 +14,20 @@ from extmukai.lattice import (
     orthogonal_complement,
     standard_lattice,
 )
-from extmukai.linalg import Mat
+from extmukai.linalg import Mat, saturation_basis
 from extmukai.spaces import ExtMukaiSpace, k3n_lattices, k3n_type
+
+
+def saturate(lat, int_rows):
+    """Reference: the saturation inside L of the sublattice spanned by
+    integer coordinate rows, built from `saturation_basis`."""
+    sat = saturation_basis([[int(c) for c in r] for r in int_rows])
+    if not sat:
+        return QuadLattice(Mat.zero(0, 0), Mat.zero(0, lat.rank), lat.gram, name="0")
+    if lat.basis_in_ambient is not None:
+        rows = [lat.ambient_vector([Q(c) for c in b]) for b in sat]
+        return QuadLattice.from_basis(rows, lat.ambient_gram)
+    return QuadLattice.from_basis([[Q(c) for c in b] for b in sat], lat.gram)
 
 
 def test_standard_u():
@@ -217,8 +229,6 @@ def test_orthogonal_complement_is_saturated():
         perp = orthogonal_complement(lat, [v])
         # saturation: doubling a complement vector and asking for its
         # half-integral coordinates must stay integral
-        from extmukai.lattice import saturate
-
         sat = saturate(lat, [[int(x) for x in perp.basis_in_ambient.row(i)]
                              for i in range(perp.rank)])
         assert sat.rank == perp.rank
