@@ -10,9 +10,9 @@ bounded subgroup generation.
 On a full-rank lattice L an isometry keeps its matrix in lattice coordinates
 (`Isometry.on_lattice`), which decides both g(L) = L and the action on A(L).
 
-Generators, spinor norm and Eichler transport run on the sparse integer
-rows of d G that a QuadSpace keeps (`QuadSpace.int_product`); `Fraction`s
-appear only where a result is handed out, such as a transport word.
+Generators, spinor norm, Eichler transport and transport words run on the
+integer products (d G) v of the Gram's sparse columns (`Mat.int_product`);
+`Fraction`s appear only where a result is handed out, such as a word.
 
 Spinor norm convention: spin(s_v) = +1 iff b(v, v) < 0.  With this choice
 every transvection and every reflection along a negative-square vector has
@@ -26,7 +26,7 @@ decomposition and is manifestly decomposition-independent.
 from math import gcd
 from operator import mul
 
-from .lattice import LatticeError, NotFound, discriminant_group, is_primitive
+from .lattice import LatticeError, NotFound, discriminant_group, divisibility, is_primitive
 from .linalg import (
     Mat,
     Q,
@@ -59,7 +59,6 @@ class QuadSpace:
         self._pos_basis = None
         self._pos_ints = None  # sparse (P row, (d G) P row) per positive vector
         self._gram_inv = None
-        self._int_rows = [_sparse(r) for r in gram.cleared()[1]]  # of d G
 
     def gram_inverse(self):
         if self._gram_inv is None:
@@ -68,19 +67,6 @@ class QuadSpace:
 
     def pairing(self, x, y):
         return self.gram.bilinear(x, y)
-
-    def int_product(self, v):
-        """(e, vi, gv) for v of ints or Fractions: v = vi / e, vi integral, and
-        gv = (d G) vi for d = `gram.denominator_lcm()`, so b(v, x) = gv.x / (d e)."""
-        if len(v) != self.dim:
-            raise ValueError("shape mismatch")
-        e, vi = cleared(v)
-        gv = [0] * self.dim  # d G symmetric: sum the columns where vi is nonzero
-        for j, c in enumerate(vi):
-            if c:
-                for i, g in self._int_rows[j]:
-                    gv[i] += g * c
-        return e, vi, gv
 
     def norm(self, x):
         return self.pairing(x, x)
@@ -94,7 +80,7 @@ class QuadSpace:
         if self._pos_basis is None:
             diag, trans = congruence_diagonalize(self.gram)
             self._pos_basis = [trans.row(i) for i, d in enumerate(diag) if d > 0]
-            prods = map(self.int_product, self._pos_basis)
+            prods = map(self.gram.int_product, self._pos_basis)
             self._pos_ints = [(_sparse(p), _sparse(gp)) for _, p, gp in prods]
         return self._pos_basis
 
@@ -182,7 +168,7 @@ def minus_identity(space):
 def reflection(space, v):
     """Reflection along an anisotropic vector: x -> x - 2 b(x,v)/b(v,v) v,
     that is I - (2 / q) vi gv^T for v = vi / e, gv = (d G) vi, q = vi . gv."""
-    _, vi, gv = space.int_product(v)
+    _, vi, gv = space.gram.int_product(v)
     q = sum(map(mul, vi, gv))
     if q == 0:
         raise IsometryError("isotropic vector")
@@ -196,10 +182,10 @@ def eichler_transvection(space, e, a):
     Requires b(e, e) = 0 and b(e, a) = 0.  Determinant +1, spinor norm +1,
     trivial on any discriminant group of a lattice containing e and a.
     """
-    de, ei, ge = space.int_product(e)
+    de, ei, ge = space.gram.int_product(e)
     if sum(map(mul, ei, ge)):
         raise IsometryError("e must be isotropic")
-    da, ai, ga = space.int_product(a)
+    da, ai, ga = space.gram.int_product(a)
     if sum(map(mul, ei, ga)):
         raise IsometryError("a must be orthogonal to e")
     # t = I + e (-G a - b(a,a)/2 G e)^T + a (G e)^T, and with s = d de da
@@ -413,14 +399,21 @@ class TransvectionWord:
         self.pairs = list(pairs)
 
     def apply(self, v):
-        v = tuple(Q(c) for c in v)
+        """The word applied to v (ints or Fractions), in integers: v = x / den,
+        and a step pairs x with (d G) e and (d G) a (`Mat.int_product`)."""
+        gram = self.carrier.gram
+        d = gram.denominator_lcm()
+        den, x = cleared(v)
         for e, a in self.pairs:
-            be = self.carrier.pairing(e, v)
-            ce = -self.carrier.pairing(a, v) - self.carrier.norm(a) / 2 * be
-            v = tuple(
-                x + ce * ei + be * ai if ei or ai else x for x, ei, ai in zip(v, e, a)
-            )
-        return v
+            (de, ei, ge), (da, ai, ga) = gram.int_product(e), gram.int_product(a)
+            s = d * de * da
+            pe, pa, qa = sum(map(mul, ge, x)), sum(map(mul, ga, x)), sum(map(mul, ai, ga))
+            # t(e, a)(v) = v + (-b(a, v) - b(a, a)/2 b(e, v)) e + b(e, v) a, over 2 s^2 den
+            ce, ca = -2 * s * pa - qa * pe, 2 * s * pe
+            x = [2 * s * s * c + ce * y + ca * z for c, y, z in zip(x, ei, ai)]
+            g = gcd(2 * s * s * den, *x)
+            den, x = 2 * s * s * den // g, [c // g for c in x]
+        return tuple(Q(c, den) for c in x)
 
     def inverse(self):
         return TransvectionWord(
@@ -470,26 +463,13 @@ def _hyperbolic_frame(lat):
     return ((i1, 1),), ((j1, s1),), ((i2, 1),), ((j2, s2),), rest
 
 
-def _transport_data(lat):
-    """(space, frame), kept in `QuadLattice._transport`: the QuadSpace of the
-    Gram of L, for its integer rows, and `_hyperbolic_frame(lat)` or the
-    message of the error it raised.  Neither refers back to L."""
-    if lat._transport is None:
-        try:
-            frame = _hyperbolic_frame(lat)
-        except IsometryError as exc:
-            frame = str(exc)
-        lat._transport = QuadSpace(lat.gram), frame
-    return lat._transport
-
-
 class _Reducer:
     """Drives the transvection reduction of a vector over L = U1 + U2 + L0.
 
-    Works in plain integers on the sparse Gram rows of the (even integral)
-    lattice: v is a list of ints, and E1, F1, E2, F2, the rest units and
-    every (e, a) of a word are tuples of (index, coefficient) pairs, so a
-    step touches only the support of e and a.
+    Works in plain integers on the sparse rows of the symmetric (even
+    integral) Gram, its `nonzero_columns`: v is a list of ints, and E1, F1,
+    E2, F2, the rest units and every (e, a) of a word are tuples of (index,
+    coefficient) pairs, so a step touches only the support of e and a.
     """
 
     def __init__(self, rows, frame):
@@ -666,12 +646,8 @@ def disc_class_rep(lat, v):
     (D, nums) with v / div(v) = nums / D mod Z, in lowest terms."""
     if vec_is_zero(v) or not vec_is_integral(v):
         raise LatticeError("nonzero integral vector required")
-    den = lat.gram.denominator_lcm()
-    _, vi, gv = _transport_data(lat)[0].int_product(v)
-    if any(p % den for p in gv):
-        raise LatticeError("integral lattice required")
-    div = gcd(*gv) // den
-    nums = [c % div for c in vi]
+    div = divisibility(lat, v)
+    nums = [c.numerator % div for c in v]
     g = gcd(div, *nums)
     return div // g, tuple(x // g for x in nums)
 
@@ -694,8 +670,13 @@ def eichler_transport(lat, v, w):
     """
     if not (is_primitive(lat, v) and is_primitive(lat, w)):
         return NotFound("primitivity")
-    space, frame = _transport_data(lat)
-    (_, vi, gv), (_, wi, gw) = space.int_product(v), space.int_product(w)
+    if lat._transport is None:  # the frame or its error, kept on L (no reference back)
+        try:
+            lat._transport = _hyperbolic_frame(lat)
+        except IsometryError as exc:
+            lat._transport = str(exc)
+    frame = lat._transport
+    (_, vi, gv), (_, wi, gw) = lat.gram.int_product(v), lat.gram.int_product(w)
     if sum(map(mul, vi, gv)) != sum(map(mul, wi, gw)):
         return NotFound("square")
     if disc_class_rep(lat, v) != disc_class_rep(lat, w):
@@ -704,7 +685,7 @@ def eichler_transport(lat, v, w):
         return TransvectionWord(lat, [])
     if isinstance(frame, str):
         raise IsometryError(frame)
-    red = _Reducer(space._int_rows, frame)
+    red = _Reducer(lat.gram.nonzero_columns(), frame)
     word_v, v_red = red.reduce(vi)
     word_w, w_red = red.reduce(wi)
     if v_red != w_red:

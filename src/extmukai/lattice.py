@@ -43,7 +43,7 @@ class QuadLattice:
         self._basis_t_inv = None
         self._nondegenerate = None
         self._disc = None  # the DiscGroup, set by discriminant_group()
-        self._transport = None  # integer Gram rows, set by isometry.eichler_transport()
+        self._transport = None  # hyperbolic frame or its error, set by eichler_transport()
         if basis_in_ambient is not None:
             if ambient_gram is None:
                 raise LatticeError("embedded lattice needs the ambient gram")
@@ -227,10 +227,11 @@ def divisibility(lat, v):
         raise LatticeError("zero vector")
     if not all(c.denominator == 1 for c in v):
         raise LatticeError("integral vector required")
-    pairings = lat.gram.apply(v)
-    if not all(p.denominator == 1 for p in pairings):
+    d = lat.gram.denominator_lcm()
+    gv = lat.gram.int_product(v)[2]  # d times the pairings
+    if any(p % d for p in gv):
         raise LatticeError("integral lattice required")
-    return gcd(*(p.numerator for p in pairings))
+    return gcd(*gv) // d
 
 
 def is_primitive(lat, v):

@@ -3,12 +3,14 @@
 Everything in this package runs over Q; there is no floating point anywhere.
 A `Mat` has one stored representation, built once: a denominator d > 0 and
 the integer rows of d * M, in canonical form (d is coprime to the gcd of the
-entries, so the zero matrix has d = 1).  Equality and hashing compare those
-integers; products, `apply` and `bilinear` (every quadratic-form pairing of
-the package) run on them and divide by d once per result entry.  `cleared`
-hands the integer form itself to callers that keep to integers (the
-isometry layer); `Fraction` values appear only at the boundary: `entries`,
-`row`, `column`, `__getitem__` and `repr`.
+entries, so the zero matrix has d = 1).  Equality and hashing compare the
+shape and those integers; products run on them.  A matrix keeps one sparse
+view, built on first read: the nonzero entries of each column of d * M
+(`nonzero_columns`).  `int_product` sums it over the nonzero entries of a
+vector, and `apply` and `bilinear` (every quadratic-form pairing of the
+package) run through it.  `cleared` and `int_product` hand integers to
+callers that keep to them; `Fraction` values appear only at the boundary:
+`entries`, `row`, `column`, `__getitem__` and `repr`.
 
 One integer elimination, `_eliminate`, serves `rref`, `rank`, `det`,
 `inverse`, `solve_linear` and `kernel_basis`: Gauss-Jordan that skips the
@@ -26,6 +28,7 @@ every function is pure.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -87,23 +90,23 @@ def _fractions(ints, d):
     return tuple(map(Q, ints)) if d == 1 else tuple(Q(x, d) for x in ints)
 
 
-def _make(d, rows):
-    """The Mat (1/d) * rows for d > 0 and integer rows, put in canonical form."""
+def _make(d, rows, cols):
+    """The r x cols Mat (1/d) * rows for d > 0 and integer rows, canonical."""
     if d != 1:
         g = gcd(d, *[x for r in rows for x in r])
         if g != 1:
             d //= g
             rows = [[x // g for x in r] for r in rows]
     m = object.__new__(Mat)
-    m.rows, m.cols = len(rows), len(rows[0]) if rows else 0
-    m._den, m._ints, m._hash = d, tuple(map(tuple, rows)), None
+    m.rows, m.cols = len(rows), cols
+    m._den, m._ints, m._hash, m._nz_cols = d, tuple(map(tuple, rows)), None, None
     return m
 
 
 class Mat:
     """Immutable dense matrix over Q, stored as (d, integer rows of d * M)."""
 
-    __slots__ = ("rows", "cols", "_den", "_ints", "_hash")
+    __slots__ = ("rows", "cols", "_den", "_ints", "_hash", "_nz_cols")
 
     def __init__(self, rows_of_entries):
         # d = lcm of the reduced denominators is canonical already: the entry
@@ -131,17 +134,17 @@ class Mat:
             tuple(e * d if type(e) is int else e.numerator * (d // e.denominator) for e in r)
             for r in m
         )
-        self._hash = None
+        self._hash = self._nz_cols = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n):
-        return _make(1, [[int(i == j) for j in range(n)] for i in range(n)])
+        return _make(1, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def zero(r, c):
-        return _make(1, [(0,) * c] * r)
+        return _make(1, [(0,) * c] * r, c)
 
     @staticmethod
     def diagonal(entries):
@@ -158,7 +161,7 @@ class Mat:
             for r in b._ints:
                 out.append([0] * j0 + [f * x for x in r] + [0] * (c - j0 - b.cols))
             j0 += b.cols
-        return _make(d, out)
+        return _make(d, out, c)
 
     @staticmethod
     def from_rows(vectors):
@@ -184,11 +187,12 @@ class Mat:
         return tuple(_fractions(r, self._den) for r in self._ints)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self._den == other._den and self._ints == other._ints
+        same = isinstance(other, Mat) and self.cols == other.cols
+        return same and self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._den, self._ints))
+            self._hash = hash((self.cols, self._den, self._ints))
         return self._hash
 
     def __repr__(self):
@@ -200,17 +204,19 @@ class Mat:
         d = lcm(self._den, other._den)
         fa, fb = d // self._den, d // other._den
         rows = zip(self._ints, other._ints, strict=True)
-        return _make(d, [[fa * x + fb * y for x, y in zip(r, s, strict=True)] for r, s in rows])
+        out = [[fa * x + fb * y for x, y in zip(r, s, strict=True)] for r, s in rows]
+        return _make(d, out, self.cols)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return _make(self._den, [[-x for x in r] for r in self._ints])
+        return _make(self._den, [[-x for x in r] for r in self._ints], self.cols)
 
     def scale(self, c):
         c = Q(c)
-        return _make(self._den * c.denominator, [[c.numerator * x for x in r] for r in self._ints])
+        out = [[c.numerator * x for x in r] for r in self._ints]
+        return _make(self._den * c.denominator, out, self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -226,27 +232,47 @@ class Mat:
                     for j, b in nonzero[k]:
                         acc[j] += a * b
             out.append(acc)
-        return _make(self._den * other._den, out)
+        return _make(self._den * other._den, out, other.cols)
+
+    def nonzero_columns(self):
+        """Per column, its nonzero entries of d * M as (row, entry) pairs (the
+        rows, for a symmetric M), built on first read and kept."""
+        if self._nz_cols is None:
+            cols = zip(*self._ints) if self.rows else [()] * self.cols
+            self._nz_cols = tuple(tuple(compress(enumerate(c), c)) for c in cols)
+        return self._nz_cols
+
+    def int_product(self, v):
+        """(e, vi, mv) for v of ints or Fractions: v = vi / e with vi integral
+        (`cleared`) and mv = (d M) vi for d = `denominator_lcm()`, so
+        M v = mv / (d e).  Sums only the columns where vi is nonzero."""
+        if len(v) != self.cols:
+            raise ValueError("shape mismatch")
+        e, vi = cleared(v)
+        mv = [0] * self.rows
+        for col, c in zip(self.nonzero_columns(), vi):
+            if c:
+                for i, x in col:
+                    mv[i] += x * c
+        return e, vi, mv
 
     def apply(self, v):
         """Matrix times column vector (entries ints or Fractions)."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        dv, w = cleared(v)
-        return _fractions([sum(map(mul, r, w)) for r in self._ints], self._den * dv)
+        e, _, mv = self.int_product(v)
+        return _fractions(mv, self._den * e)
 
     def bilinear(self, x, y):
         """x^T M y as a Fraction, for vectors of ints or Fractions: the pairing
         of every Gram matrix in the package."""
-        if len(x) != self.rows or len(y) != self.cols:
+        if len(x) != self.rows:
             raise ValueError("shape mismatch")
+        e, _, my = self.int_product(y)
         dx, xs = cleared(x)
-        dy, ys = cleared(y)
-        total = sum(xi * sum(map(mul, r, ys)) for xi, r in zip(xs, self._ints) if xi)
-        return Q(total, self._den * dx * dy)
+        return Q(sum(map(mul, xs, my)), self._den * dx * e)
 
     def transpose(self):
-        return _make(self._den, list(zip(*self._ints)))
+        rows = list(zip(*self._ints)) if self.rows else [()] * self.cols
+        return _make(self._den, rows, self.rows)
 
     def denominator_lcm(self):
         return self._den
@@ -273,7 +299,7 @@ class Mat:
         """Reduced row echelon form; returns (R, pivot_columns)."""
         m = [list(r) for r in self._ints]
         pivots = _eliminate(m)[0]
-        return _over_pivots(m, pivots, 0, 1), tuple(pivots)
+        return _over_pivots(m, pivots, 0, 1, self.cols), tuple(pivots)
 
     def rank(self):
         return len(_eliminate([list(r) for r in self._ints])[0])
@@ -299,7 +325,7 @@ class Mat:
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
         # (ints / d)^-1 = d ints^-1, whose row r is m[r][n:] / m[r][r]
-        return _over_pivots(m, pivots, n, self._den)
+        return _over_pivots(m, pivots, n, self._den, n)
 
 
 def _eliminate(m):
@@ -347,12 +373,12 @@ def _eliminate(m):
     return pivots, sign, f
 
 
-def _over_pivots(m, pivots, start, d):
+def _over_pivots(m, pivots, start, d, cols):
     """The Mat with rows d * m[r][start:] / m[r][pivots[r]] after elimination
-    (the rows below the pivot rows are zero)."""
+    (the rows below the pivot rows are zero), of width cols."""
     den = lcm(*(m[r][c] for r, c in enumerate(pivots)))
     f = [d * den // m[r][c] for r, c in enumerate(pivots)] + [0] * (len(m) - len(pivots))
-    return _make(den, [[x * fr for x in row[start:]] for row, fr in zip(m, f)])
+    return _make(den, [[x * fr for x in row[start:]] for row, fr in zip(m, f)], cols)
 
 
 def identity_plus_outer(n, terms):
@@ -372,7 +398,7 @@ def identity_plus_outer(n, terms):
                 row = m[i]
                 for j, b in nonzero:
                     row[j] += a * b
-    return _make(big, m)
+    return _make(big, m, n)
 
 
 def solve_linear(a, b):
@@ -552,7 +578,7 @@ def smith_normal_form(mat):
                 a[i][i], a[j][j] = g, p * q * g
                 u[i], u[j] = _pair(u[i], u[j], x, y, -q, p)
                 vt[i], vt[j] = _pair(vt[i], vt[j], 1, 1, -y * q, x * p)
-    return _make(1, u), _make(1, a), _make(1, [list(x) for x in zip(*vt)])
+    return _make(1, u, r), _make(1, a, c), _make(1, [list(x) for x in zip(*vt)], c)
 
 
 def hnf_row_basis(int_rows):

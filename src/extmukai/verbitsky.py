@@ -25,11 +25,11 @@ The machinery implements:
 A `SymElement` has one stored representation, built once: a denominator
 d > 0 and a dict of nonzero integer numerators, in lowest terms, as a `Mat`
 keeps d and the integer rows of d * M.  Every kernel runs on those integers
-and on the H^2 Gram read as integer rows d * G (`_int_gram`), with H^2
-classes cleared to integers over their own denominator; a result is one
-denominator and one dict of numerators, and a scalar (a pairing) is one
-`Fraction`.  `Fraction` coefficients appear only at the boundary: `coeffs`,
-`coefficient` and `repr`.
+and on the H^2 Gram read as integer rows d * G (`Mat.cleared`) or products
+(d G) w (`Mat.int_product`), with H^2 classes cleared to integers over their
+own denominator; a result is one denominator and one dict of numerators,
+and a scalar (a pairing) is one `Fraction`.  `Fraction` coefficients appear
+only at the boundary: `coeffs`, `coefficient` and `repr`.
 
 The pairing buckets the monomials of y by their alpha and beta degrees, so
 a monomial of x meets only the monomials it can pair with, and the H^2
@@ -55,9 +55,9 @@ the Gram entries, so expensive full-rank evaluations are routed through
 occur; the numbers produced are identical to the full computation.
 """
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .linalg import Mat, Q, cleared, kernel_basis
 from .spaces import ExtMukaiSpace, custom_type
@@ -243,19 +243,6 @@ def _permanent(rows, mult):
     return states.get((0,) * len(mult), 0)
 
 
-@lru_cache(maxsize=64)
-def _int_gram(gram):
-    """(d, g, nonzero): the H^2 Gram as d > 0, the integer rows g of d * gram
-    and its nonzero entries as (i, j, g[i][j]), kept per Gram value."""
-    d, g = gram.cleared()
-    return d, g, tuple((i, j, e) for i, row in enumerate(g) for j, e in enumerate(row) if e)
-
-
-def _gram_pair(nonzero, u, v):
-    """u^T g v for integer vectors, over the nonzero entries of g."""
-    return sum(u[i] * e * v[j] for i, j, e in nonzero)
-
-
 def pairing_bn(x, y):
     """b_[n](x, y) = (-1)^n c_X sum_sigma prod b(x_i, y_sigma(i)), extended
     bilinearly over the monomial basis.
@@ -286,7 +273,7 @@ def _buckets(y):
 
 def _pairing(space, n, x, y_buckets):
     """b_[n] of x = (den, numerators) and y given by `_buckets`, on space."""
-    d, g, _ = _int_gram(space.dtype.h2_gram)
+    d, g = space.dtype.h2_gram.cleared()
     (dx, xnums), (dy, buckets) = x, y_buckets
     top = max((len(m) for _, m, _ in xnums), default=0)
     total = 0
@@ -333,7 +320,7 @@ def laplacian(x):
     """Contraction sum_{i<j} b(v_i, v_j) v_1 ... v^_i ... v^_j ... v_n."""
     if x.n < 2:
         raise SymError("laplacian needs symmetric degree >= 2")
-    d, g, _ = _int_gram(x.space.dtype.h2_gram)
+    d, g = x.space.dtype.h2_gram.cleared()
     out = {}
     for key, val in x._nums.items():
         for k2, e in _contractions(key, g, d):
@@ -351,10 +338,8 @@ def lefschetz_e(omega, x):
     e, w = _clear(omega)
     if len(w) != space.b2:
         raise SymError("omega must be an H^2 vector")
-    d, _, nonzero = _int_gram(space.dtype.h2_gram)
-    gw = [0] * len(w)  # d e times the pairings with the basis
-    for i, j, t in nonzero:
-        gw[i] += t * w[j]
+    h2 = space.dtype.h2_gram
+    d, gw = h2.denominator_lcm(), h2.int_product(w)[2]  # d e times the pairings with the basis
     support = [i for i, c in enumerate(w) if c]
     out = {}
     for (a, m, c), val in x._nums.items():
@@ -407,8 +392,8 @@ def _b_field_power(space, omega, n, j=None, keep=None):
     e, w = _clear(omega)
     p, r = 0, 1  # q/2 = p / r
     if any(w):
-        d, _, nonzero = _int_gram(space.dtype.h2_gram)
-        p, r = _gram_pair(nonzero, w, w), 2 * d * e * e
+        h2 = space.dtype.h2_gram
+        p, r = sum(map(mul, w, h2.int_product(w)[2])), 2 * h2.denominator_lcm() * e * e
     if j is None:
         kc = [(k, c) for k in range(n + 1) for c in range(n - k + 1)]
     else:  # k + 2c = j, and a >= 0 needs k <= 2n - j
@@ -467,7 +452,7 @@ def kernel_piece_basis(space, n, degree):
     if not monos:
         return []
     img = {k: i for i, k in enumerate(_degree_monomials(space, n - 2, degree - 4))}
-    d, g, _ = _int_gram(space.dtype.h2_gram)
+    d, g = space.dtype.h2_gram.cleared()
     rows = [[0] * len(monos) for _ in range(len(img) or 1)]  # no image: the zero row
     for j, key in enumerate(monos):
         for k2, e in _contractions(key, g, d):
@@ -634,7 +619,8 @@ def restricted_space(space, h2_vectors, ns_indices=None):
     vectors produce identical values here (the pairing only consults the
     cross Gram), at a fraction of the cost for large b_2.
     """
-    d, _, nonzero = _int_gram(space.dtype.h2_gram)
+    h2 = space.dtype.h2_gram
+    d = h2.denominator_lcm()
     vecs = [_clear(v) for v in h2_vectors]
     if any(len(v) != space.b2 for _, v in vecs):
         raise SymError("H^2 vectors of length %d expected" % space.b2)
@@ -642,7 +628,8 @@ def restricted_space(space, h2_vectors, ns_indices=None):
     # Gram of those numerators over d e^2
     e = lcm(*(dv for dv, _ in vecs))
     vecs = [[e // dv * c for c in v] for dv, v in vecs]
-    gram = Mat([[_gram_pair(nonzero, u, v) for v in vecs] for u in vecs]).scale(Q(1, d * e * e))
+    gvs = [h2.int_product(v)[2] for v in vecs]
+    gram = Mat([[sum(map(mul, u, gv)) for gv in gvs] for u in vecs]).scale(Q(1, d * e * e))
     dtype = custom_type(space.dtype.n, space.dtype.c_x, space.dtype.r_x, gram)
     dtype.family = space.dtype.family  # keep Todd formulas available
     return ExtMukaiSpace(dtype)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -27,9 +28,14 @@ from extmukai.spaces import ExtMukaiSpace, k3n_type
 from extmukai.verbitsky import sqrt_todd_argument
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, stdin=None, timeout=None):
+    # the checkout's own code, not an installed copy
     proc = subprocess.run(
         [sys.executable, "-m", "extmukai.cli"] + args,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         input=stdin,

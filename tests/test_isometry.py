@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from extmukai.isometry import (
     IsometryError,
+    QuadSpace,
     cartan_dieudonne,
     disc_action,
     eichler_transport,
@@ -445,19 +446,68 @@ def test_transport_matches_reference_apply(n):
 
 
 def test_transport_data_kept_on_the_lattice():
-    # the integer Gram rows and the hyperbolic frame are built on the first
-    # transport and reused; v and w are the basis vectors e1 and e2 of Lambda
+    # the hyperbolic frame is kept on the lattice and the sparse integer rows
+    # on its Gram, both built on the first transport and reused; v and w are
+    # the basis vectors e1 and e2 of Lambda
     space, lats = k3n_setup(2)
     lam = QuadLattice(lats.lam.gram)
     assert lam._transport is None
     v, w = (tuple(Q(int(i == k)) for i in range(25)) for k in (1, 2))
     assert eichler_transport(lam, v, w).apply(v) == w
-    data = lam._transport
-    rows, frame = data[0]._int_rows, data[1]
+    frame, rows = lam._transport, lam.gram.nonzero_columns()
     assert all(type(x) is int for r in rows for pair in r for x in pair)
     assert all(type(x) is int for u in frame[:4] for pair in u for x in pair)
     assert eichler_transport(lam, w, v).apply(w) == v
-    assert lam._transport is data
+    assert lam._transport is frame
+    assert lam.gram.nonzero_columns() is rows
+
+
+def _pair_q(gram, x, y):
+    return sum((x[i] * gram[i][j] * y[j] for i in range(len(x)) for j in range(len(y))), Q(0))
+
+
+def test_transvection_word_apply_matches_fraction_reference():
+    # random rational pairs and vectors on a rational Gram (denominator 6):
+    # the integer apply against the transvection formula on Fractions
+    from extmukai.isometry import TransvectionWord
+
+    draw = random.Random(7)
+    for _ in range(30):
+        k = draw.randint(1, 5)
+        rows = [[Q(draw.randint(-4, 4), draw.choice((1, 2, 3))) for _ in range(k)] for _ in range(k)]
+        gram = [[rows[i][j] + rows[j][i] for j in range(k)] for i in range(k)]
+        lat = QuadLattice(Mat(gram))
+
+        def vec():
+            return tuple(Q(draw.randint(-3, 3), draw.randint(1, 3)) for _ in range(k))
+
+        pairs = [(vec(), vec()) for _ in range(draw.randint(0, 4))]
+        v = vec()
+        want = v
+        for e, a in pairs:
+            be = _pair_q(gram, e, want)
+            ce = -_pair_q(gram, a, want) - _pair_q(gram, a, a) / 2 * be
+            want = tuple(x + ce * ei + be * ai for x, ei, ai in zip(want, e, a))
+        got = TransvectionWord(lat, pairs).apply(v)
+        assert got == want and all(type(c) is Q for c in got)
+
+
+def test_gram_view_built_once_and_shared():
+    # reflections, transvections, transport and the application of its word
+    # all read the one sparse column view kept on the Gram
+    space, lats = k3n_setup(2)
+    gram = Mat(lats.lam.gram.entries())  # a fresh Gram, with no view yet
+    qs, lam = QuadSpace(gram), QuadLattice(gram)
+    view = gram.nonzero_columns()
+    assert gram.nonzero_columns() is view
+    units = [tuple(Q(int(i == k)) for i in range(25)) for k in range(25)]
+    i = next(i for i in range(25) if gram[i, i] == 0)
+    j = next(j for j in range(25) if j != i and gram[i, j] == 0)
+    anisotropic = next(u for u in units if qs.norm(u) != 0)
+    reflection(qs, anisotropic)
+    eichler_transvection(qs, units[i], units[j])
+    assert eichler_transport(lam, units[1], units[2]).apply(units[1]) == units[2]
+    assert qs.gram.nonzero_columns() is view and lam.gram.nonzero_columns() is view
 
 
 def test_dropped_lattice_is_freed_without_the_cycle_collector():

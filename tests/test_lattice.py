@@ -209,6 +209,10 @@ def test_orthogonal_complement_whole_lattice_is_zero():
     u = standard_lattice("U")
     z = orthogonal_complement(u, [(Q(1), Q(0)), (Q(0), Q(1))])
     assert z.rank == 0
+    # the empty basis keeps its width: the zero vector of U lies in it
+    assert (z.basis_in_ambient.rows, z.basis_in_ambient.cols) == (0, 2)
+    assert z.contains_ambient((Q(0), Q(0)))
+    assert not z.contains_ambient((Q(1), Q(0)))
 
 
 def test_orthogonal_complement_delta_tilde_gives_lambda_s():

@@ -224,6 +224,75 @@ def test_matmul_matches_fraction_sum(data):
         assert hash(p) == hash(Mat(p.entries()))
 
 
+def _sparse_rational_rows(rng, r, c):
+    """An r x c rational matrix with denominators up to 6, about a third of
+    its entries zero, and some whole rows and columns zeroed."""
+    m = [[Q(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6))) if rng.random() < 0.7 else Q(0)
+          for _ in range(c)] for _ in range(r)]
+    for i in rng.sample(range(r), rng.randint(0, r // 2)):
+        m[i] = [Q(0)] * c
+    for j in rng.sample(range(c), rng.randint(0, c // 2)):
+        for row in m:
+            row[j] = Q(0)
+    return m
+
+
+def test_int_product_apply_bilinear_match_fraction_reference():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(400):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        m = _sparse_rational_rows(rng, r, c)
+        mat = Mat(m) if r else Mat.zero(0, c)
+        assert (mat.rows, mat.cols) == (r, c)
+        x = [rng.choice((0, rng.randint(-5, 5), Q(rng.randint(-5, 5), rng.randint(1, 4))))
+             for _ in range(r)]
+        y = [rng.choice((0, rng.randint(-5, 5), Q(rng.randint(-5, 5), rng.randint(1, 4))))
+             for _ in range(c)]
+        want = tuple(sum((m[i][j] * y[j] for j in range(c)), Q(0)) for i in range(r))
+        d = mat.denominator_lcm()
+        e, yi, my = mat.int_product(y)
+        assert all(type(t) is int for t in yi + my) and len(my) == r
+        assert tuple(Q(t, e) for t in yi) == tuple(map(Q, y))
+        assert tuple(Q(t, d * e) for t in my) == want
+        got = mat.apply(y)
+        assert got == want and all(type(t) is Q for t in got)
+        assert mat.bilinear(x, y) == sum((a * b for a, b in zip(x, want)), Q(0))
+        assert mat.nonzero_columns() == tuple(
+            tuple((i, m[i][j] * d) for i in range(r) if m[i][j]) for j in range(c)
+        )
+        with pytest.raises(ValueError):
+            mat.int_product(y + [1])
+        seen.add("square" if r == c else "non-square")
+        seen.update(
+            label
+            for label, hit in (
+                ("d > 1", d > 1),
+                ("no rows", r == 0),
+                ("no columns", c == 0),
+                ("zero row", c and any(not any(row) for row in m)),
+                ("zero column", r and any(not any(row[j] for row in m) for j in range(c))),
+                ("non-symmetric", r == c and not mat.is_symmetric()),
+            )
+            if hit
+        )
+    assert len(seen) == 8
+
+
+def test_empty_matrices_keep_their_shape():
+    for r, c in ((0, 5), (5, 0), (0, 0)):
+        z = Mat.zero(r, c)
+        assert (z.rows, z.cols) == (r, c)
+        assert (z.transpose().rows, z.transpose().cols) == (c, r)
+        assert z.transpose().transpose() == z
+        assert z.apply([0] * c) == (0,) * r
+    assert Mat.zero(0, 5) != Mat.zero(0, 3)
+    assert len({Mat.zero(0, 5), Mat.zero(0, 3), Mat.zero(0, 5).transpose().transpose()}) == 2
+    assert Mat.zero(2, 0) * Mat.zero(0, 3) == Mat.zero(2, 3)
+    assert (Mat.zero(0, 2) * Mat.identity(2)).cols == 2
+    assert Mat.zero(0, 4).rref()[0] == Mat.zero(0, 4)
+
+
 def test_bilinear_shape_mismatch():
     with pytest.raises(ValueError):
         Mat.identity(3).bilinear((1, 2), (1, 2, 3))
@@ -450,7 +519,7 @@ def _private_readers(cls, home):
 def test_no_module_reads_mat_internals():
     """Only linalg.py knows how a Mat is stored."""
     private, offenders = _private_readers(Mat, "linalg")
-    assert {"_den", "_ints"} <= private
+    assert {"_den", "_ints", "_nz_cols"} <= private
     assert offenders == []
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extmukai.isometry import minus_identity
-from extmukai.lattice import discriminant_group, divisibility
+from extmukai.lattice import QuadLattice, discriminant_group, divisibility
 from extmukai.linalg import Mat
 from extmukai.spaces import (
     ExtMukaiSpace,
@@ -244,6 +244,14 @@ def test_split_algebraic():
     lats_f = k3n_lattices(full)
     algf, trf = split_algebraic(full, lats_f.lam)
     assert algf.rank == 25 and trf.rank == 0
+    # a lattice that meets the algebraic span only in 0: the empty algebraic
+    # part is a rank-0 lattice in the 25-dimensional space
+    b = space.basis_vector(10)
+    line = QuadLattice.from_basis([b], space.gram)
+    alg0, tr0 = split_algebraic(space, line)
+    assert alg0.rank == 0 and tr0 is line
+    assert alg0.basis_in_ambient.cols == space.dim == 25
+    assert alg0.contains_ambient((Q(0),) * 25) and not alg0.contains_ambient(b)
 
 
 def test_rank_predicates():
