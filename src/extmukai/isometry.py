@@ -400,12 +400,17 @@ class TransvectionWord:
 
     def apply(self, v):
         """The word applied to v (ints or Fractions), in integers: v = x / den,
-        and a step pairs x with (d G) e and (d G) a (`Mat.int_product`)."""
+        and a step pairs x with (d G) e and (d G) a (`Mat.int_product`), taken
+        once per distinct vector of the word."""
         gram = self.carrier.gram
         d = gram.denominator_lcm()
         den, x = cleared(v)
+        products = {}  # by id: the vectors are held by self.pairs during the call
         for e, a in self.pairs:
-            (de, ei, ge), (da, ai, ga) = gram.int_product(e), gram.int_product(a)
+            for u in (e, a):
+                if id(u) not in products:
+                    products[id(u)] = gram.int_product(u)
+            (de, ei, ge), (da, ai, ga) = products[id(e)], products[id(a)]
             s = d * de * da
             pe, pa, qa = sum(map(mul, ge, x)), sum(map(mul, ga, x)), sum(map(mul, ai, ga))
             # t(e, a)(v) = v + (-b(a, v) - b(a, a)/2 b(e, v)) e + b(e, v) a, over 2 s^2 den

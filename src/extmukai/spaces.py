@@ -110,8 +110,6 @@ class ExtMukaiSpace(QuadSpace):
         self.b2 = b2
         self.alpha = self.basis_vector(0)
         self.beta = self.basis_vector(dim - 1)
-        # (n, degree) -> (kernel, dual, gram_inv) of verbitsky.project_t
-        self._t_pieces = {}
         # the K3n lattice bundle of k3n_lattices, built on first call
         self._k3n = None
         self.ns_sublattice = None

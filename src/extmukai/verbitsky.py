@@ -17,8 +17,9 @@ The machinery implements:
     exp(e_omega) acts on Sym^n as Sym^n of the B-field isometry
     alpha -> alpha + omega + b(omega, omega)/2 beta (no Lefschetz chain),
   * the orthogonal projection T onto ker(Laplacian), both lazily (through
-    the adjunction b_SH(m, T(x)) = b_[n](psi(m), x)) and materialized
-    degree by degree for small spaces,
+    the adjunction b_SH(m, T(x)) = b_[n](psi(m), x)) and materialized as the
+    harmonic part sum_k c_k q*^k Laplacian^k(x), q* the dual form of the
+    ambient Gram,
   * square-root-of-Todd and Todd linearisations, integrals of products of
     divisor classes, and Euler characteristics of line bundles.
 
@@ -44,10 +45,9 @@ No work is done that the answer does not read:
     arguments, the one monomial without an H^2 factor);
   * an exponential sum sum_k (-1)^k / k! b_SH(lam^k, x) is one pairing with
     exp(-e_lam)(alpha^n / n!) = (alpha - lam + b(lam, lam)/2 beta)^n / n!;
-  * each kernel piece is built once per space, from the integer
-    contractions of its monomials, and building the key (n, d) of the
-    projection fills (n, 4n - d) as well (b_[n] is symmetric, so the inverse
-    cross Gram of one is the transpose of the other's).
+  * the projection builds no kernel basis and solves nothing: it takes at
+    most n/2 Laplacians of x and as many products by q*, so it runs on the
+    full b_2 = 23 space as well as on restricted ones.
 
 Every identity checked downstream is a universal polynomial identity in
 the Gram entries, so expensive full-rank evaluations are routed through
@@ -55,11 +55,10 @@ the Gram entries, so expensive full-rank evaluations are routed through
 occur; the numbers produced are identical to the full computation.
 """
 
-from itertools import combinations_with_replacement
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
-from .linalg import Mat, Q, cleared, kernel_basis
+from .linalg import Mat, Q, cleared
 from .spaces import ExtMukaiSpace, custom_type
 
 
@@ -72,10 +71,9 @@ def _mono_degree(key):
     return 2 * (len(m) + 2 * c)
 
 
-def _clear(v):
-    """(d, ints): a rational vector (entries anything `Q` accepts) as d > 0
-    and the integer vector d * v."""
-    return cleared([e if type(e) is int or type(e) is Q else Q(e) for e in v])
+def _rationals(v):
+    """v as a list of ints and Fractions (entries anything `Q` accepts)."""
+    return [e if type(e) is int or type(e) is Q else Q(e) for e in v]
 
 
 def _sym(space, n, den, nums):
@@ -160,7 +158,7 @@ class SymElement:
         e_k(S) q^(n-k) / (n! q^n), e_k the elementary symmetric sums."""
         if len(shifts) != n:
             raise SymError("need exactly n linear factors")
-        q, ints = _clear(shifts)
+        q, ints = cleared(_rationals(shifts))
         esym = [1] + [0] * n
         for s in ints:
             for k in range(n, 0, -1):
@@ -249,45 +247,32 @@ def pairing_bn(x, y):
 
     alpha pairs only with beta (value -1) and H^2 with H^2, so a monomial
     alpha^a m beta^c meets only the y monomials alpha^c m' beta^a (and then
-    |m'| = |m|): y is bucketed by (c, a) once, and each pair contributes
+    |m'| = |m|): y is bucketed by (c, a) once, as (sorted distinct H^2
+    indices, their multiplicities, numerator), and each pair contributes
     (-1)^(a+c) a! c! times the permanent of the H^2 block.  The permanents
     run on the integer Gram d * G and the numerators of x and y; a monomial
     of x is scaled by d^(top - |m|), top the largest |m| in x, and the sum is
     divided by d^top and the two denominators once."""
     if x.space is not y.space or x.n != y.n:
         raise SymError("space mismatch")
-    return _pairing(x.space, x.n, (x._denom, x._nums), _buckets((y._denom, y._nums)))
-
-
-def _buckets(y):
-    """(den, buckets) for y = (den, numerators): the monomials of y as
-    (sorted distinct H^2 indices, their multiplicities, numerator), keyed by
-    (beta degree, alpha degree), the degrees a monomial of x meets them at."""
-    den, nums = y
     buckets = {}
-    for (a, m, c), v in nums.items():
+    for (a, m, c), v in y._nums.items():
         cols = sorted(set(m))
         buckets.setdefault((c, a), []).append((cols, [m.count(j) for j in cols], v))
-    return den, buckets
-
-
-def _pairing(space, n, x, y_buckets):
-    """b_[n] of x = (den, numerators) and y given by `_buckets`, on space."""
-    d, g = space.dtype.h2_gram.cleared()
-    (dx, xnums), (dy, buckets) = x, y_buckets
-    top = max((len(m) for _, m, _ in xnums), default=0)
+    d, g = x.space.dtype.h2_gram.cleared()
+    top = max((len(m) for _, m, _ in x._nums), default=0)
     total = 0
-    for (a, m, c), vx in xnums.items():
+    for (a, m, c), vx in x._nums.items():
         part = 0
         for cols, mult, vy in buckets.get((a, c), ()):
             part += vy * _permanent([[g[i][j] for j in cols] for i in m], mult)
         if part:
             part *= vx * factorial(a) * factorial(c) * d ** (top - len(m))
             total += -part if (a + c) % 2 else part
-    c_x = space.dtype.c_x
-    if n % 2:
+    c_x = x.space.dtype.c_x
+    if x.n % 2:
         total = -total
-    return Q(total * c_x.numerator, dx * dy * d**top * c_x.denominator)
+    return Q(total * c_x.numerator, x._denom * y._denom * d**top * c_x.denominator)
 
 
 # -- operators -----------------------------------------------------------------
@@ -335,11 +320,12 @@ def lefschetz_e(omega, x):
     With omega = w / e (w integral) and the Gram g / d, both images are
     written over d e: alpha -> d w, mu_i -> (g w)_i beta."""
     space = x.space
-    e, w = _clear(omega)
-    if len(w) != space.b2:
+    omega = _rationals(omega)
+    if len(omega) != space.b2:
         raise SymError("omega must be an H^2 vector")
     h2 = space.dtype.h2_gram
-    d, gw = h2.denominator_lcm(), h2.int_product(w)[2]  # d e times the pairings with the basis
+    e, w, gw = h2.int_product(omega)  # gw: d e times the pairings with the basis
+    d = h2.denominator_lcm()
     support = [i for i, c in enumerate(w) if c]
     out = {}
     for (a, m, c), val in x._nums.items():
@@ -387,13 +373,12 @@ def _b_field_power(space, omega, n, j=None, keep=None):
     of prod omega_i^mu_i / mu_i!.  In integers, with omega = w / e and
     q/2 = p / r: the coefficient is the multinomial n! / (a! mu! c!) times
     w^mu p^c / (n! e^k r^c), all written over n! e^top r^cmax."""
+    omega = _rationals(omega)
     if j != 0 and len(omega) != space.b2:
         raise SymError("omega must be an H^2 vector")
-    e, w = _clear(omega)
-    p, r = 0, 1  # q/2 = p / r
-    if any(w):
-        h2 = space.dtype.h2_gram
-        p, r = sum(map(mul, w, h2.int_product(w)[2])), 2 * h2.denominator_lcm() * e * e
+    h2 = space.dtype.h2_gram
+    e, w, gw = h2.int_product(omega) if omega else (1, (), ())
+    p, r = sum(map(mul, w, gw)), 2 * h2.denominator_lcm() * e * e  # q/2 = p / r
     if j is None:
         kc = [(k, c) for k in range(n + 1) for c in range(n - k + 1)]
     else:  # k + 2c = j, and a >= 0 needs k <= 2n - j
@@ -443,103 +428,69 @@ def pair_with_sh(space, monomial, x, with_detail=False):
 # -- orthogonal projection -------------------------------------------------------
 
 
-def kernel_piece_basis(space, n, degree):
-    """Basis of ker(Laplacian) in the cohomological-degree piece of Sym^n.
-
-    The Laplacian matrix of the piece is filled in integers straight from
-    the contractions of its monomials (`_contractions`)."""
-    monos = _degree_monomials(space, n, degree)
-    if not monos:
-        return []
-    img = {k: i for i, k in enumerate(_degree_monomials(space, n - 2, degree - 4))}
-    d, g = space.dtype.h2_gram.cleared()
-    rows = [[0] * len(monos) for _ in range(len(img) or 1)]  # no image: the zero row
-    for j, key in enumerate(monos):
-        for k2, e in _contractions(key, g, d):
-            rows[img[k2]][j] += e
-    out = []
-    for vec in kernel_basis(Mat(rows)):
-        den, ints = cleared(vec)
-        out.append(_sym(space, n, den, dict(zip(monos, ints))))
-    return out
+def _q_star(h2):
+    """The dual form q* = -2 alpha beta + sum_ij (G^-1)_ij h_i h_j of the
+    ambient Gram, G = h2, as (e, terms): q* = (1/e) sum t alpha^a h_m beta^c
+    over the terms ((a, m, c), t).  Raises ValueError for a singular G."""
+    e, inv = h2.inverse().cleared()
+    terms = [((1, (), 1), -2 * e)]
+    for i, row in enumerate(inv):
+        terms += [((0, (i, j), 0), row[j] if j == i else 2 * row[j]) for j in range(i, len(row)) if row[j]]
+    return e, terms
 
 
-def _degree_monomials(space, n, degree):
-    """Monomial keys of Sym^n in cohomological degree `degree`."""
-    if degree % 2:
-        return []
-    d = degree // 2
-    out = []
-    for c in range(min(n, d // 2) + 1):
-        k = d - 2 * c
-        a = n - k - c
-        if a < 0 or k < 0:
-            continue
-        for m in combinations_with_replacement(range(space.b2), k):
-            out.append((a, m, c))
-    return out
+def _q_star_times(x, q_star, f):
+    """f q* x in Sym^(n+2), for x in Sym^n, q* = `_q_star` and a rational f."""
+    e, terms = q_star
+    out = {}
+    for (a, m, c), v in x._nums.items():
+        v *= f.numerator
+        for (da, dm, dc), t in terms:
+            key = (a + da, tuple(sorted(m + dm)), c + dc)
+            out[key] = out.get(key, 0) + v * t
+    return _sym(x.space, x.n + 2, x._denom * e * f.denominator, out)
 
 
 def project_t(x):
-    """Orthogonal projection of x onto ker(Laplacian), degree by degree.
+    """Orthogonal projection of x onto ker(Laplacian), the harmonic part.
 
-    b_[n] pairs cohomological degree 2d with degree 4n - 2d, so the
-    projection of a degree piece is solved against the kernel basis of the
-    complementary degree: find t in ker cap (deg 2d) with b(u, t) = b(u, x)
-    for all u in ker cap (deg 4n - 2d).  The cross Gram of the two kernel
-    pieces is square (the graded dimensions are symmetric) and must be
-    nondegenerate; a degenerate Gram raises.  Intended for small H^2 ranks
-    or small n.  The kernel pieces and the inverse cross Gram of each
-    (n, degree) are kept on the space (`ExtMukaiSpace._t_pieces`) and live
-    as long as it does; building one key fills its complementary key too.
-    A kept piece is a (denominator, numerators) pair, with no reference
-    back to the space, so a dropped space is freed at once.  Each degree
-    piece of x is bucketed once for all its pairings, and the result is
-    summed in integers over the lcm of the denominators of its terms cf * u.
+    Sym^n = ker(Laplacian) + q* Sym^(n-2) for the dual form q* of the
+    ambient Gram (`_q_star`), and b_[n](q* f, w) = 2 b_[n-2](f, Laplacian w),
+    so the summands are b_[n]-orthogonal and the projection along q* Sym^(n-2)
+    is the orthogonal one.  It is the closed form
+
+        T(x) = sum_k c_k q*^k Laplacian^k(x),
+        c_0 = 1,  c_(k+1) = -c_k / ((k + 1)(N + 2n - 2k - 4)),
+
+    from [Laplacian, q*] = N + 2k on Sym^k, N = b_2 + 2 the dimension of the
+    ambient space (the denominators are positive).  It is evaluated by Horner
+    over the k with Laplacian^k(x) != 0: at most n/2 Laplacians and as many
+    products by q*.
+
+    A singular H^2 Gram has no q*; then b_[n] is degenerate on the kernel in
+    every cohomological degree d with 0 < d < 4n (r z for a radical vector r
+    and a harmonic z), and x with a nonzero piece in such a degree raises
+    SymError.  The pieces of degree 0 and 4n (alpha^n, beta^n) are harmonic.
+    The result is always a new element, also for a harmonic x.
     """
     space, n = x.space, x.n
-    terms = []
-    for degree, piece in x.degree_pieces().items():
-        if degree > 4 * n:
-            raise SymError("degree out of range")
-        kernel, dual, gram_inv = space._t_pieces.get((n, degree)) or _t_piece(space, n, degree)
-        if not kernel:
-            continue
-        column = _buckets((piece._denom, piece._nums))
-        rhs = [_pairing(space, n, u, column) for u in dual]
-        terms += [(cf, u) for cf, u in zip(gram_inv.apply(rhs), kernel) if cf]
-    den = lcm(*(cf.denominator * du for cf, (du, _) in terms))
-    out = {}
-    for cf, (du, nums) in terms:
-        f = cf.numerator * (den // (cf.denominator * du))
-        for k, v in nums.items():
-            out[k] = out.get(k, 0) + f * v
-    return _sym(space, n, den, out)
-
-
-def _t_piece(space, n, degree):
-    """(kernel, dual, gram_inv) of `project_t` for (n, degree), the kernel
-    pieces as (denominator, numerators) pairs, kept on the space under
-    (n, degree) and, with kernel and dual swapped and gram_inv transposed
-    (b_[n] is symmetric), under (n, 4n - degree)."""
-
-    def pairs(deg):
-        return [(u._denom, u._nums) for u in kernel_piece_basis(space, n, deg)]
-
-    kernel = pairs(degree)
-    dual = kernel if 2 * degree == 4 * n else pairs(4 * n - degree)
-    if len(kernel) != len(dual):
-        raise SymError("kernel pieces of complementary degrees disagree")
-    gram_inv = None
-    if kernel:
-        columns = [_buckets(v) for v in kernel]
-        try:
-            gram_inv = Mat([[_pairing(space, n, u, col) for col in columns] for u in dual]).inverse()
-        except ValueError:
-            raise SymError("degenerate pairing on a kernel piece") from None
-    space._t_pieces[n, 4 * n - degree] = (dual, kernel, None if gram_inv is None else gram_inv.transpose())
-    space._t_pieces[n, degree] = (kernel, dual, gram_inv)
-    return kernel, dual, gram_inv
+    if not any(0 < _mono_degree(k) < 4 * n for k in x._nums):
+        return _sym(space, n, x._denom, x._nums)
+    try:
+        q_star = _q_star(space.dtype.h2_gram)
+    except ValueError:
+        raise SymError("degenerate pairing on a kernel piece") from None
+    chain = [x]
+    while chain[-1].n >= 2:
+        y = laplacian(chain[-1])
+        if y.is_zero():
+            break
+        chain.append(y)
+    t = chain.pop()
+    dim = space.b2 + 2
+    for k in reversed(range(len(chain))):
+        t = chain[k] + _q_star_times(t, q_star, Q(-1, (k + 1) * (dim + 2 * n - 2 * k - 4)))
+    return t if chain else _sym(space, n, x._denom, x._nums)
 
 
 # -- Todd classes and integrals -------------------------------------------------
@@ -621,7 +572,7 @@ def restricted_space(space, h2_vectors, ns_indices=None):
     """
     h2 = space.dtype.h2_gram
     d = h2.denominator_lcm()
-    vecs = [_clear(v) for v in h2_vectors]
+    vecs = [cleared(_rationals(v)) for v in h2_vectors]
     if any(len(v) != space.b2 for _, v in vecs):
         raise SymError("H^2 vectors of length %d expected" % space.b2)
     # every vector over the common denominator e: the Gram is the integer

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 import pytest
@@ -17,7 +18,7 @@ from extmukai.spaces import (
 )
 from extmukai.verbitsky import (
     SymElement,
-    _degree_monomials,
+    _contractions,
     _permanent,
     SymError,
     bessel_polynomial_coefficient,
@@ -30,7 +31,6 @@ from extmukai.verbitsky import (
     lefschetz_power_coefficient,
     pair_with_sh,
     pairing_bn,
-    kernel_piece_basis,
     project_t,
     psi_monomial,
     restricted_space,
@@ -172,8 +172,6 @@ def test_kernel_dimension_on_middle_piece():
     # degree-4 piece of Sym^2 over a rank-3 H^2: 7 monomials (6 quadratic
     # H^2 monomials plus alpha.beta), the contraction has rank 1, so the
     # kernel has dimension 6; cross-checked by independent row reduction
-    from extmukai.verbitsky import _degree_monomials, kernel_piece_basis
-
     space = rank3_space(2)
     monos = _degree_monomials(space, 2, 4)
     assert len(monos) == 7
@@ -219,7 +217,7 @@ def test_project_t_state_lives_with_its_space():
     small = restricted_space(full, [[1, 1] + [0] * 21])
     twin = restricted_space(full, [[1, 1] + [0] * 21])
     tb = todd_bar(small)
-    # an equal space gets its own kernel pieces, so results stay addable
+    # a result lives on the space of its input, so results stay addable
     assert todd_bar(twin).space is twin
     assert (tb + todd_bar(small)) == tb.scale(2)
     ref = weakref.ref(small)
@@ -229,12 +227,11 @@ def test_project_t_state_lives_with_its_space():
 
 
 def test_dropped_space_is_freed_without_the_cycle_collector():
-    # the kept kernel pieces are integer pairs with no reference back to the
-    # space, so dropping the space frees it at once
+    # projecting leaves no reference cycle through the space, so dropping
+    # the space frees it at once
     small = restricted_space(full_space("K3n", 3), [[1, 1] + [0] * 21])
     todd_bar(small)
     sqrt_todd_bar(small)
-    assert small._t_pieces
     ref = weakref.ref(small)
     enabled = gc.isenabled()
     gc.disable()
@@ -467,7 +464,7 @@ def test_multiplicity_permanent_rank_one():
 
 
 # -- references for the filtered psi, the one-pass exponential sum, the
-# integer Laplacian matrix and the kept complementary kernel pieces -----------
+# integer Laplacian matrix and the complementary kernel pieces ----------------
 
 
 def reference_laplacian(x):
@@ -483,6 +480,40 @@ def reference_laplacian(x):
         for key, b in terms:
             out[key] = out.get(key, Q(0)) + v * b
     return {k: v for k, v in out.items() if v}
+
+
+def _degree_monomials(space, n, degree):
+    """Monomial keys of Sym^n in cohomological degree `degree`."""
+    if degree % 2:
+        return []
+    d = degree // 2
+    out = []
+    for c in range(min(n, d // 2) + 1):
+        k = d - 2 * c
+        a = n - k - c
+        if a < 0 or k < 0:
+            continue
+        for m in combinations_with_replacement(range(space.b2), k):
+            out.append((a, m, c))
+    return out
+
+
+def kernel_piece_basis(space, n, degree):
+    """Basis of ker(Laplacian) in the cohomological-degree piece of Sym^n,
+    from the Laplacian matrix of the piece filled in integers straight from
+    the contractions of its monomials (`_contractions`)."""
+    from extmukai.linalg import kernel_basis
+
+    monos = _degree_monomials(space, n, degree)
+    if not monos:
+        return []
+    img = {k: i for i, k in enumerate(_degree_monomials(space, n - 2, degree - 4))}
+    d, g = space.dtype.h2_gram.cleared()
+    rows = [[0] * len(monos) for _ in range(len(img) or 1)]  # no image: the zero row
+    for j, key in enumerate(monos):
+        for k2, e in _contractions(key, g, d):
+            rows[img[k2]][j] += e
+    return [SymElement(space, n, dict(zip(monos, vec))) for vec in kernel_basis(Mat(rows))]
 
 
 def reference_kernel_piece(space, n, degree):
@@ -573,8 +604,7 @@ def test_project_t_through_complementary_key_matches_fresh_space(gram):
                 continue
             low, high = _degree_monomials(kept, n, degree), _degree_monomials(kept, n, 4 * n - degree)
             x_low = SymElement(kept, n, {k: Q(i + 1, 2) for i, k in enumerate(low)})
-            project_t(x_low)  # builds (n, degree) and fills (n, 4n - degree)
-            assert (n, 4 * n - degree) in kept._t_pieces
+            project_t(x_low)  # a projection in the complementary degree first
             fresh = ExtMukaiSpace(custom_type(n, Q(2), Q(1), gram))
             coeffs = {k: Q(3 - i, 5) for i, k in enumerate(high)}
             got = project_t(SymElement(kept, n, coeffs))
@@ -670,7 +700,7 @@ def test_lefschetz_and_psi_match_fraction_reference(data, n, gram):
 
 def reference_project_t(x):
     """T(x) from the reference kernel pieces, the all-pairs pairing and one
-    solve per degree piece, in Fractions."""
+    solve per degree piece, in Fractions; a singular cross Gram raises."""
     from extmukai.linalg import solve_linear
 
     space, n = x.space, x.n
@@ -683,6 +713,8 @@ def reference_project_t(x):
         if not kernel:
             continue
         gram = Mat([[all_pairs_pairing(u, t) for t in kernel] for u in dual])
+        if gram.det() == 0:
+            raise SymError("degenerate pairing on a kernel piece")
         cfs = solve_linear(gram, [all_pairs_pairing(u, piece) for u in dual])
         for cf, t in zip(cfs, kernel):
             for k, c in t.coeffs.items():
@@ -701,3 +733,56 @@ def test_project_t_on_rational_input_matches_reference(gram):
             tx = project_t(x)
             assert_canonical(tx)
             assert tx.coeffs == reference_project_t(x)
+
+
+@given(st.data(), st.integers(1, 5), st.sampled_from([1, 2, Mat([[0]]), Mat([[1, 1], [1, 1]]), Mat([])]))
+@settings(max_examples=80, deadline=None)
+def test_project_t_matches_reference_and_raises_alike(data, n, gram):
+    # the closed form against the kernel pieces and cross Grams of the
+    # reference, on random rational Grams of rank 1 and 2 (possibly
+    # singular), two singular Grams and b_2 = 0: equal results, and SymError
+    # on the same inputs
+    if isinstance(gram, int):
+        gram = Mat(data.draw(symmetric_grams(gram)))
+    space = ExtMukaiSpace(custom_type(n, Q(3, 2), Q(1), gram))
+    x = SymElement.alpha_beta_binomial(space, n, data.draw(small_rationals))
+    if space.b2:
+        x = x + data.draw(sym_elements(space, n, max_terms=4))
+    try:
+        want = reference_project_t(x)
+    except SymError:
+        with pytest.raises(SymError):
+            project_t(x)
+    else:
+        assert project_t(x).coeffs == want
+
+
+def test_project_t_on_full_k3n():
+    # b_2 = 23: sparse x and y, the Todd argument and psi against both
+    space = full_space("K3n", 2)
+    rnd = random.Random(31)
+
+    def sparse():
+        keys = [(rnd.randint(0, 2 - k), tuple(sorted(rnd.randrange(23) for _ in range(k)))) for k in (0, 1, 2, 2)]
+        return SymElement(space, 2, {(a, m, 2 - a - len(m)): Q(rnd.randint(-3, 3), rnd.randint(1, 2)) for a, m in keys})
+
+    for _ in range(3):
+        x, y = sparse(), sparse()
+        tx, ty = project_t(x), project_t(y)
+        assert laplacian(tx).is_zero() and project_t(tx) == tx
+        assert pairing_bn(tx, y) == pairing_bn(x, ty)
+    tb = todd_bar(space)
+    assert laplacian(tb).is_zero()
+    w = tuple(Q(rnd.randint(-2, 2)) for _ in range(23))
+    for j in range(5):
+        assert pair_with_sh(space, [w] * j, tb) == pair_with_sh(space, [w] * j, todd_argument(space))
+
+
+def test_project_t_returns_a_new_element():
+    space = rank3_space(2)
+    for x in (psi_monomial(space, [(Q(1), Q(1), Q(1)), (Q(0), Q(2), Q(1))]), SymElement.alpha_power(space, 2)):
+        before = x.coeffs
+        tx = project_t(x)
+        assert tx == x and tx is not x
+        tx.coeffs = {(0, (), 2): 1}
+        assert x.coeffs == before
