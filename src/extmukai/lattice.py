@@ -41,7 +41,7 @@ class QuadLattice:
         self.ambient_gram = ambient_gram
         self._basis_t = None
         self._basis_t_inv = None
-        self._nondegenerate = None
+        self._det = None
         self._disc = None  # the DiscGroup, set by discriminant_group()
         self._transport = None  # hyperbolic frame or its error, set by eichler_transport()
         if basis_in_ambient is not None:
@@ -57,7 +57,9 @@ class QuadLattice:
     @staticmethod
     def from_basis(basis_rows, ambient_gram, name=None):
         b = Mat.from_rows(basis_rows)
-        return QuadLattice(b * ambient_gram * b.transpose(), b, ambient_gram, name)
+        lat = QuadLattice(b * ambient_gram * b.transpose(), name=name)
+        lat.basis_in_ambient, lat.ambient_gram = b, ambient_gram
+        return lat
 
     def pairing(self, x, y):
         """Gram pairing of two vectors given in lattice coordinates."""
@@ -99,13 +101,13 @@ class QuadLattice:
         )
 
     def det(self):
-        return self.gram.det()
+        """det(gram), computed once per lattice."""
+        if self._det is None:
+            self._det = self.gram.det()
+        return self._det
 
     def is_nondegenerate(self):
-        """det(gram) != 0, computed once per lattice."""
-        if self._nondegenerate is None:
-            self._nondegenerate = self.det() != 0
-        return self._nondegenerate
+        return self.det() != 0
 
     def signature(self):
         """(positive, negative) inertia indices of the Gram form."""

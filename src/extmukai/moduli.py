@@ -14,6 +14,8 @@ with <v, w> = 1), the discriminant index identity
 and the summary of lattice-level invariants shared by derived partners.
 """
 
+from collections import Counter
+from itertools import product
 from math import gcd
 
 from .isometry import QuadSpace, eichler_transvection
@@ -177,19 +179,18 @@ def disc_lemma_check(lat, v):
 
 def disc_form_profile(lat, disc, cap=4096):
     """Canonical profile of the discriminant form: the sorted multiset of
-    q-values over all group elements (a presentation-free invariant)."""
+    q-values over all group elements (a presentation-free invariant).  With
+    B the Gram of the generators g_i over its denominator D, q(sum k_i g_i) =
+    k^T B k mod 2Z is the integer k^T (D B) k mod 2D, over D."""
     if disc.order > cap:
         return None
-    from itertools import product as iproduct
-
-    vals = []
-    ranges = [range(d) for d in disc.cyclic_orders]
-    for ks in iproduct(*ranges):
-        rep = [Q(0)] * lat.rank
-        for k, gen in zip(ks, disc.generators):
-            rep = [a + k * b for a, b in zip(rep, gen)]
-        vals.append(lat.norm(tuple(rep)) % 2)
-    return tuple(sorted(vals))
+    gens = disc.generators
+    d, m = Mat([[lat.pairing(g, h) for h in gens] for g in gens]).cleared()
+    counts = Counter(
+        sum(a * b * x for a, row in zip(ks, m) for b, x in zip(ks, row)) % (2 * d)
+        for ks in product(*map(range, disc.cyclic_orders))
+    )
+    return tuple(q for x, n in sorted(counts.items()) for q in (Q(x, d),) * n)
 
 
 def partner_invariants(lat, v):
@@ -201,7 +202,7 @@ def partner_invariants(lat, v):
     """
     _require_primitive(lat, v)
     ns_m = ns_of_moduli(lat, v)
-    disc = discriminant_group(ns_m) if ns_m.is_even() and ns_m.det() != 0 else None
+    disc = discriminant_group(ns_m) if ns_m.is_even() and ns_m.is_nondegenerate() else None
     fine, order = fineness(lat, v)
     return {
         "square": int(lat.square(v)),
@@ -215,16 +216,5 @@ def partner_invariants(lat, v):
 
 def primitive_vectors_in_box(lat, bound):
     """All primitive vectors of U + NS with coordinates in [-bound, bound]."""
-    from itertools import product
-
     rng = range(-bound, bound + 1)
-    out = []
-    for tup in product(rng, repeat=lat.rank):
-        if all(c == 0 for c in tup):
-            continue
-        g = 0
-        for c in tup:
-            g = gcd(g, c)
-        if g == 1:
-            out.append(tuple(Q(c) for c in tup))
-    return out
+    return [tuple(map(Q, t)) for t in product(rng, repeat=lat.rank) if gcd(*t) == 1]

@@ -214,6 +214,26 @@ def test_cli_moduli_on_a_6x6_even_ns_returns():
     assert data["invariants"]["ns_disc_orders"] == ["140829679714"]
 
 
+# the `invariants` object of `moduli` as the element-wise Fraction profile
+# printed it: square 12, A = Z/4 x Z/12, 48 q-values
+MODULI_INVARIANTS_NS4 = (
+    '"invariants":{"fine":true,"ns_det":"-48","ns_disc_orders":["4","12"],"ns_disc_profile":'
+    '["0","0","1/6","1/6","1/6","1/6","1/6","1/6","1/6","1/6","1/4","1/4","1/4","1/4",'
+    '"2/3","2/3","2/3","2/3","11/12","11/12","11/12","11/12","11/12","11/12","11/12",'
+    '"11/12","1","1","5/4","5/4","5/4","5/4","3/2","3/2","3/2","3/2","5/3","5/3","5/3",'
+    '"5/3","23/12","23/12","23/12","23/12","23/12","23/12","23/12","23/12"],'
+    '"obstruction_order":1,"square":12}'
+)
+
+
+def test_cli_moduli_invariants_pinned():
+    payload = '{"ns":{"gram":[["4"]]},"v":["-2","-2","-1"]}'
+    code, out = run_cli(["moduli", "--input", "-"], stdin=payload)
+    assert code == 0, out
+    assert MODULI_INVARIANTS_NS4 in out
+    assert len(json.loads(out)["result"]["invariants"]["ns_disc_profile"]) == 48
+
+
 def test_cli_exponent_notation_exits_2_at_once():
     code, out = run_cli(["vector", "--n", "2", "--lam", "1e10000000*e1"], timeout=10)
     assert code == 2 and json.loads(out)["error"]["type"] == "FormatError"

@@ -15,6 +15,7 @@ from extmukai.lattice import (
     standard_lattice,
 )
 from extmukai.linalg import Mat, saturation_basis
+from extmukai.serialize import lattice_from_json
 from extmukai.spaces import ExtMukaiSpace, k3n_lattices, k3n_type
 
 
@@ -28,6 +29,19 @@ def saturate(lat, int_rows):
         rows = [lat.ambient_vector([Q(c) for c in b]) for b in sat]
         return QuadLattice.from_basis(rows, lat.ambient_gram)
     return QuadLattice.from_basis([[Q(c) for c in b] for b in sat], lat.gram)
+
+
+def test_embedded_lattice_gram_must_match_pullback():
+    ambient = Mat([[0, 1], [1, 0]])
+    basis = Mat([[1, 1]])
+    assert QuadLattice.from_basis([[1, 1]], ambient).gram == Mat([[2]])
+    assert QuadLattice(Mat([[2]]), basis, ambient).rank == 1
+    with pytest.raises(LatticeError):
+        QuadLattice(Mat([[4]]), basis, ambient)
+    data = {"gram": [["4"]], "embedding": [["1", "1"]]}
+    with pytest.raises(LatticeError):
+        lattice_from_json(data, ambient)
+    assert lattice_from_json(dict(data, gram=[["2"]]), ambient).gram == Mat([[2]])
 
 
 def test_standard_u():

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -7,12 +9,14 @@ from extmukai.linalg import Mat
 from extmukai.moduli import (
     AlgebraicMukaiLattice,
     ModuliError,
+    disc_form_profile,
     disc_lemma_check,
     fineness,
     moduli_dimension,
     ns_of_moduli,
     pairing_witness,
     partner_invariants,
+    primitive_vectors_in_box,
 )
 
 rng = random.Random(6)
@@ -96,7 +100,7 @@ def test_disc_lemma_fine_case():
 def test_disc_lemma_divides():
     lat = AlgebraicMukaiLattice(Mat([[2]]))
     count = 0
-    for v in _primitive_box(lat, 3):
+    for v in primitive_vectors_in_box(lat, 3):
         if lat.square(v) in (2, 4, 6):
             rep = disc_lemma_check(lat, v)
             assert rep["all"], (v, rep)
@@ -107,12 +111,6 @@ def test_disc_lemma_divides():
 
 def _half(sq):
     return int(sq) // 2 + 1
-
-
-def _primitive_box(lat, bound):
-    from extmukai.moduli import primitive_vectors_in_box
-
-    return primitive_vectors_in_box(lat, bound)
 
 
 def test_partner_invariants():
@@ -139,3 +137,51 @@ def test_partner_invariants_may_differ():
     assert a["obstruction_order"] == 1
     assert b["obstruction_order"] == 2
     assert a["obstruction_order"] != b["obstruction_order"]
+
+
+def disc_form_profile_reference(lat, disc):
+    """Reference: the profile from the Fraction vector sum k_i g_i of every
+    group element, paired through the lattice Gram."""
+    vals = []
+    for ks in product(*(range(d) for d in disc.cyclic_orders)):
+        rep = [Q(0)] * lat.rank
+        for k, gen in zip(ks, disc.generators):
+            rep = [a + k * b for a, b in zip(rep, gen)]
+        vals.append(lat.norm(tuple(rep)) % 2)
+    return tuple(sorted(vals))
+
+
+PROFILE_NS_GRAMS = ([[2]], [[4]], [[0, 1], [1, 0]], [[2, 1], [1, 4]], [[-2, 1], [1, 6]])
+
+
+def test_disc_form_profile_matches_reference():
+    # every primitive v in the box of radius 2, except on the two rank-2 NS
+    # other than U, whose groups run to a few hundred elements: a seeded
+    # sample of 100 there keeps the reference within a few seconds
+    sample = random.Random(14)
+    count = 0
+    for ns in PROFILE_NS_GRAMS:
+        lat = AlgebraicMukaiLattice(Mat(ns))
+        box = primitive_vectors_in_box(lat, 2)
+        if len(ns) == 2 and ns != [[0, 1], [1, 0]]:
+            box = sample.sample(box, 100)
+        for v in box:
+            ns_m = ns_of_moduli(lat, v)
+            if not ns_m.is_even() or ns_m.det() == 0:
+                continue
+            disc = discriminant_group(ns_m)
+            profile = disc_form_profile(ns_m, disc)
+            assert profile == disc_form_profile_reference(ns_m, disc), (ns, v)
+            assert len(profile) == disc.order
+            assert all(type(q) is Q and 0 <= q < 2 for q in profile)
+            count += 1
+    assert count > 700
+
+
+def test_disc_form_profile_cap_edge():
+    lat = AlgebraicMukaiLattice(Mat([[4]]))
+    ns_m = ns_of_moduli(lat, lat.vector(-2, [-2], -1))
+    disc = discriminant_group(ns_m)
+    assert disc.order == 48
+    assert len(disc_form_profile(ns_m, disc, cap=disc.order)) == 48
+    assert disc_form_profile(ns_m, disc, cap=disc.order - 1) is None
