@@ -452,10 +452,12 @@ def rank_predicate_kx_orbit(r, n, c_x):
     if c_x.denominator == 1:
         a = kx_rank_core(r, n, c_x.numerator)
         return (False, None, None) if a is None else (True, Q(a), True)
-    ok, a = _rational_nth_root(Q(r) * c_x / factorial(n), n)  # a^n = r c_X / n!
-    if not ok:
+    x = Q(r) * c_x / factorial(n)  # a^n = x, a = p / q: integer roots of both
+    p = _integer_nth_root(abs(x.numerator), n)
+    q = _integer_nth_root(x.denominator, n)
+    if p is None or q is None or (x < 0 and n % 2 == 0):
         return False, None, None
-    return True, a, a.denominator == 1
+    return True, Q(-p if x < 0 else p, q), q == 1
 
 
 def _integer_nth_root(m, n):
@@ -480,22 +482,6 @@ def _integer_nth_root(m, n):
                 break
             a = b
     return a if a**n == m else None
-
-
-def _rational_nth_root(x, n):
-    """(ok, a) with a^n = x, a rational; for even n requires x >= 0 and
-    returns the nonnegative root."""
-    if x == 0:
-        return True, Q(0)
-    neg = x < 0
-    if neg and n % 2 == 0:
-        return False, None
-    p = _integer_nth_root(abs(x.numerator), n)
-    q = _integer_nth_root(x.denominator, n)
-    if p is None or q is None:
-        return False, None
-    a = Q(p, q)
-    return True, -a if neg else a
 
 
 def in_hat_aut_plus(g, space, lattices=None):

@@ -11,15 +11,11 @@ The machinery implements:
   * the Laplacian contraction Sym^n -> Sym^{n-2},
   * the Lefschetz action e_omega (alpha -> omega, mu -> b(omega, mu) beta,
     beta -> 0, extended as a derivation),
-  * the embedding psi of the Verbitsky component, psi(1) = alpha^n / n!,
-    with psi(omega_1...omega_k) = e_{omega_1}...e_{omega_k}(alpha^n / n!);
-    for a repeated class psi(omega^j) is written in closed form, since
-    exp(e_omega) acts on Sym^n as Sym^n of the B-field isometry
-    alpha -> alpha + omega + b(omega, omega)/2 beta (no Lefschetz chain),
-  * the orthogonal projection T onto ker(Laplacian), both lazily (through
-    the adjunction b_SH(m, T(x)) = b_[n](psi(m), x)) and materialized as the
-    harmonic part sum_k c_k q*^k Laplacian^k(x), q* the dual form of the
-    ambient Gram,
+  * the embedding psi(omega_1...omega_k) = e_{omega_1}...e_{omega_k}(alpha^n / n!)
+    of the Verbitsky component (in closed form for a repeated class), and
+    b_SH(m, T(x)) = b_[n](psi(m), x) without building psi (below),
+  * the orthogonal projection T onto ker(Laplacian), the harmonic part
+    sum_k c_k q*^k Laplacian^k(x), q* the dual form of the ambient Gram,
   * square-root-of-Todd and Todd linearisations, integrals of products of
     divisor classes, and Euler characteristics of line bundles.
 
@@ -38,24 +34,25 @@ block of a pair is a permanent computed by a dynamic program over the
 multiplicities of its distinct columns (on a rank-r restricted space at most
 r distinct columns, whatever the symmetric degree).
 
-No work is done that the answer does not read:
-
-  * the lazy pairing builds only the monomials of psi(omega^j) whose alpha
-    and beta degrees meet those of x (for the Todd and square-root-of-Todd
-    arguments, the one monomial without an H^2 factor);
-  * an exponential sum sum_k (-1)^k / k! b_SH(lam^k, x) is one pairing with
-    exp(-e_lam)(alpha^n / n!) = (alpha - lam + b(lam, lam)/2 beta)^n / n!;
-  * the projection builds no kernel basis and solves nothing: it takes at
-    most n/2 Laplacians of x and as many products by q*, so it runs on the
-    full b_2 = 23 space as well as on restricted ones.
+b_SH by apolarity (Iarrobino and Kanev, Power Sums, Gorenstein Algebras,
+and Determinantal Loci, ch. 1): b_[n](l^n / n!, v_1...v_n) = (-1)^n c_X
+prod b(l, v_i), and exp(sum t_i e_{omega_i})(alpha^n / n!) = l^n / n! for
+l = alpha + omega + q/2 beta, omega = sum t_i omega_i, q = b(omega, omega).
+So b_SH(omega_1^m_1 ... omega_s^m_s, T(x)) is (-1)^n c_X prod m_i! times
+the coefficient of prod t_i^m_i in x, read as a polynomial, evaluated at
+alpha -> -q/2, h_i -> (G omega)_i, beta -> -1 (`_apolar`): k! times one
+value for one class, a finite difference over a grid of classes for mixed
+ones.  An exponential sum sum_k (-1)^k / k! b_SH(lam^k, x) is the value at
+omega = -lam, so chi(L) is c_X prod_s (q/2 + s) / n! for a Todd product of
+shifts s (Ellingsrud, Goettsche and Lehn for K3[n]).
 
 Every identity checked downstream is a universal polynomial identity in
-the Gram entries, so expensive full-rank evaluations are routed through
+the Gram entries, so expensive full-rank evaluations can be routed through
 `restricted_space`, the subspace spanned by the vectors that actually
 occur; the numbers produced are identical to the full computation.
 """
 
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from .linalg import Mat, Q, cleared
@@ -144,12 +141,8 @@ class SymElement:
 
     @staticmethod
     def alpha_beta_binomial(space, n, s):
-        """(alpha + s beta)^n / n!: the coefficient of alpha^(n-i) beta^i is
-        binom(n, i) p^i q^(n-i) / (n! q^n) for s = p / q."""
-        s = Q(s)
-        p, q = s.numerator, s.denominator
-        nums = {(n - i, (), i): comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)}
-        return _sym(space, n, factorial(n) * q**n, nums)
+        """(alpha + s beta)^n / n!, the product of n equal factors."""
+        return SymElement.alpha_beta_product(space, n, [s] * n)
 
     @staticmethod
     def alpha_beta_product(space, n, shifts):
@@ -346,27 +339,21 @@ def psi_monomial(space, omegas, n=None):
     A repeated class is written in closed form, e_omega^j(alpha^n / n!) being
     j! times the degree-2j part of exp(e_omega)(alpha^n / n!)
     (`_b_field_power`); mixed classes run the chain of Lefschetz operators."""
-    return _psi(space, omegas, space.dtype.n if n is None else n)
-
-
-def _psi(space, omegas, n, keep=None):
-    """psi_monomial; for a repeated class with keep given, only the monomials
-    whose (alpha, beta) degrees lie in keep."""
+    n = space.dtype.n if n is None else n
     omegas = [tuple(w) for w in omegas]
     if len(omegas) > 2 * n:
         raise SymError("monomial degree exceeds 2n")
     if not omegas or all(w == omegas[0] for w in omegas):
-        return _b_field_power(space, omegas[0] if omegas else (), n, len(omegas), keep)
+        return _b_field_power(space, omegas[0] if omegas else (), n, len(omegas))
     x = SymElement.alpha_power(space, n)
     for w in reversed(omegas):
         x = lefschetz_e(w, x)
     return x
 
 
-def _b_field_power(space, omega, n, j=None, keep=None):
-    """(alpha + omega + q/2 beta)^n / n!, q = b(omega, omega), or with j given
-    j! times its degree-2j part; with keep given, only the monomials whose
-    (alpha, beta) degrees (a, c) lie in keep.
+def _b_field_power(space, omega, n, j):
+    """e_omega^j(alpha^n / n!): j! times the degree-2j part of
+    (alpha + omega + q/2 beta)^n / n!, q = b(omega, omega).
 
     The coefficient on alpha^a omega^k beta^c, a + k + c = n, is
     (q/2)^c / (a! k! c!), and omega^k / k! expands as the sum over |mu| = k
@@ -374,21 +361,15 @@ def _b_field_power(space, omega, n, j=None, keep=None):
     q/2 = p / r: the coefficient is the multinomial n! / (a! mu! c!) times
     w^mu p^c / (n! e^k r^c), all written over n! e^top r^cmax."""
     omega = _rationals(omega)
-    if j != 0 and len(omega) != space.b2:
+    if j and len(omega) != space.b2:
         raise SymError("omega must be an H^2 vector")
     h2 = space.dtype.h2_gram
     e, w, gw = h2.int_product(omega) if omega else (1, (), ())
     p, r = sum(map(mul, w, gw)), 2 * h2.denominator_lcm() * e * e  # q/2 = p / r
-    if j is None:
-        kc = [(k, c) for k in range(n + 1) for c in range(n - k + 1)]
-    else:  # k + 2c = j, and a >= 0 needs k <= 2n - j
-        kc = [(k, (j - k) // 2) for k in range(j % 2, min(j, 2 * n - j) + 1, 2)]
-    by_size = {}
-    for k, c in kc:
-        if (p or not c) and (keep is None or (n - k - c, c) in keep):
-            by_size.setdefault(k, []).append(c)
-    top = max(by_size, default=0)
-    cmax = max((c for cs in by_size.values() for c in cs), default=0)
+    # k + 2c = j, and a >= 0 needs k <= 2n - j; c > 0 needs q != 0
+    sizes = {k: (j - k) // 2 for k in range(j % 2, min(j, 2 * n - j) + 1, 2) if p or k == j}
+    top = max(sizes, default=0)
+    cmax = max(sizes.values(), default=0)
     powers = {(): 1}  # sorted multiset -> |mu|! / mu! * w^mu
     for i, wi in enumerate(w):
         if wi:
@@ -397,30 +378,79 @@ def _b_field_power(space, omega, n, j=None, keep=None):
                 for t in range(1, top - k + 1):
                     v = v * wi * (k + t) // t  # exact: binom(k + t, t) w_i^t from the start
                     powers[m + (i,) * t] = v
-    scale = factorial(j) if j else 1
     out = {}
     for m, v in powers.items():
         k = len(m)
-        for c in by_size.get(k, ()):
+        if k in sizes:
+            c = sizes[k]
             multinomial = comb(n, k) * comb(n - k, c)
-            out[(n - k - c, m, c)] = v * multinomial * scale * p**c * r ** (cmax - c) * e ** (top - k)
+            out[(n - k - c, m, c)] = v * multinomial * factorial(j) * p**c * r ** (cmax - c) * e ** (top - k)
     return _sym(space, n, factorial(n) * r**cmax * e**top, out)
 
 
-def pair_with_sh(space, monomial, x, with_detail=False):
-    """b_SH(m, T(x)) evaluated lazily as b_[n](psi(m), x).
+def _h2_classes(space, ws):
+    """(e, w, (d G) w) of `int_product` for each H^2 class w / e in ws."""
+    ws = [_rationals(w) for w in ws]
+    if any(len(w) != space.b2 for w in ws):
+        raise SymError("omega must be an H^2 vector")
+    return [space.dtype.h2_gram.int_product(w) for w in ws]
 
-    `monomial` is a sequence of H^2 coordinate vectors.  For a repeated class
-    only the monomials of psi that meet x's (alpha, beta) degrees are built.
+
+def _apolar(x, points, e, k=None):
+    """(-1)^n c_X sum over (f, gw, p) in points of f times x evaluated at
+    alpha -> -q/2, h_i -> (G omega)_i, beta -> -1, where (d G) omega = gw / e,
+    q = p / (d e^2) and d is the denominator of G; with k given, only the
+    monomials of degree k in omega (2a + |m| = k) are read.  A monomial
+    alpha^a m beta^c is worth (-1)^(a+c) p^a prod gw_m / (2^a d^(n-c)
+    e^(n+a-c)), so the sum runs in integers over 2^n d^n e^(2n)."""
+    n, d = x.n, x.space.dtype.h2_gram.denominator_lcm()
+    total = 0
+    for (a, m, c), v in x._nums.items():
+        if k is None or 2 * a + len(m) == k:
+            t = 0
+            for f, gw, p in points:
+                for i in m:
+                    f *= gw[i]
+                t += f * p**a
+            t *= v * d**c * e ** (n + c - a) << (n - a)
+            total += -t if (a + c + n) % 2 else t
+    c_x = x.space.dtype.c_x
+    return Q(total * c_x.numerator, (x._denom * c_x.denominator * d**n * e ** (2 * n)) << n)
+
+
+def pair_with_sh(space, monomial, x, with_detail=False):
+    """b_SH(m, T(x)) = b_[n](psi(m), x) by apolar evaluation, without psi.
+
+    `monomial` is a sequence of H^2 coordinate vectors; each distinct class
+    is cleared once (`int_product`), over the lcm e of their denominators.
     Degree mismatches pair to zero; with_detail=True additionally returns
     whether the degrees matched.
     """
-    n = x.n
-    psi = _psi(space, monomial, n, {(c, a) for a, _, c in x._nums})
-    val = pairing_bn(psi, x)
+    n, k = x.n, len(monomial)
+    if k > 2 * n:
+        raise SymError("monomial degree exceeds 2n")
+    distinct = [w for i, w in enumerate(monomial) if w not in monomial[:i]]
+    classes = _h2_classes(space, distinct)
+    if space is not x.space:
+        raise SymError("space mismatch")
+    e = lcm(*(c[0] for c in classes))
+    # (f, gw, p): the class omega(j) = sum j_i omega_i, weighted by f
+    if len(classes) <= 1:  # homogeneous of degree k in one class: k! times its value
+        points = [(factorial(k), gw, sum(map(mul, w, gw))) for _, w, gw in classes] or [(1, (), 0)]
+    else:  # the finite difference of order m at t = 0, m_i the multiplicities
+        grid = [((), 1)]
+        for m in map(monomial.count, distinct):
+            grid = [(js + (j,), f * (-1) ** (m - j) * comb(m, j)) for js, f in grid for j in range(m + 1)]
+        points = []
+        for js, f in grid:
+            s = [j * (e // c[0]) for j, c in zip(js, classes)]
+            w = [sum(map(mul, s, col)) for col in zip(*(c[1] for c in classes))]
+            gw = [sum(map(mul, s, col)) for col in zip(*(c[2] for c in classes))]
+            points.append((f, gw, sum(map(mul, w, gw))))
+    val = _apolar(x, points, e, k)
     if not with_detail:
         return val
-    want = 4 * n - 2 * len(monomial)
+    want = 4 * n - 2 * k
     matched = all(d == want for d in x.degrees()) if x._nums else False
     return val, {"degree_matched": matched, "pairing_degree": want}
 
@@ -428,13 +458,15 @@ def pair_with_sh(space, monomial, x, with_detail=False):
 # -- orthogonal projection -------------------------------------------------------
 
 
-def _q_star(h2):
+def _q_star(space):
     """The dual form q* = -2 alpha beta + sum_ij (G^-1)_ij h_i h_j of the
-    ambient Gram, G = h2, as (e, terms): q* = (1/e) sum t alpha^a h_m beta^c
-    over the terms ((a, m, c), t).  Raises ValueError for a singular G."""
-    e, inv = h2.inverse().cleared()
+    ambient Gram as (e, terms): q* = (1/e) sum t alpha^a h_m beta^c over the
+    terms ((a, m, c), t).  G^-1 is the H^2 block of the ambient inverse kept
+    on the space (`gram_inverse`); the hyperbolic corner is its own inverse.
+    Raises ValueError for a singular G."""
+    e, inv = space.gram_inverse().cleared()
     terms = [((1, (), 1), -2 * e)]
-    for i, row in enumerate(inv):
+    for i, row in enumerate(r[1:-1] for r in inv[1:-1]):
         terms += [((0, (i, j), 0), row[j] if j == i else 2 * row[j]) for j in range(i, len(row)) if row[j]]
     return e, terms
 
@@ -477,7 +509,7 @@ def project_t(x):
     if not any(0 < _mono_degree(k) < 4 * n for k in x._nums):
         return _sym(space, n, x._denom, x._nums)
     try:
-        q_star = _q_star(space.dtype.h2_gram)
+        q_star = _q_star(space)
     except ValueError:
         raise SymError("degenerate pairing on a kernel piece") from None
     chain = [x]
@@ -531,30 +563,27 @@ def integrate(space, omegas):
     """Integral of a product of 2n H^2 classes: the full polarization
 
         c_X * sum over perfect matchings of prod b(omega_i, omega_j).
-    """
+
+    With omega_i = w_i / e_i cleared once, (d G) w_j from `int_product`, each
+    pairing is the integer w_i . (d G) w_j over d e_i e_j; a matching uses
+    every class once, so the sum runs in integers over d^n prod e_i."""
     n = space.dtype.n
-    omegas = [tuple(Q(c) for c in w) for w in omegas]
+    omegas = [_rationals(w) for w in omegas]
     if len(omegas) != 2 * n:
         raise SymError("need exactly 2n classes")
-    vals = {}
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            vals[(i, j)] = space.bbf(omegas[i], omegas[j])
+    h2 = space.dtype.h2_gram
+    classes = [h2.int_product(w) for w in omegas]
+    vals = [[sum(map(mul, vi, gv)) for _, _, gv in classes] for _, vi, _ in classes]
 
-    def match(indices):
-        if not indices:
-            return Q(1)
-        i = indices[0]
-        total = Q(0)
-        for pos in range(1, len(indices)):
-            j = indices[pos]
-            b = vals[(i, j)]
-            if b != 0:
-                rest = indices[1:pos] + indices[pos + 1 :]
-                total += b * match(rest)
-        return total
+    def match(rest):  # the first class against each other one, then the others
+        if not rest:
+            return 1
+        i, rest = rest[0], rest[1:]
+        return sum(vals[i][j] * match(rest[:p] + rest[p + 1 :]) for p, j in enumerate(rest) if vals[i][j])
 
-    return space.dtype.c_x * match(tuple(range(2 * n)))
+    c_x = space.dtype.c_x
+    den = c_x.denominator * h2.denominator_lcm() ** n * prod(e for e, _, _ in classes)
+    return Q(match(tuple(range(2 * n))) * c_x.numerator, den)
 
 
 def integrate_via_pairing(space, omegas):
@@ -589,27 +618,21 @@ def restricted_space(space, h2_vectors, ns_indices=None):
 def euler_char_line_bundle(space, lam):
     """chi(L) for a line bundle class lam, via integral of exp(lam) . Todd.
 
-    Evaluates sum_k (-1)^k / k! * b_SH(lam^k, T(td-product)) in the rank-one
-    restricted space spanned by lam; only even k contribute.
+    Evaluates sum_k (-1)^k / k! * b_SH(lam^k, T(td-product)) on the space
+    given, as one apolar evaluation (`_exp_pairing_sum`): for the Todd
+    product of shifts s it is c_X prod_s (q/2 + s) / n!, q = b(lam, lam).
     """
     return _exp_pairing_sum(space, lam, todd_argument)
 
 
-def euler_char_from_sqrt_todd(space, lam):
-    """sum_k 1/k! * integral(lam^k . sqrt-Todd): equals
-    (1 + b(lam,lam)/(2 r_X))^n * c_X r_X^n / n! by the exponential identity."""
-    return _exp_pairing_sum(space, lam, sqrt_todd_argument)
-
-
 def _exp_pairing_sum(space, lam, argument):
-    """sum_k (-1)^k / k! * b_SH(lam^k, argument) on the rank-one space of lam,
-    as one pairing: sum_k (-1)^k / k! psi(omega^k) = exp(-e_omega)(alpha^n / n!)
-    = (alpha - omega + q/2 beta)^n / n!, of which only the monomials meeting
-    the argument's (alpha, beta) degrees are built."""
-    small = restricted_space(space, [lam])
-    arg = argument(small)
-    keep = {(c, a) for a, _, c in arg._nums}
-    return pairing_bn(_b_field_power(small, (-1,), space.dtype.n, keep=keep), arg)
+    """sum_k (-1)^k / k! * b_SH(lam^k, argument(space)) as one pairing:
+    sum_k (-1)^k / k! psi(lam^k) = exp(-e_lam)(alpha^n / n!)
+    = (alpha - lam + q/2 beta)^n / n!, so it is the apolar value at
+    omega = -lam over every monomial of the argument."""
+    ((e, w, gw),) = _h2_classes(space, [lam])
+    point = (1, [-c for c in gw], sum(map(mul, w, gw)))
+    return _apolar(argument(space), [point], e)
 
 
 # -- expansion coefficients -------------------------------------------------------
@@ -638,14 +661,6 @@ def sqrt_todd_pairing_value(space, i, q_omega):
 
         c_X * (r_X^i / i!) * (2n-2i)! / (2^{n-i} (n-i)!) * b(w,w)^{n-i}.
     """
-    n = space.dtype.n
-    r = space.dtype.r_x
-    c = space.dtype.c_x
-    q_omega = Q(q_omega)
-    return (
-        c
-        * r**i
-        / factorial(i)
-        * Q(factorial(2 * n - 2 * i), 2 ** (n - i) * factorial(n - i))
-        * q_omega ** (n - i)
-    )
+    n, r, c = space.dtype.n, space.dtype.r_x, space.dtype.c_x
+    m = n - i
+    return c * r**i / factorial(i) * Q(factorial(2 * m), 2**m * factorial(m)) * Q(q_omega) ** m

@@ -62,7 +62,6 @@ from .verbitsky import (
     pair_with_sh,
     pairing_bn,
     psi_monomial,
-    restricted_space,
     sqrt_todd_argument,
     sqrt_todd_pairing_value,
 )
@@ -125,14 +124,12 @@ def crit01_sqrt_todd_linearisation(seed=DEFAULT_SEED, ns=(2, 3, 4), labels=None)
                 space = _space(label, n)
             ok = True
             detail = ""
+            arg = sqrt_todd_argument(space)
             for trial in range(10):
                 w = _random_h2(rng, space)
-                small = restricted_space(space, [w])
-                arg = sqrt_todd_argument(small)
                 q = space.bbf(w, w)
-                unit = (Q(1),)
                 for i in range(n + 1):
-                    got = pair_with_sh(small, [unit] * (2 * n - 2 * i), arg)
+                    got = pair_with_sh(space, [w] * (2 * n - 2 * i), arg)
                     want = sqrt_todd_pairing_value(space, i, q)
                     if got != want:
                         ok = False

@@ -132,7 +132,9 @@ def test_cli_output_byte_stable():
 
 
 # exit codes and stdout of transport, isometry-info and lattice-check as
-# recorded before the isometry layer moved to integer rows
+# recorded before the isometry layer moved to integer rows, and of todd,
+# chi, integrate and verify linearisation as recorded before b_SH became an
+# apolar evaluation
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

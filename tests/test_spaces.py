@@ -28,7 +28,7 @@ from extmukai.spaces import (
     split_algebraic,
 )
 from extmukai import spaces
-from extmukai.spaces import _integer_nth_root, _rational_nth_root, kx_rank_core
+from extmukai.spaces import _integer_nth_root, kx_rank_core
 from extmukai.verification import _brute_force_kx_ranks
 
 rng = random.Random(99)
@@ -318,6 +318,22 @@ def test_rank_predicate_kx_large_n_matches_brute_force(n):
                 assert a**n * factorial(n) / c_x == r
 
 
+def _rational_nth_root(x, n):
+    """(ok, a) with a^n = x, a rational; for even n requires x >= 0 and
+    returns the nonnegative root."""
+    if x == 0:
+        return True, Q(0)
+    neg = x < 0
+    if neg and n % 2 == 0:
+        return False, None
+    p = _integer_nth_root(abs(x.numerator), n)
+    q = _integer_nth_root(x.denominator, n)
+    if p is None or q is None:
+        return False, None
+    a = Q(p, q)
+    return True, -a if neg else a
+
+
 def fraction_path_kx(r, n, c_x):
     """rank_predicate_kx_orbit on Fractions: a^n = r c_X / n! by rational roots."""
     ok, a = _rational_nth_root(Q(r) * c_x / factorial(n), n)
@@ -336,6 +352,15 @@ def test_rank_predicate_kx_integer_path_matches_fraction_path():
     assert rank_predicate_kx_orbit(4, 2, Q(1, 8)) == (True, Q(1, 2), False)
     for r in range(-50, 51):
         assert rank_predicate_kx_orbit(r, 3, Q(3, 4)) == fraction_path_kx(r, 3, Q(3, 4))
+
+
+def test_rank_predicate_kx_non_integral_c_x_matches_fraction_path():
+    # a non-integral c_X takes integer roots of the numerator and denominator
+    # of r c_X / n!, against the rational root of the Fraction path
+    for n in range(1, 7):
+        for c_x in (Q(1, 8), Q(3, 4), Q(5, 2), Q(-7, 3), Q(1, 2) ** n * factorial(n)):
+            for r in list(range(-300, 301)) + [2**n * k**n for k in range(1, 30)]:
+                assert rank_predicate_kx_orbit(r, n, c_x) == fraction_path_kx(r, n, c_x), (r, n, c_x)
 
 
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=7))

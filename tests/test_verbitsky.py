@@ -3,7 +3,7 @@ import random
 import weakref
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +19,10 @@ from extmukai.spaces import (
 from extmukai.verbitsky import (
     SymElement,
     _contractions,
+    _exp_pairing_sum,
     _permanent,
     SymError,
     bessel_polynomial_coefficient,
-    euler_char_from_sqrt_todd,
     euler_char_line_bundle,
     integrate,
     integrate_via_pairing,
@@ -358,6 +358,23 @@ def chain_psi(space, omegas, n):
     for w in reversed(omegas):
         x = lefschetz_e(w, x)
     return x
+
+
+def psi_pairing(space, monomial, x, with_detail=False):
+    """b_SH(m, T(x)) as b_[n](psi(m), x) with psi built in full: the
+    pairing that the apolar evaluation of `pair_with_sh` replaced."""
+    val = pairing_bn(psi_monomial(space, monomial, n=x.n), x)
+    if not with_detail:
+        return val
+    want = 4 * x.n - 2 * len(monomial)
+    matched = all(d == want for d in x.degrees()) if not x.is_zero() else False
+    return val, {"degree_matched": matched, "pairing_degree": want}
+
+
+def euler_char_from_sqrt_todd(space, lam):
+    """sum_k (-1)^k / k! b_SH(lam^k, sqrt-Todd argument) in one pass: equals
+    (1 + b(lam,lam)/(2 r_X))^n * c_X r_X^n / n! by the exponential identity."""
+    return _exp_pairing_sum(space, lam, sqrt_todd_argument)
 
 
 _FULL = {}
@@ -786,3 +803,79 @@ def test_project_t_returns_a_new_element():
         assert tx == x and tx is not x
         tx.coeffs = {(0, (), 2): 1}
         assert x.coeffs == before
+
+
+# -- the apolar evaluation of pair_with_sh against the psi-building pairing ------
+
+APOLAR_GRAMS = ["rank1", "rank2", RANK3, Mat([[0]]), Mat([[1, 1], [1, 1]]), Mat([])]
+
+
+@st.composite
+def apolar_cases(draw):
+    """(space, monomial, x): random rational or singular Grams and b_2 = 0;
+    k = 0 ... 2n + 1 classes drawn from a pool of up to three, so repeated,
+    mixed and partly repeated; x with monomials of every degree; now and then
+    a class of the wrong length or an x on a twin space."""
+    n = draw(st.integers(1, 4))
+    gram = draw(st.sampled_from(APOLAR_GRAMS))
+    if isinstance(gram, str):
+        gram = Mat(draw(symmetric_grams(int(gram[-1]))))
+    make = lambda: ExtMukaiSpace(custom_type(n, draw(small_rationals.filter(lambda q: q > 0)), Q(1), gram))
+    space = make()
+    x_space = make() if draw(st.integers(0, 9)) == 0 else space
+    x = SymElement.alpha_beta_binomial(x_space, n, draw(small_rationals))
+    if space.b2:
+        x = x + draw(sym_elements(x_space, n, max_terms=5))
+    pool = [tuple(draw(small_rationals) for _ in range(space.b2)) for _ in range(draw(st.integers(1, 3)))]
+    k = draw(st.integers(0, 2 * n + 1 if draw(st.integers(0, 9)) == 0 else 2 * n))
+    monomial = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(k)]
+    if monomial and draw(st.integers(0, 9)) == 0:
+        monomial[0] = monomial[0] + (Q(1),)
+    return space, monomial, x
+
+
+@given(apolar_cases())
+@settings(max_examples=300, deadline=None)
+def test_pair_with_sh_matches_psi_pairing(case):
+    space, monomial, x = case
+    try:
+        want = psi_pairing(space, monomial, x, with_detail=True)
+    except SymError as err:
+        with pytest.raises(SymError) as got:
+            pair_with_sh(space, monomial, x)
+        assert str(got.value) == str(err)
+        return
+    assert pair_with_sh(space, monomial, x, with_detail=True) == want
+    assert want[0] == pairing_bn(chain_psi(space, monomial, x.n), x)
+
+
+def test_pair_with_sh_every_k_on_full_k3n():
+    # dense classes on b_2 = 23 against the Todd bar: one class, two mixed
+    # classes and a partly repeated triple, for every k <= 2n
+    space = full_space("K3n", 2)
+    rnd = random.Random(41)
+    tb = todd_bar(space)
+    u, v, w = ([Q(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(23)] for _ in range(3))
+    for k in range(5):
+        for monomial in ([u] * k, ([u, v] * k)[:k], ([u, u, v, w] * k)[:k]):
+            assert pair_with_sh(space, monomial, tb) == psi_pairing(space, monomial, tb)
+
+
+def binom(x, n):
+    """The generalized binomial coefficient x (x - 1) ... (x - n + 1) / n!."""
+    return prod(x - i for i in range(n)) / factorial(n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_euler_char_closed_forms(n):
+    # chi(L) = binom(q/2 + n + 1, n) on K3[n] (Ellingsrud-Goettsche-Lehn) and
+    # (n + 1) binom(q/2 + n, n) on Kum_n (Britze-Nieper-Wisskirchen), q = b(lam, lam)
+    rnd = random.Random(n)
+    for family, chi in (("K3n", lambda h: binom(h + n + 1, n)), ("Kumn", lambda h: (n + 1) * binom(h + n, n))):
+        space = full_space(family, n)
+        for _ in range(4):
+            lam = [Q(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(space.b2)]
+            assert euler_char_line_bundle(space, lam) == chi(space.bbf(lam, lam) / 2)
+    custom = ExtMukaiSpace(custom_type(n, 1, 1, RANK3))
+    with pytest.raises(SymError, match="no Todd formula"):
+        euler_char_line_bundle(custom, (Q(1), Q(0), Q(0)))
