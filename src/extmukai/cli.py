@@ -29,9 +29,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import CATALOG_KEYS, CatalogError, action
+from .catalog import CATALOG_KEYS, action
 from .isometry import (
-    IsometryError,
     disc_action,
     eichler_transport,
     eichler_transvection,
@@ -42,11 +41,10 @@ from .isometry import (
     reflection,
     spinor_norm,
 )
-from .lattice import LatticeError, NotFound
+from .lattice import NotFound
 from .linalg import Mat, Q
-from .moduli import AlgebraicMukaiLattice, ModuliError, disc_lemma_check, fineness, ns_of_moduli, partner_invariants
+from .moduli import AlgebraicMukaiLattice, disc_lemma_check, fineness, ns_of_moduli, partner_invariants
 from .serialize import (
-    FormatError,
     canonical_json,
     isometry_to_json,
     lattice_from_json,
@@ -57,16 +55,14 @@ from .serialize import (
 )
 from .spaces import (
     ExtMukaiSpace,
-    SpaceError,
     b_field,
+    custom_type,
     ext_vector_line_bundle,
     ext_vector_point,
     k3n_lattices,
-    k3n_type,
-    kumn_type,
 )
-from .verbitsky import SymError, euler_char_line_bundle, integrate
-from .verification import DEFAULT_SEED, SUITES, run_suite
+from .verbitsky import euler_char_line_bundle, integrate, pair_with_sh, sqrt_todd_argument, todd_argument
+from .verification import DEFAULT_SEED, SUITES, family_space, run_suite
 
 
 class InputError(ValueError):
@@ -81,14 +77,13 @@ def _check_sym_n(n):
         raise InputError("--n must be <= %d for the Sym^n verbs" % SYM_MAX_N)
 
 
-def _make_space(args):
-    family = getattr(args, "family", "K3n")
-    n = getattr(args, "n", 2)
-    if family == "K3n":
-        return ExtMukaiSpace(k3n_type(n))
-    if family == "Kumn":
-        return ExtMukaiSpace(kumn_type(n))
-    raise InputError("unknown family %r" % (family,))
+def _rank_one_space(space, square):
+    """The space of space's deformation type with H^2 = <square>: the
+    rank-one probe of todd and chi."""
+    dtype = space.dtype
+    sp = ExtMukaiSpace(custom_type(dtype.n, dtype.c_x, dtype.r_x, Mat([[square]])))
+    sp.dtype.family = dtype.family  # keep Todd formulas available
+    return sp
 
 
 def _named_vectors(space):
@@ -198,17 +193,9 @@ def _tracked_lattice(space, name):
         "lambda-g": lambda: lats.lam_g,
         "lambda-s": lambda: lats.lam_s,
         "lambda-lb": lambda: lats.lam_lb,
+        "gamma-k": lambda: lats.gamma_k,
         "integral": space.integral_lattice,
     }
-    if name == "gamma-k":
-        from .lattice import QuadLattice
-
-        k = 3
-        rows = [
-            tuple(k * c for c in lats.lam_s.basis_in_ambient.row(i))
-            for i in range(lats.lam_s.rank)
-        ] + [lats.delta_tilde]
-        return QuadLattice.from_basis(rows, space.gram, name="3 Lambda_S + Z delta~")
     if name not in table:
         raise InputError("unknown lattice %r" % (name,))
     return table[name]()
@@ -236,7 +223,7 @@ def emit(args, payload, checks=()):
 
 
 def cmd_vector(args):
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     if args.point:
         v = ext_vector_point(space)
     else:
@@ -251,7 +238,7 @@ def cmd_vector(args):
 
 
 def cmd_act(args):
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     g = None
     if args.surface_iso:
         from .catalog import k3_extended_space
@@ -277,7 +264,7 @@ def cmd_act(args):
 
 
 def cmd_lattice_check(args):
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     g = parse_isometry(space, args.iso)
     lat = _tracked_lattice(space, args.lattice)
     ok = preserves_lattice(g, lat)
@@ -291,7 +278,7 @@ def cmd_lattice_check(args):
 
 
 def cmd_isometry_info(args):
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     g = parse_isometry(space, args.iso)
     lats = k3n_lattices(space)
     payload = {
@@ -309,7 +296,7 @@ def cmd_isometry_info(args):
 
 
 def cmd_transport(args):
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     lats = k3n_lattices(space)
     lat = lats.lam
     v = lat.coords_of_ambient(parse_vector(space, args.v))
@@ -337,7 +324,7 @@ def cmd_group(args):
         raise InputError("--depth must be >= 0")
     if args.cap < 1:
         raise InputError("--cap must be >= 1")
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     gens = [parse_isometry(space, s) for s in args.gens.split(";") if s]
     got = generate_bounded(gens, args.depth, cap=args.cap)
     lats = k3n_lattices(space)
@@ -354,15 +341,10 @@ def cmd_todd(args):
     for each i, the pairing with omega^{2n-2i} divided by b(w,w)^{n-i}
     (a single rational, independent of omega)."""
     _check_sym_n(args.n)
-    from .verbitsky import pair_with_sh, sqrt_todd_argument, todd_argument
-
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     n = space.dtype.n
     # evaluate on a rank-one class of square 2 and divide out the powers
-    from .spaces import custom_type
-
-    sp = ExtMukaiSpace(custom_type(n, space.dtype.c_x, space.dtype.r_x, Mat([[2]])))
-    sp.dtype.family = space.dtype.family
+    sp = _rank_one_space(space, 2)
     arg = sqrt_todd_argument(sp) if args.sqrt else todd_argument(sp)
     unit = (Q(1),)
     profile = []
@@ -380,14 +362,9 @@ def cmd_todd(args):
 
 def cmd_chi(args):
     _check_sym_n(args.n)
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     if args.square is not None:
-        lam_gram = Mat([[parse_rat(args.square)]])
-        from .spaces import custom_type
-
-        sp = ExtMukaiSpace(custom_type(space.dtype.n, space.dtype.c_x, space.dtype.r_x, lam_gram))
-        sp.dtype.family = space.dtype.family
-        val = euler_char_line_bundle(sp, (Q(1),))
+        val = euler_char_line_bundle(_rank_one_space(space, parse_rat(args.square)), (Q(1),))
     else:
         lam = parse_vector(space, args.lam, h2_only=True)
         val = euler_char_line_bundle(space, lam)
@@ -396,7 +373,7 @@ def cmd_chi(args):
 
 def cmd_integrate(args):
     _check_sym_n(args.n)
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     omegas = [parse_vector(space, s, h2_only=True) for s in args.omegas.split(";") if s]
     val = integrate(space, omegas)
     return emit(args, {"integral": rat_str(val)})
@@ -449,7 +426,7 @@ def cmd_moduli(args):
 def cmd_catalog(args):
     if args.action == "list":
         return emit(args, {"keys": list(CATALOG_KEYS)})
-    space = _make_space(args)
+    space = family_space(args.family, args.n)
     named = action(
         space,
         args.key,
@@ -479,10 +456,9 @@ def build_parser():
     p.add_argument("--format", choices=("json", "text"), default="json")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, family=True):
-        if family:
-            sp.add_argument("--family", choices=("K3n", "Kumn"), default="K3n")
-            sp.add_argument("--n", type=int, default=2)
+    def common(sp):
+        sp.add_argument("--family", choices=("K3n", "Kumn"), default="K3n")
+        sp.add_argument("--n", type=int, default=2)
 
     sp = sub.add_parser("vector", help="extended Mukai vector of a line bundle or point")
     common(sp)
@@ -569,19 +545,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InputError,
-        FormatError,
-        LatticeError,
-        IsometryError,
-        SpaceError,
-        SymError,
-        CatalogError,
-        ModuliError,
-        KeyError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # every package error is a ValueError
         sys.stdout.write(
             canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         )

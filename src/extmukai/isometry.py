@@ -200,52 +200,22 @@ def eichler_transvection(space, e, a):
 # -- Cartan-Dieudonne ---------------------------------------------------------
 
 
-def _orthogonal_basis(space):
-    """Orthogonal basis with all vectors anisotropic (form nondegenerate)."""
-    basis = []
-    current = [space.basis_vector(i) for i in range(space.dim)]
-    while current:
-        v = None
-        for cand in current:
-            if space.norm(cand) != 0:
-                v = cand
-                break
-        if v is None:
-            for i in range(len(current)):
-                for j in range(i + 1, len(current)):
-                    w = vec_add(current[i], current[j])
-                    if space.norm(w) != 0:
-                        v = w
-                        break
-                if v is not None:
-                    break
-        if v is None:
-            raise IsometryError("degenerate form")
-        v = vec_primitive_part(v)
-        basis.append(v)
-        qv = space.norm(v)
-        nxt = []
-        for w in current:
-            w2 = vec_sub(w, vec_scale(space.pairing(w, v) / qv, v))
-            if not vec_is_zero(w2):
-                nxt.append(w2)
-        # drop dependencies: the pivot columns of the projected vectors keep
-        # each one that is independent of those before it
-        current = [nxt[c] for c in Mat.from_columns(nxt).rref()[1]]
-    return basis
-
-
 def cartan_dieudonne(g):
     """Reflection vectors v_1, ..., v_k with g = s_{v_1} o ... o s_{v_k}.
 
-    Anisotropic vectors, scaled primitive.  The isotropic-difference case is
-    handled by the standard two-step fix through g(u) + u.
+    Anisotropic vectors, scaled primitive.  The orthogonal basis walked is
+    the rows of the congruence diagonalisation of the Gram.  The
+    isotropic-difference case is handled by the standard two-step fix
+    through g(u) + u.
     """
     space = g.space
-    basis = _orthogonal_basis(space)
+    diag, trans = congruence_diagonalize(space.gram)
+    if 0 in diag:
+        raise IsometryError("degenerate form")
     refs = []
     h = g
-    for u in basis:
+    for i in range(space.dim):
+        u = vec_primitive_part(trans.row(i))
         hu = h(u)
         w = vec_sub(hu, u)
         if vec_is_zero(w):
@@ -299,17 +269,11 @@ def preserves_lattice(g, lat):
         raise IsometryError("lattice must be embedded in the isometry's space")
     if lat.ambient_gram != g.space.gram:
         raise IsometryError("dimension mismatch")
-    one_way = lat.is_nondegenerate()
-    if lat.rank == g.space.dim:
-        # full rank: g preserves L iff its matrix in lattice coordinates is integral
-        return g.on_lattice(lat).is_integral() and (
-            one_way or g.inverse().on_lattice(lat).is_integral()
-        )
-    maps = (g,) if one_way else (g, g.inverse())
-    return all(
-        lat.contains_ambient(h(lat.basis_in_ambient.row(i)))
-        for h in maps
-        for i in range(lat.rank)
+    if lat.rank < g.space.dim:
+        return lattice_witness(g, lat) is None
+    # full rank: g preserves L iff its matrix in lattice coordinates is integral
+    return g.on_lattice(lat).is_integral() and (
+        lat.is_nondegenerate() or g.inverse().on_lattice(lat).is_integral()
     )
 
 

@@ -20,8 +20,8 @@ serves every integer normal form: `hnf_row_basis` is its pivot rows,
 `integer_kernel_basis` (and so `saturation_basis`) its form taken mod D, and
 `smith_normal_form` alternates row and column Hermite passes until the
 matrix is diagonal.  `congruence_diagonalize` is the one symmetric
-elimination: inertia indices and positive-definite bases are both read off
-its output.
+elimination: inertia indices, positive-definite bases and the orthogonal
+basis that Cartan-Dieudonne walks are all read off its output.
 
 Matrices are small (usually 25 rows or less); values are immutable and
 every function is pure.
@@ -36,11 +36,6 @@ Q = Fraction
 
 QZERO = Q(0)
 QONE = Q(1)
-
-
-def qv(*entries):
-    """Build a rational vector (tuple of Fraction) from ints/strings/Fractions."""
-    return tuple(Q(e) for e in entries)
 
 
 def vec_add(u, v):

@@ -83,11 +83,15 @@ def isometry_from_json(data, space=None):
     """Rebuild an isometry; the stored matrix is checked against the Gram."""
     from .isometry import Isometry, QuadSpace
 
+    if not isinstance(data, dict):
+        raise FormatError("isometry must be an object")
+    word = data.get("word", [])
+    if not (isinstance(word, list) and all(isinstance(w, str) for w in word)):
+        raise FormatError("isometry word must be a list of strings")
     if space is None:
         space = QuadSpace(matrix_from_json(data["space"]["gram"]))
     m = matrix_from_json(data["matrix"])
-    word = tuple(data["word"]) if "word" in data else None
-    return Isometry(space, m, word=word)
+    return Isometry(space, m, word=tuple(word) if "word" in data else None)
 
 
 def deformation_to_json(dtype):

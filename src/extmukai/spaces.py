@@ -234,8 +234,9 @@ def signum_normalize(space, v, omega=None, epsilon=1):
 
 
 class K3nLattices:
-    """The distinguished lattices of a K3n-type space.  Lambda_LB is built on
-    first access of `lam_lb` and kept."""
+    """The distinguished lattices of a K3n-type space.  Lambda_LB and
+    3 Lambda_S + Z delta~ are built on first access of `lam_lb` and
+    `gamma_k` and kept."""
 
     def __init__(self, space, lam, lam_s, lam_g, alpha_tilde, delta_tilde):
         self.space = space
@@ -248,6 +249,13 @@ class K3nLattices:
     @cached_property
     def lam_lb(self):
         return _line_bundle_lattice(self.space, name="Lambda_LB")
+
+    @cached_property
+    def gamma_k(self):
+        """3 Lambda_S + Z delta~, which B_{delta/3} preserves at n = 10."""
+        rows = [tuple(3 * c for c in row) for row in self.lam_s.basis_in_ambient.entries()]
+        return QuadLattice.from_basis(rows + [self.delta_tilde], self.space.gram,
+                                      name="3 Lambda_S + Z delta~")
 
 
 def k3n_tilde_vectors(space):

@@ -592,7 +592,7 @@ def integrate_via_pairing(space, omegas):
     return pair_with_sh(space, [], x)
 
 
-def restricted_space(space, h2_vectors, ns_indices=None):
+def restricted_space(space, h2_vectors):
     """The extended Mukai space of the subspace spanned by chosen H^2 vectors.
 
     Computations with elements supported on alpha, beta and the given

@@ -27,6 +27,7 @@ from .catalog import action, dn_transfer, k3_extended_space, poincare_checks
 from .isometry import (
     TransvectionWord,
     disc_action,
+    disc_class_rep,
     eichler_transport,
     eichler_transvection,
     identity_isometry,
@@ -36,7 +37,7 @@ from .isometry import (
     reflection,
     spinor_norm,
 )
-from .lattice import NotFound, QuadLattice
+from .lattice import NotFound
 from .linalg import Mat, Q, smith_normal_form, vec_add, vec_scale
 from .moduli import (
     AlgebraicMukaiLattice,
@@ -52,6 +53,7 @@ from .spaces import (
     k3n_lattices,
     k3n_type,
     kumn_type,
+    kx_rank_core,
     rank_predicate_kx_orbit,
 )
 from .verbitsky import (
@@ -80,32 +82,21 @@ def all_passed(checks):
 _SPACE_CACHE = {}
 
 
-def _space(kind, n):
-    key = (kind, n)
+def family_space(family, n):
+    """The extended Mukai space of the K3n or Kumn family at n, built once
+    per (family, n)."""
+    key = (family, n)
     if key not in _SPACE_CACHE:
-        if kind == "K3n":
+        if family == "K3n":
             _SPACE_CACHE[key] = ExtMukaiSpace(k3n_type(n))
-        elif kind == "Kumn":
+        elif family == "Kumn":
             _SPACE_CACHE[key] = ExtMukaiSpace(kumn_type(n))
         else:
-            raise ValueError(kind)
+            raise ValueError(family)
     return _SPACE_CACHE[key]
 
 
 _RANK3_GRAM = Mat([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
-
-
-def _configs_for_identities(n):
-    """(label, c_X, r_X, b2-gram source) triples for the identity suites."""
-    return [
-        ("K3n", Q(1), Q(n + 3, 4)),
-        ("Kumn", Q(n + 1), Q(n + 1, 4)),
-        ("custom-rank3", Q(5), Q(7, 3)),
-    ]
-
-
-def _random_h2(rng, space, bound=3):
-    return tuple(Q(rng.randint(-bound, bound)) for _ in range(space.b2))
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -121,12 +112,12 @@ def crit01_sqrt_todd_linearisation(seed=DEFAULT_SEED, ns=(2, 3, 4), labels=None)
             if label == "custom-rank3":
                 space = ExtMukaiSpace(custom_type(n, 5, Q(7, 3), _RANK3_GRAM))
             else:
-                space = _space(label, n)
+                space = family_space(label, n)
             ok = True
             detail = ""
             arg = sqrt_todd_argument(space)
             for trial in range(10):
-                w = _random_h2(rng, space)
+                w = tuple(Q(rng.randint(-3, 3)) for _ in range(space.b2))
                 q = space.bbf(w, w)
                 for i in range(n + 1):
                     got = pair_with_sh(space, [w] * (2 * n - 2 * i), arg)
@@ -150,7 +141,11 @@ def crit02_integral_and_exp(seed=DEFAULT_SEED):
     checks = []
     samples = [Q(0), Q(2), Q(-4), Q(7, 2), Q(10)]
     for n in (1, 2, 3, 4):
-        for label, c_x, r_x in _configs_for_identities(n):
+        for label, c_x, r_x in (
+            ("K3n", Q(1), Q(n + 3, 4)),
+            ("Kumn", Q(n + 1), Q(n + 1, 4)),
+            ("custom-rank3", Q(5), Q(7, 3)),
+        ):
             base = ExtMukaiSpace(custom_type(n, c_x, r_x, Mat([[Q(2)]])))
             arg = sqrt_todd_argument(base)
             got0 = pair_with_sh(base, [], arg)
@@ -221,7 +216,7 @@ def crit04_pairing_factorials():
         ok = True
         detail = ""
         for n in range(2, 7):
-            space = _space(label, n)
+            space = family_space(label, n)
             for i in range(n + 1):
                 x = SymElement.monomial(space, n, i, (), n - i)
                 y = SymElement.monomial(space, n, n - i, (), i)
@@ -268,7 +263,7 @@ def crit05_catalog(seed=DEFAULT_SEED):
 
     # exact isometries and lattice preservation for every key
     for n in (2, 3):
-        space = _space("K3n", n)
+        space = family_space("K3n", n)
         lats = k3n_lattices(space)
         lam = [rng.randint(-2, 2) for _ in range(space.b2)]
         actions = [
@@ -299,7 +294,7 @@ def crit05_catalog(seed=DEFAULT_SEED):
             )
 
     # spherical_P at n = 3 sends v(O) to -v(O(-delta))
-    space = _space("K3n", 3)
+    space = family_space("K3n", 3)
     lats = k3n_lattices(space)
     p = action(space, "spherical_P").iso
     v_o = _line_bundle_vector_shifted(space, lats, [0] * 22, 1)
@@ -336,7 +331,7 @@ def crit05_dn(seed=DEFAULT_SEED):
         return g
 
     for n in (2, 3):
-        space = _space("K3n", n)
+        space = family_space("K3n", n)
         ok = True
         detail = ""
         for _ in range(10):
@@ -375,7 +370,7 @@ def crit06_lambda_invariance(seed=DEFAULT_SEED, generators_total=200):
     ns = (2, 3, 5)
     per_n = (generators_total + len(ns) - 1) // len(ns)
     for n in ns:
-        space = _space("K3n", n)
+        space = family_space("K3n", n)
         lats = k3n_lattices(space)
         at, dt, beta = lats.alpha_tilde, lats.delta_tilde, space.beta
         e1 = space.basis_vector(1)
@@ -428,15 +423,11 @@ def crit06_lambda_invariance(seed=DEFAULT_SEED, generators_total=200):
 
 def crit07_counterexample_lattice():
     """n = 10: B_{delta/3} preserves 3 Lambda_S + Z delta~ but not Lambda."""
-    space = _space("K3n", 10)
+    space = family_space("K3n", 10)
     lats = k3n_lattices(space)
-    rows = [
-        tuple(3 * c for c in lats.lam_s.basis_in_ambient.row(i)) for i in range(24)
-    ] + [lats.delta_tilde]
-    gamma = QuadLattice.from_basis(rows, space.gram, name="3 Lambda_S + Z delta~")
     third_delta = [Q(0)] * 22 + [Q(1, 3)]
     g = b_field(space, third_delta)
-    pres_gamma = preserves_lattice(g, gamma)
+    pres_gamma = preserves_lattice(g, lats.gamma_k)
     pres_lam = preserves_lattice(g, lats.lam)
     witness = lattice_witness(g, lats.lam)
     return [
@@ -454,19 +445,16 @@ def crit07_counterexample_lattice():
 
 def crit08_eichler_transport(seed=DEFAULT_SEED):
     rng = random.Random(seed + 8)
-    space = _space("K3n", 3)
+    space = family_space("K3n", 3)
     lats = k3n_lattices(space)
     L = lats.lam
     checks = []
 
     def random_primitive():
-        while True:
-            x = [rng.randint(-4, 4) for _ in range(25)]
-            g0 = 0
-            for c in x:
-                g0 = gcd(g0, c)
-            if g0 == 1:
-                return tuple(Q(c) for c in x)
+        v = None
+        while v is None:
+            v = _draw_primitive(rng)
+        return v
 
     def orbit_partner(v):
         y = v
@@ -528,20 +516,19 @@ def crit08_eichler_transport(seed=DEFAULT_SEED):
     return checks
 
 
-def _same_square_other_class(L, v, rng):
-    """A primitive vector of the same square whose disc class differs."""
-    from .isometry import disc_class_rep
+def _draw_primitive(rng):
+    """One draw of 25 entries in [-4, 4]: the vector if it is primitive, else None."""
+    x = [rng.randint(-4, 4) for _ in range(25)]
+    return tuple(Q(c) for c in x) if gcd(*x) == 1 else None
 
+
+def _same_square_other_class(L, v, rng):
+    """A primitive vector of the same square whose disc class differs, from
+    at most 200 draws."""
     target = L.norm(v)
     for _ in range(200):
-        x = [rng.randint(-4, 4) for _ in range(25)]
-        g0 = 0
-        for c in x:
-            g0 = gcd(g0, c)
-        if g0 != 1:
-            continue
-        xv = tuple(Q(c) for c in x)
-        if L.norm(xv) != target:
+        xv = _draw_primitive(rng)
+        if xv is None or L.norm(xv) != target:
             continue
         if disc_class_rep(L, xv) != disc_class_rep(L, v):
             return xv
@@ -555,7 +542,7 @@ def crit09_isotropy(seed=DEFAULT_SEED):
     rng = random.Random(seed + 9)
     checks = []
     for n in (2, 3, 4):
-        space = _space("K3n", n)
+        space = family_space("K3n", n)
         ok = True
         detail = ""
         trials = 0
@@ -682,8 +669,6 @@ def crit11_rank_predicates(bound=10**6):
     with the independently enumerated set of realizable ranks; the public
     wrapper is checked against the core on all valid and many invalid r.
     """
-    from .spaces import kx_rank_core
-
     checks = []
     for n in range(1, 7):
         for c_x in (1, n + 1):
@@ -697,9 +682,7 @@ def crit11_rank_predicates(bound=10**6):
                     detail = "disagreement at r=%d" % r
                     break
             if ok:
-                import random as _random
-
-                rng = _random.Random(11 * n + c_x)
+                rng = random.Random(11 * n + c_x)
                 fact = factorial(n)
                 sample = sorted(valid) + [rng.randint(-bound, bound) for _ in range(200)]
                 for r in sample:

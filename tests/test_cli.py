@@ -132,9 +132,11 @@ def test_cli_output_byte_stable():
 
 
 # exit codes and stdout of transport, isometry-info and lattice-check as
-# recorded before the isometry layer moved to integer rows, and of todd,
-# chi, integrate and verify linearisation as recorded before b_SH became an
-# apolar evaluation
+# recorded before the isometry layer moved to integer rows, of todd, chi,
+# integrate and verify linearisation as recorded before b_SH became an
+# apolar evaluation, and of verify eichler, catalog and lambda-invariance and
+# lattice-check on gamma-k and lambda-s as recorded before the duplicate
+# orthogonalisation, lattice-witness loop and space factory were removed
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -264,7 +266,7 @@ def test_cli_catalog_verbs():
     assert "matrix" in data["result"]
 
 
-def test_cli_bad_input_exit_2():
+def test_cli_bad_input_exit_2(tmp_path):
     code, out = run_cli(["vector", "--n", "2", "--lam", "nonsense"])
     assert code == 2
     data = json.loads(out)
@@ -305,6 +307,34 @@ def test_cli_bad_input_exit_2():
     ):
         code, out = run_cli(["moduli", "--input", "-"], stdin=stdin)
         assert code == 2 and "error" in json.loads(out)
+    # an --iso file that is not an object, or whose word is not a list of strings
+    for i, doc in enumerate(("[1]", '"x"', '{"matrix": [[1]], "word": 5}')):
+        path = tmp_path / ("iso%d.json" % i)
+        path.write_text(doc)
+        code, out = run_cli(["isometry-info", "--iso", "file:%s" % path])
+        assert code == 2 and "error" in json.loads(out), doc
+
+
+def test_package_errors_are_value_errors():
+    # main() answers every package error with exit 2 by catching ValueError
+    import importlib
+    import inspect
+    import pkgutil
+
+    import extmukai
+
+    errors = []
+    for info in pkgutil.iter_modules(extmukai.__path__):
+        module = importlib.import_module("extmukai." + info.name)
+        errors += [
+            c for c in vars(module).values()
+            if inspect.isclass(c) and issubclass(c, BaseException) and c.__module__ == module.__name__
+        ]
+    assert {c.__name__ for c in errors} >= {
+        "InputError", "FormatError", "LatticeError", "IsometryError",
+        "SpaceError", "SymError", "CatalogError", "ModuliError",
+    }
+    assert [c for c in errors if not issubclass(c, ValueError)] == []
 
 
 def test_cli_verify_n_ignored_outside_linearisation():

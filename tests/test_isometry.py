@@ -198,6 +198,43 @@ def test_cartan_dieudonne_b_field():
     assert h.matrix == g.matrix
 
 
+def test_cartan_dieudonne_degenerate_form():
+    space = QuadSpace(Mat([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
+    with pytest.raises(IsometryError, match="degenerate form"):
+        cartan_dieudonne(identity_isometry(space))
+
+
+def test_cartan_dieudonne_non_integral_gram():
+    # a generic rational Gram, and one with a zero diagonal (a hyperbolic
+    # plane), whose diagonalisation folds an off-diagonal entry in
+    half, third = Q(1, 2), Q(1, 3)
+    grams = [
+        Mat([[half, third, 0], [third, Q(-2, 5), Q(1, 7)], [0, Q(1, 7), Q(3, 4)]]),
+        Mat([[0, half, 0], [half, 0, 0], [0, 0, Q(-3, 5)]]),
+    ]
+    local = random.Random(7)
+    isometries = []
+    for gram in grams:
+        space = QuadSpace(gram)
+        for _ in range(6):
+            g = identity_isometry(space)
+            while g.is_identity():
+                for _ in range(local.randint(1, 4)):
+                    v = tuple(Q(local.randint(-3, 3), local.randint(1, 3)) for _ in range(3))
+                    if space.norm(v) != 0:
+                        g = reflection(space, v).compose(g)
+            isometries.append(g)
+    # t(e3, e1) moves the first diagonal vector e1 + e2 by the isotropic
+    # -e3/2, the case decomposed through g(u) + u
+    space = QuadSpace(Mat([[0, half, 0, 0], [half, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+    isometries.append(eichler_transvection(space, (0, 0, 1, 0), (1, 0, 0, 0)))
+    for g in isometries:
+        h = identity_isometry(g.space)
+        for v in cartan_dieudonne(g):
+            h = h.compose(reflection(g.space, v))
+        assert h.matrix == g.matrix
+
+
 def test_spinor_norm_convention():
     space, lats = k3n_setup(2)
     # negative-square reflection: +1

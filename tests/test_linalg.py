@@ -533,6 +533,24 @@ def test_no_module_reads_sym_element_internals():
     assert offenders == []
 
 
+def test_no_module_has_an_unused_import():
+    """Every name a package module imports (at the top or inside a function)
+    is read somewhere in that module; __init__.py imports to re-export."""
+    unused = []
+    for path in sorted(Path(extmukai.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append((path.name, node.lineno, name))
+    assert unused == []
+
+
 # -- the integer kernel against sympy's saturated nullspace ----------------------
 
 
