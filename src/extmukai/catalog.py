@@ -28,6 +28,7 @@ from .spaces import (
     ExtMukaiSpace,
     b_field,
     custom_type,
+    ext_vector_line_bundle,
     k3_surface_type,
     k3n_tilde_vectors,
 )
@@ -246,8 +247,6 @@ def poincare_checks(genus):
     # the image of the section vector is minus a line-bundle vector with
     # first Chern class -(g+1) f
     img_s = iso(model.section_vector())
-    from .spaces import ext_vector_line_bundle
-
     lb = ext_vector_line_bundle(sp, (Q(0), Q(-(g + 1))))
     add("section vector maps to -v(line bundle with class -(g+1) f)",
         img_s == tuple(-c for c in lb.coords), img_s)

@@ -29,7 +29,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import CATALOG_KEYS, action
+from .catalog import CATALOG_KEYS, action, k3_extended_space
 from .isometry import (
     disc_action,
     eichler_transport,
@@ -46,6 +46,7 @@ from .linalg import Mat, Q
 from .moduli import AlgebraicMukaiLattice, disc_lemma_check, fineness, ns_of_moduli, partner_invariants
 from .serialize import (
     canonical_json,
+    isometry_from_json,
     isometry_to_json,
     lattice_from_json,
     matrix_to_json,
@@ -54,9 +55,9 @@ from .serialize import (
     vector_to_json,
 )
 from .spaces import (
+    DeformationType,
     ExtMukaiSpace,
     b_field,
-    custom_type,
     ext_vector_line_bundle,
     ext_vector_point,
     k3n_lattices,
@@ -80,10 +81,8 @@ def _check_sym_n(n):
 def _rank_one_space(space, square):
     """The space of space's deformation type with H^2 = <square>: the
     rank-one probe of todd and chi."""
-    dtype = space.dtype
-    sp = ExtMukaiSpace(custom_type(dtype.n, dtype.c_x, dtype.r_x, Mat([[square]])))
-    sp.dtype.family = dtype.family  # keep Todd formulas available
-    return sp
+    dt = space.dtype
+    return ExtMukaiSpace(DeformationType(dt.family, dt.n, dt.c_x, dt.r_x, Mat([[square]])))
 
 
 def _named_vectors(space):
@@ -179,8 +178,6 @@ def parse_isometry(space, spec):
     if kind == "catalog":
         return action(space, rest).iso
     if kind == "file":
-        from .serialize import isometry_from_json
-
         with open(rest) as fh:
             return isometry_from_json(json.load(fh), space=space)
     raise InputError("unknown isometry kind %r" % (kind,))
@@ -241,8 +238,6 @@ def cmd_act(args):
     space = family_space(args.family, args.n)
     g = None
     if args.surface_iso:
-        from .catalog import k3_extended_space
-
         g = parse_isometry(k3_extended_space(), args.surface_iso)
     named = action(
         space,

@@ -39,7 +39,6 @@ from .linalg import (
     vec_is_integral,
     vec_is_zero,
     vec_primitive_part,
-    vec_scale,
     vec_sub,
 )
 
@@ -383,15 +382,6 @@ class TransvectionWord:
             g = gcd(2 * s * s * den, *x)
             den, x = 2 * s * s * den // g, [c // g for c in x]
         return tuple(Q(c, den) for c in x)
-
-    def inverse(self):
-        return TransvectionWord(
-            self.carrier, [(e, vec_scale(-1, a)) for e, a in reversed(self.pairs)]
-        )
-
-    def then(self, other):
-        """Word doing self first, then other."""
-        return TransvectionWord(self.carrier, self.pairs + other.pairs)
 
     def __len__(self):
         return len(self.pairs)

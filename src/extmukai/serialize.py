@@ -13,8 +13,11 @@ serializes to identical bytes.
 
 import json
 
+from .isometry import Isometry, QuadSpace
 from .lattice import QuadLattice
 from .linalg import Mat, Q
+from .spaces import DeformationType
+from .verbitsky import SymElement
 
 
 class FormatError(ValueError):
@@ -81,8 +84,6 @@ def isometry_to_json(iso, space_name=""):
 
 def isometry_from_json(data, space=None):
     """Rebuild an isometry; the stored matrix is checked against the Gram."""
-    from .isometry import Isometry, QuadSpace
-
     if not isinstance(data, dict):
         raise FormatError("isometry must be an object")
     word = data.get("word", [])
@@ -105,8 +106,6 @@ def deformation_to_json(dtype):
 
 
 def deformation_from_json(data):
-    from .spaces import DeformationType
-
     return DeformationType(
         data["family"],
         int(data["n"]),
@@ -128,8 +127,6 @@ def sym_to_json(x):
 
 
 def sym_from_json(space, data):
-    from .verbitsky import SymElement
-
     n = int(data["n"])
     coeffs = {}
     for entry in data.get("pieces", {}).values():

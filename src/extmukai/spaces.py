@@ -25,9 +25,9 @@ from functools import cached_property
 from math import factorial, isqrt
 
 from .isometry import QuadSpace, disc_action, eichler_transvection, preserves_lattice, spinor_norm
-from .lattice import QuadLattice, standard_lattice
+from .lattice import QuadLattice, orthogonal_complement, standard_lattice
 from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kernel_basis,
-                     saturation_basis, solve_linear, vec_is_zero)
+                     saturation_basis, vec_is_zero)
 
 
 class SpaceError(ValueError):
@@ -118,14 +118,11 @@ class ExtMukaiSpace(QuadSpace):
             for v in self.ns_sublattice:
                 if len(v) != b2 or not all(c.denominator == 1 for c in v):
                     raise SpaceError("NS generators must be integral H^2 vectors")
-            gens_t = Mat.from_rows(self.ns_sublattice).transpose()
-            sat = saturation_basis([[int(c) for c in v] for v in self.ns_sublattice])
-            if len(sat) != len(self.ns_sublattice):
+            ints = [[int(c) for c in v] for v in self.ns_sublattice]
+            sat = saturation_basis(ints)
+            # NS lies in its saturation, and Hermite bases are unique
+            if len(sat) != len(ints) or hnf_row_basis(ints) != hnf_row_basis(sat):
                 raise SpaceError("NS must be primitive (saturated) in H^2")
-            for w in sat:
-                x = solve_linear(gens_t, tuple(Q(c) for c in w))
-                if x is None or not all(c.denominator == 1 for c in x):
-                    raise SpaceError("NS must be primitive (saturated) in H^2")
 
     # -- coordinates ---------------------------------------------------------
 
@@ -369,8 +366,6 @@ def split_algebraic(space, lat):
                               name="algebraic part")
     if alg.rank == 0:
         return alg, lat
-    from .lattice import orthogonal_complement
-
     gens = [lat.coords_of_ambient(alg.basis_in_ambient.row(i)) for i in range(alg.rank)]
     tr = orthogonal_complement(lat, gens)
     tr.name = "transcendental part"

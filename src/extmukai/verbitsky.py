@@ -12,7 +12,7 @@ The machinery implements:
   * the Lefschetz action e_omega (alpha -> omega, mu -> b(omega, mu) beta,
     beta -> 0, extended as a derivation),
   * the embedding psi(omega_1...omega_k) = e_{omega_1}...e_{omega_k}(alpha^n / n!)
-    of the Verbitsky component (in closed form for a repeated class), and
+    of the Verbitsky component, and
     b_SH(m, T(x)) = b_[n](psi(m), x) without building psi (below),
   * the orthogonal projection T onto ker(Laplacian), the harmonic part
     sum_k c_k q*^k Laplacian^k(x), q* the dual form of the ambient Gram,
@@ -56,7 +56,7 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from .linalg import Mat, Q, cleared
-from .spaces import ExtMukaiSpace, custom_type
+from .spaces import DeformationType, ExtMukaiSpace
 
 
 class SymError(ValueError):
@@ -334,58 +334,16 @@ def lefschetz_e(omega, x):
 
 
 def psi_monomial(space, omegas, n=None):
-    """psi(omega_1 ... omega_k) = e_{omega_1} ... e_{omega_k}(alpha^n / n!).
-
-    A repeated class is written in closed form, e_omega^j(alpha^n / n!) being
-    j! times the degree-2j part of exp(e_omega)(alpha^n / n!)
-    (`_b_field_power`); mixed classes run the chain of Lefschetz operators."""
+    """psi(omega_1 ... omega_k) = e_{omega_1} ... e_{omega_k}(alpha^n / n!),
+    one `lefschetz_e` per class, the last class first; k <= 2n."""
     n = space.dtype.n if n is None else n
-    omegas = [tuple(w) for w in omegas]
+    omegas = list(omegas)
     if len(omegas) > 2 * n:
         raise SymError("monomial degree exceeds 2n")
-    if not omegas or all(w == omegas[0] for w in omegas):
-        return _b_field_power(space, omegas[0] if omegas else (), n, len(omegas))
     x = SymElement.alpha_power(space, n)
     for w in reversed(omegas):
         x = lefschetz_e(w, x)
     return x
-
-
-def _b_field_power(space, omega, n, j):
-    """e_omega^j(alpha^n / n!): j! times the degree-2j part of
-    (alpha + omega + q/2 beta)^n / n!, q = b(omega, omega).
-
-    The coefficient on alpha^a omega^k beta^c, a + k + c = n, is
-    (q/2)^c / (a! k! c!), and omega^k / k! expands as the sum over |mu| = k
-    of prod omega_i^mu_i / mu_i!.  In integers, with omega = w / e and
-    q/2 = p / r: the coefficient is the multinomial n! / (a! mu! c!) times
-    w^mu p^c / (n! e^k r^c), all written over n! e^top r^cmax."""
-    omega = _rationals(omega)
-    if j and len(omega) != space.b2:
-        raise SymError("omega must be an H^2 vector")
-    h2 = space.dtype.h2_gram
-    e, w, gw = h2.int_product(omega) if omega else (1, (), ())
-    p, r = sum(map(mul, w, gw)), 2 * h2.denominator_lcm() * e * e  # q/2 = p / r
-    # k + 2c = j, and a >= 0 needs k <= 2n - j; c > 0 needs q != 0
-    sizes = {k: (j - k) // 2 for k in range(j % 2, min(j, 2 * n - j) + 1, 2) if p or k == j}
-    top = max(sizes, default=0)
-    cmax = max(sizes.values(), default=0)
-    powers = {(): 1}  # sorted multiset -> |mu|! / mu! * w^mu
-    for i, wi in enumerate(w):
-        if wi:
-            for m, v in list(powers.items()):
-                k = len(m)
-                for t in range(1, top - k + 1):
-                    v = v * wi * (k + t) // t  # exact: binom(k + t, t) w_i^t from the start
-                    powers[m + (i,) * t] = v
-    out = {}
-    for m, v in powers.items():
-        k = len(m)
-        if k in sizes:
-            c = sizes[k]
-            multinomial = comb(n, k) * comb(n - k, c)
-            out[(n - k - c, m, c)] = v * multinomial * factorial(j) * p**c * r ** (cmax - c) * e ** (top - k)
-    return _sym(space, n, factorial(n) * r**cmax * e**top, out)
 
 
 def _h2_classes(space, ws):
@@ -610,9 +568,8 @@ def restricted_space(space, h2_vectors):
     vecs = [[e // dv * c for c in v] for dv, v in vecs]
     gvs = [h2.int_product(v)[2] for v in vecs]
     gram = Mat([[sum(map(mul, u, gv)) for gv in gvs] for u in vecs]).scale(Q(1, d * e * e))
-    dtype = custom_type(space.dtype.n, space.dtype.c_x, space.dtype.r_x, gram)
-    dtype.family = space.dtype.family  # keep Todd formulas available
-    return ExtMukaiSpace(dtype)
+    dt = space.dtype
+    return ExtMukaiSpace(DeformationType(dt.family, dt.n, dt.c_x, dt.r_x, gram))
 
 
 def euler_char_line_bundle(space, lam):

@@ -21,6 +21,7 @@ Suites (CLI names) group the criteria:
 """
 
 import random
+from functools import lru_cache
 from math import factorial, gcd
 
 from .catalog import action, dn_transfer, k3_extended_space, poincare_checks
@@ -79,21 +80,15 @@ def all_passed(checks):
     return all(c["pass"] for c in checks)
 
 
-_SPACE_CACHE = {}
-
-
+@lru_cache(maxsize=16)
 def family_space(family, n):
-    """The extended Mukai space of the K3n or Kumn family at n, built once
-    per (family, n)."""
-    key = (family, n)
-    if key not in _SPACE_CACHE:
-        if family == "K3n":
-            _SPACE_CACHE[key] = ExtMukaiSpace(k3n_type(n))
-        elif family == "Kumn":
-            _SPACE_CACHE[key] = ExtMukaiSpace(kumn_type(n))
-        else:
-            raise ValueError(family)
-    return _SPACE_CACHE[key]
+    """The extended Mukai space of the K3n or Kumn family at n, kept for the
+    16 most recent (family, n)."""
+    if family == "K3n":
+        return ExtMukaiSpace(k3n_type(n))
+    if family == "Kumn":
+        return ExtMukaiSpace(kumn_type(n))
+    raise ValueError(family)
 
 
 _RANK3_GRAM = Mat([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
@@ -435,7 +430,7 @@ def crit07_counterexample_lattice():
         _check(
             "B_{delta/3} moves Lambda (n=10)",
             not pres_lam,
-            "witness vector %s" % (witness,),
+            "witness vector %s" % ([str(c) for c in witness or ()],),
         ),
     ]
 

@@ -26,6 +26,7 @@ from extmukai.serialize import (
 )
 from extmukai.spaces import ExtMukaiSpace, k3n_type
 from extmukai.verbitsky import sqrt_todd_argument
+from extmukai.verification import family_space
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -442,3 +443,13 @@ def test_cli_fuzz_exit_codes(call):
     assert "Traceback" not in out + err
     if code == 2 and out:
         assert "error" in json.loads(out)
+
+
+def test_family_space_cache_is_bounded():
+    for n in range(2, 41):
+        code, _, _ = run_main(["vector", "--n", str(n)], "")
+        assert code == 0
+    assert family_space.cache_info().currsize <= 16
+    assert family_space("K3n", 40) is family_space("K3n", 40)
+    with pytest.raises(ValueError):
+        family_space("OG10", 5)

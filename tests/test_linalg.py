@@ -551,6 +551,22 @@ def test_no_module_has_an_unused_import():
     assert unused == []
 
 
+def test_no_function_imports_a_package_module():
+    """A package module imports its siblings at the top, never inside a
+    function: no relative `from .x import ...` sits in a function body."""
+    inside = []
+    for path in sorted(Path(extmukai.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [
+                    (path.name, node.lineno)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0
+                ]
+    assert inside == []
+
+
 # -- the integer kernel against sympy's saturated nullspace ----------------------
 
 

@@ -392,3 +392,12 @@ def test_in_hat_aut_plus():
 def test_ns_must_be_primitive():
     with pytest.raises(SpaceError):
         ExtMukaiSpace(k3n_type(2), ns_sublattice=[[2] + [0] * 22])
+    # index 2 in its saturation
+    with pytest.raises(SpaceError):
+        ExtMukaiSpace(k3n_type(2), ns_sublattice=[[1, 1] + [0] * 21, [1, -1] + [0] * 21])
+    # dependent rows
+    with pytest.raises(SpaceError):
+        ExtMukaiSpace(k3n_type(2), ns_sublattice=[[1] + [0] * 22, [2] + [0] * 22])
+    # a non-Hermite basis of a primitive sublattice
+    space = ExtMukaiSpace(k3n_type(2), ns_sublattice=[[1, 1] + [0] * 21, [0, 1] + [0] * 21])
+    assert len(space.ns_sublattice) == 2

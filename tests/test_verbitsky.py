@@ -428,10 +428,10 @@ def symmetric_grams(rank):
 
 @given(psi_cases())
 @settings(max_examples=60, deadline=None)
-def test_psi_closed_form_matches_chain(case):
+def test_psi_of_a_repeated_class_matches_fraction_reference(case):
     space, omega, j, n = case
     got = psi_monomial(space, [omega] * j, n=n)
-    assert got.coeffs == chain_psi(space, [omega] * j, n).coeffs
+    assert got.coeffs == reference_psi(space, [omega] * j, n)
     assert got.n == n and got.space is space
 
 
@@ -577,7 +577,7 @@ def test_filtered_psi_matches_full_psi(data, n, rank):
     for j in range(2 * n + 1):
         full = chain_psi(space, [w] * j, n)
         assert pair_with_sh(space, [w] * j, x) == pairing_bn(full, x)
-    # a mixed monomial still runs the chain
+    # and a monomial of two distinct classes
     v = tuple(data.draw(small_rationals) for _ in range(space.b2))
     assert pair_with_sh(space, [w, v], x) == pairing_bn(chain_psi(space, [w, v], n), x)
 
@@ -710,9 +710,9 @@ def test_lefschetz_and_psi_match_fraction_reference(data, n, gram):
     x = data.draw(sym_elements(space, n))
     assert lefschetz_e(w, x).coeffs == reference_lefschetz(space, w, x.coeffs)
     j = data.draw(st.integers(0, 2 * n))
-    assert psi_monomial(space, [w] * j, n=n).coeffs == reference_psi(space, [w] * j, n)  # closed form
+    assert psi_monomial(space, [w] * j, n=n).coeffs == reference_psi(space, [w] * j, n)  # a repeated class
     mixed = [w, v] + [w] * data.draw(st.integers(0, 2 * n - 2))
-    assert psi_monomial(space, mixed, n=n).coeffs == reference_psi(space, mixed, n)  # chain
+    assert psi_monomial(space, mixed, n=n).coeffs == reference_psi(space, mixed, n)  # two distinct classes
 
 
 def reference_project_t(x):
