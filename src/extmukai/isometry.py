@@ -226,7 +226,7 @@ def cartan_dieudonne(g):
         else:
             w2 = vec_primitive_part(vec_add(hu, u))
             refs.append(w2)
-            refs.append(vec_primitive_part(u))
+            refs.append(u)
             h = reflection(space, u).compose(reflection(space, w2)).compose(h)
     if not h.is_identity():
         raise IsometryError("decomposition failed to terminate at the identity")
@@ -516,12 +516,13 @@ class _Reducer:
         p = gcd of the four plane coefficients, p > 0.
 
         The pivot is steered positive by choosing rotation signs, so no
-        final sign pass is needed and words stay short."""
-        guard = 0
+        final sign pass is needed and words stay short.  At most two passes
+        leave a pivot 0 < p <= max |X|, which no later pass makes <= 0; then
+        a pass returns, or replaces p by a balanced remainder 0 < |r - t p|
+        <= p / 2, or clears r and q and moves s (not a multiple of p) into
+        r for the next pass to replace p.  So it ends within 2 bitlen(max
+        |X|) + 1 passes (balanced Euclid; Knuth, TAOCP vol. 2, 4.5.3)."""
         while True:
-            guard += 1
-            if guard > 500:
-                raise IsometryError("plane reduction did not converge")
             p, q, r, s = self._X()
             if p == q == r == s == 0:
                 return
@@ -578,21 +579,16 @@ class _Reducer:
             else:
                 raise IsometryError("vector pairs to zero with the whole lattice")
         self.plane_smith()
-        # shrink the pivot to the divisibility using L0 pairings
-        changed = True
-        guard = 0
-        while changed:
-            guard += 1
-            if guard > 200:
-                raise IsometryError("divisibility reduction did not converge")
-            changed = False
+        # shrink the pivot p to the divisibility using L0 pairings: on X =
+        # [[p, 0], [0, s]], t(E2, e_k) sets q to the pairing p_k and keeps the
+        # L0 part, so plane_smith leaves gcd(p, p_k) <= p / 2
+        while True:
             a1 = self.coords()[0]
-            for k, pk in zip(self.rest, self.rest_pairings()):
-                if pk % a1 != 0:
-                    self.t(self.E2, ((k, 1),))
-                    self.plane_smith()
-                    changed = True
-                    break
+            k = next((k for k, pk in zip(self.rest, self.rest_pairings()) if pk % a1), None)
+            if k is None:
+                break
+            self.t(self.E2, ((k, 1),))
+            self.plane_smith()
         d = self.coords()[0]
         # canonicalize the L0 part to d * (class representative): subtract the
         # integer part of each rest coordinate divided by d

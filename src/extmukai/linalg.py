@@ -20,8 +20,8 @@ serves every integer normal form: `hnf_row_basis` is its pivot rows,
 `integer_kernel_basis` (and so `saturation_basis`) its form taken mod D, and
 `smith_normal_form` alternates row and column Hermite passes until the
 matrix is diagonal.  `congruence_diagonalize` is the one symmetric
-elimination: inertia indices, positive-definite bases and the orthogonal
-basis that Cartan-Dieudonne walks are all read off its output.
+elimination, also on integer rows: inertia indices, positive-definite bases
+and the orthogonal basis that Cartan-Dieudonne walks are read off it.
 
 Matrices are small (usually 25 rows or less); values are immutable and
 every function is pure.
@@ -436,43 +436,42 @@ def congruence_diagonalize(gram):
 
     T is invertible.  Pivots are taken in order from the diagonal; when the
     rest of the diagonal is zero the first nonzero off-diagonal entry (i, j)
-    is folded in by adding row and column j to i.  Once the remaining block
-    is zero its entries stay zero in diag.
+    is folded in by adding row j of T to row i.  Once the remaining block
+    is zero its entries stay zero in diag.  On integers: for gram = G / d,
+    row i of T is R_i / s_i, kept as [R_i | R_i G], so (T gram T^T)_ij =
+    (R_i G) . R_j / (d s_i s_j); each step combines two rows.
     """
     n = gram.rows
-    m = [list(r) for r in gram.entries()]
-    trans = [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
+    d, g = gram.cleared()
+    rows = [[int(i == j) for j in range(n)] + list(r) for i, r in enumerate(g)]
+    s = [1] * n
+
+    def pair(i, j):
+        return sum(map(mul, rows[i][n:], rows[j]))
+
+    def combine(i, j, x, y, si):  # T_i <- (x R_i + y R_j) / si
+        row = [x * a + y * b for a, b in zip(rows[i], rows[j])]
+        h = gcd(si, *row[:n])
+        rows[i], s[i] = [c // h for c in row], si // h
+
     for step in range(n):
-        p = next((i for i in range(step, n) if m[i][i] != 0), None)
+        p = next((i for i in range(step, n) if pair(i, i)), None)
         if p is None:
-            pair = next(
-                ((i, j) for i in range(step, n) for j in range(i + 1, n) if m[i][j] != 0),
-                None,
-            )
-            if pair is None:
+            fold = next(((i, j) for i in range(step, n) for j in range(i + 1, n) if pair(i, j)), None)
+            if fold is None:
                 break  # remaining block is zero
-            i, j = pair
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            trans[i] = [a + b for a, b in zip(trans[i], trans[j])]
-            p = i
-        if p != step:
-            m[step], m[p] = m[p], m[step]
-            for row in m:
-                row[step], row[p] = row[p], row[step]
-            trans[step], trans[p] = trans[p], trans[step]
-        d = m[step][step]
+            p, j = fold
+            m = lcm(s[p], s[j])
+            combine(p, j, m // s[p], m // s[j], m)
+        rows[step], rows[p], s[step], s[p] = rows[p], rows[step], s[p], s[step]
+        q = pair(step, step)
         for i in range(step + 1, n):
-            if m[i][step] != 0:
-                f = m[i][step] / d
-                for k in range(n):
-                    m[i][k] -= f * m[step][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][step]
-                trans[i] = [a - f * b for a, b in zip(trans[i], trans[step])]
-    return [m[i][i] for i in range(n)], Mat(trans)
+            e = pair(i, step)
+            if e:  # T_i - (e / q) T_step
+                combine(i, step, abs(q), -e if q > 0 else e, s[i] * abs(q))
+    m = lcm(*s)
+    trans = _make(m, [[m // si * x for x in r[:n]] for r, si in zip(rows, s)], n)
+    return [Q(pair(i, i), d * si * si) for i, si in enumerate(s)], trans
 
 
 # -- integer normal forms ----------------------------------------------------

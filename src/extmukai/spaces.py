@@ -13,7 +13,8 @@ Todd parameter r_X.  Built-in parameter sets:
 For the K3n family the module also builds the distinguished rank-25
 integral lattices: the B-field shift Lambda of the integral extended Mukai
 lattice, its unimodular part Lambda_S, the index-two overlattice Lambda_g,
-and the span Lambda_LB of all line-bundle Mukai vectors.
+and the span Lambda_LB of all line-bundle Mukai vectors, generated by
+v(O) = alpha + r_X beta, the e_i + (G_ii / 2) beta and gcd(G_ij) beta.
 
 Hodge structures are modeled combinatorially: an optional designated
 algebraic sublattice NS of H^2 splits every lattice into an algebraic and a
@@ -22,7 +23,7 @@ split".
 """
 
 from functools import cached_property
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 from .isometry import QuadSpace, disc_action, eichler_transvection, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, orthogonal_complement, standard_lattice
@@ -245,7 +246,7 @@ class K3nLattices:
 
     @cached_property
     def lam_lb(self):
-        return _line_bundle_lattice(self.space, name="Lambda_LB")
+        return _line_bundle_lattice(self.space)
 
     @cached_property
     def gamma_k(self):
@@ -298,22 +299,19 @@ def _build_k3n_lattices(space):
     return K3nLattices(space, lam, lam_s, lam_g, alpha_tilde, delta_tilde)
 
 
-def _line_bundle_lattice(space, name):
-    """Integral span of all line-bundle vectors v(lambda), lambda in H^2(X,Z)."""
-    gens = [ext_vector_line_bundle(space, [0] * space.b2).coords]
-    basis_h2 = [tuple(Q(1) if j == i else Q(0) for j in range(space.b2)) for i in range(space.b2)]
-    for lam in basis_h2:
-        gens.append(ext_vector_line_bundle(space, lam).coords)
-        gens.append(ext_vector_line_bundle(space, tuple(-c for c in lam)).coords)
-    for i in range(space.b2):
-        for j in range(i + 1, space.b2):
-            lam = tuple(a + b for a, b in zip(basis_h2[i], basis_h2[j]))
-            gens.append(ext_vector_line_bundle(space, lam).coords)
-    # common denominator, integer HNF, rescale back
-    gens = Mat(gens)
-    den = gens.denominator_lcm()
-    rows = [tuple(Q(c, den) for c in row) for row in hnf_row_basis(gens.scale(den).int_entries())]
-    return QuadLattice.from_basis(rows, space.gram, name=name)
+def _line_bundle_lattice(space):
+    """Integral span of all line-bundle vectors v(lambda), lambda in H^2(X,Z):
+    that of v(0), the v(e_i) - v(0) = e_i + (G_ii / 2) beta and gcd(G_ij)
+    beta, as v(lambda) - v(0) - sum l_i (v(e_i) - v(0)) is a Z-combination
+    of the G_ij beta, each a second difference of v."""
+    b2 = space.b2
+    d, g = space.dtype.h2_gram.cleared()
+    c = Q(gcd(*(x for r in g for x in r)), d)
+    gens = [space.vector(1, [0] * b2, space.dtype.r_x), space.vector(0, [0] * b2, c)]
+    gens += [space.vector(0, [int(i == j) for j in range(b2)], Q(g[i][i], 2 * d)) for i in range(b2)]
+    den, ints = Mat(gens).cleared()
+    rows = [tuple(Q(x, den) for x in row) for row in hnf_row_basis(ints)]
+    return QuadLattice.from_basis(rows, space.gram, name="Lambda_LB")
 
 
 def shifted_integral_lattice(space, gamma):

@@ -137,7 +137,9 @@ def test_cli_output_byte_stable():
 # integrate and verify linearisation as recorded before b_SH became an
 # apolar evaluation, and of verify eichler, catalog and lambda-invariance and
 # lattice-check on gamma-k and lambda-s as recorded before the duplicate
-# orthogonalisation, lattice-witness loop and space factory were removed
+# orthogonalisation, lattice-witness loop and space factory were removed, and
+# of lattice-check on lambda-lb (its witness is the first Hermite basis row of
+# Lambda_LB) as recorded before Lambda_LB was built from b2 + 2 generators
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

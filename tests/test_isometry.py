@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from extmukai.isometry import (
     IsometryError,
     QuadSpace,
+    TransvectionWord,
     cartan_dieudonne,
     disc_action,
     eichler_transport,
@@ -482,6 +483,52 @@ def test_transport_matches_reference_apply(n):
     assert digest.hexdigest() == TRANSPORT_WORD_DIGESTS[n]
 
 
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_transport_of_consecutive_fibonacci_coefficients():
+    # v = F_999 e0 + F_1000 e23 on the first hyperbolic plane of Lambda
+    # (n = 2): 694-bit coefficients that take plane_smith through more than
+    # 500 balanced-Euclid passes
+    space, lats = k3n_setup(2)
+    lam = lats.lam
+    units = [tuple(Q(int(i == k)) for i in range(25)) for k in range(25)]
+    v = tuple(Q(_fibonacci(999 + (k == 23))) if k in (0, 23) else Q(0) for k in range(25))
+    w = TransvectionWord(lam, [(units[0], units[3])]).apply(v)
+    word = eichler_transport(lam, v, w)
+    assert not isinstance(word, NotFound)
+    assert word.apply(v) == w
+
+
+@given(st.integers(min_value=500, max_value=4000), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=8, deadline=None)
+def test_transport_of_large_vectors(bits, seed):
+    # a primitive v with entries of up to 4,000 bits on Lambda (n = 2) and
+    # its image under a short random word of integer transvections along
+    # alpha~ and beta (indices 0 and 23)
+    draw = random.Random(seed)
+    space, lats = k3n_setup(2)
+    lam = lats.lam
+    gram = [[int(c) for c in r] for r in lam.gram.entries()]
+    v = tuple(draw.getrandbits(bits) - draw.getrandbits(bits) for _ in range(25))
+    v = tuple(c // gcd(*v) for c in v)
+    w = v
+    units = [tuple(int(i == k) for i in range(25)) for k in (0, 23)]
+    for _ in range(draw.randint(1, 4)):
+        e, f = units[::draw.choice((1, -1))]
+        a0 = tuple(draw.randint(-3, 3) for _ in range(25))
+        c = _b_int(gram, e, a0)  # a = a0 + b(e, a0) f is orthogonal to e
+        w = _transvect_int(gram, e, tuple(x + c * y for x, y in zip(a0, f)), w)
+    vq, wq = tuple(map(Q, v)), tuple(map(Q, w))
+    word = eichler_transport(lam, vq, wq)
+    assert not isinstance(word, NotFound)
+    assert word.apply(vq) == wq
+
+
 def test_transport_data_kept_on_the_lattice():
     # the hyperbolic frame is kept on the lattice and the sparse integer rows
     # on its Gram, both built on the first transport and reused; v and w are
@@ -506,8 +553,6 @@ def _pair_q(gram, x, y):
 def test_transvection_word_apply_matches_fraction_reference():
     # random rational pairs and vectors on a rational Gram (denominator 6):
     # the integer apply against the transvection formula on Fractions
-    from extmukai.isometry import TransvectionWord
-
     draw = random.Random(7)
     for _ in range(30):
         k = draw.randint(1, 5)

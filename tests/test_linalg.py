@@ -17,6 +17,7 @@ from extmukai.linalg import (
     smith_normal_form,
     solve_linear,
 )
+from extmukai.spaces import ExtMukaiSpace, custom_type, k3n_lattices, k3n_type, kumn_type
 
 
 def test_smith_already_diagonal():
@@ -353,6 +354,97 @@ def test_congruence_inertia_matches_sympy(m):
     diag, _ = congruence_diagonalize(Mat(m))
     got = (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0))
     assert got == _sympy_inertia(sympy, [[sympy.Rational(a.numerator, a.denominator) for a in r] for r in m])
+
+
+def reference_congruence_diagonalize(gram):
+    """The symmetric elimination on Fractions: the Gram's entries, with T
+    carried alongside; pivots as in `congruence_diagonalize`."""
+    n = gram.rows
+    m = [list(r) for r in gram.entries()]
+    trans = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for step in range(n):
+        p = next((i for i in range(step, n) if m[i][i] != 0), None)
+        if p is None:
+            pair = next(
+                ((i, j) for i in range(step, n) for j in range(i + 1, n) if m[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            trans[i] = [a + b for a, b in zip(trans[i], trans[j])]
+            p = i
+        if p != step:
+            m[step], m[p] = m[p], m[step]
+            for row in m:
+                row[step], row[p] = row[p], row[step]
+            trans[step], trans[p] = trans[p], trans[step]
+        d = m[step][step]
+        for i in range(step + 1, n):
+            if m[i][step] != 0:
+                f = m[i][step] / d
+                for k in range(n):
+                    m[i][k] -= f * m[step][k]
+                for k in range(n):
+                    m[k][i] -= f * m[k][step]
+                trans[i] = [a - f * b for a, b in zip(trans[i], trans[step])]
+    return [m[i][i] for i in range(n)], Mat(trans)
+
+
+def _assert_same_diagonalisation(gram):
+    diag, t = congruence_diagonalize(gram)
+    want_diag, want_t = reference_congruence_diagonalize(gram)
+    assert diag == want_diag and all(type(d) is Q for d in diag)
+    assert t == want_t
+
+
+@given(symmetric_matrices())
+@settings(max_examples=80, deadline=None)
+def test_congruence_diagonalize_matches_fraction_reference(m):
+    _assert_same_diagonalisation(Mat(m))
+
+
+def _named_grams():
+    grams = {"Kum3": ExtMukaiSpace(kumn_type(3)).gram}
+    for n in (2, 3, 5, 10):
+        space = ExtMukaiSpace(k3n_type(n))
+        lats = k3n_lattices(space)
+        grams["K3n-%d" % n] = space.gram
+        grams.update({"%s-%d" % (lat.name, n): lat.gram for lat in (lats.lam, lats.lam_g, lats.lam_s)})
+    # b2 = 0: the hyperbolic corner alone
+    grams["b2-0"] = ExtMukaiSpace(custom_type(1, 1, 1, Mat([]))).gram
+    grams["zero-1x1"] = Mat([[0]])
+    grams["zero-4x4"] = Mat.zero(4, 4)
+    grams["zero-diagonal"] = Mat([[0, Q(1, 2), 3, 0], [Q(1, 2), 0, 0, -1], [3, 0, 0, 2], [0, -1, 2, 0]])
+    grams["zero-diagonal-zero-block"] = Mat([[0, 0, 5], [0, 0, 0], [5, 0, 0]])
+    return grams
+
+
+NAMED_GRAMS = _named_grams()
+
+
+@pytest.mark.parametrize("name", list(NAMED_GRAMS))
+def test_congruence_diagonalize_matches_reference_on_named_grams(name):
+    _assert_same_diagonalisation(NAMED_GRAMS[name])
+
+
+def test_congruence_diagonalize_reads_no_fraction(monkeypatch):
+    # runs on the stored integer rows: the Fraction read-outs may all fail
+    gram = ExtMukaiSpace(k3n_type(3)).gram
+    want = reference_congruence_diagonalize(gram)
+
+    def refuse(*args):
+        raise AssertionError("Fraction read-out")
+
+    for name in ("entries", "row", "__getitem__"):
+        monkeypatch.setattr(Mat, name, refuse)
+    got = congruence_diagonalize(gram)
+    monkeypatch.undo()
+    assert got == want
 
 
 # -- integer normal forms, rank and det against sympy ---------------------------

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction as Q
 from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from extmukai.isometry import minus_identity
 from extmukai.lattice import QuadLattice, discriminant_group, divisibility
-from extmukai.linalg import Mat
+from extmukai.linalg import Mat, hnf_row_basis
 from extmukai.spaces import (
     ExtMukaiSpace,
     SpaceError,
@@ -121,7 +122,7 @@ def test_lambda_lb_between_lattices():
         # built on first access, then kept on the bundle
         assert "lam_lb" not in vars(lats)
         assert lats.lam_lb is lats.lam_lb
-        assert lats.lam_lb.basis_in_ambient == spaces._line_bundle_lattice(space, "").basis_in_ambient
+        assert lats.lam_lb.basis_in_ambient == spaces._line_bundle_lattice(space).basis_in_ambient
         assert lats.lam_lb.rank == 25
         for i in range(25):
             assert membership(lats.lam_g, lats.lam_lb.basis_in_ambient.row(i))[0]
@@ -134,6 +135,38 @@ def test_lambda_lb_between_lattices():
         assert membership(lats.lam_lb, v0)[0]
         assert not membership(lats.lam, v0)[0]
         assert not lats.lam_lb.same_subset_as(lats.lam)
+
+
+def reference_line_bundle_lattice(space):
+    """Lambda_LB from the line-bundle vectors themselves: v(0), v(+-e_i) and
+    v(e_i + e_j), 300 vectors on K3n, and their Hermite basis."""
+    b2 = space.b2
+    units = [tuple(int(i == j) for j in range(b2)) for i in range(b2)]
+    lams = [(0,) * b2] + units + [tuple(-c for c in u) for u in units]
+    lams += [tuple(map(add, units[i], units[j])) for i in range(b2) for j in range(i + 1, b2)]
+    gens = Mat([ext_vector_line_bundle(space, lam).coords for lam in lams])
+    den = gens.denominator_lcm()
+    rows = [tuple(Q(c, den) for c in row) for row in hnf_row_basis(gens.scale(den).int_entries())]
+    return QuadLattice.from_basis(rows, space.gram, name="Lambda_LB")
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 10))
+def test_lambda_lb_matches_line_bundle_reference(n, monkeypatch):
+    # built from b2 + 2 generators, with the Hermite basis of all 300
+    space = ExtMukaiSpace(k3n_type(n))
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return hnf_row_basis(rows)
+
+    monkeypatch.setattr(spaces, "hnf_row_basis", counted)
+    lam_lb = k3n_lattices(space).lam_lb
+    monkeypatch.undo()
+    assert sizes == [space.b2 + 2]
+    want = reference_line_bundle_lattice(space)
+    assert lam_lb.basis_in_ambient == want.basis_in_ambient
+    assert lam_lb.gram == want.gram and lam_lb.name == want.name
 
 
 def test_k3n_lattices_kept_on_the_space():
