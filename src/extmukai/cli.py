@@ -43,7 +43,10 @@ from .isometry import (
 )
 from .lattice import NotFound
 from .linalg import Mat, Q
-from .moduli import AlgebraicMukaiLattice, disc_lemma_check, fineness, ns_of_moduli, partner_invariants
+from .moduli import (
+    AlgebraicMukaiLattice, disc_lemma_check, fineness, moduli_dimension, ns_of_moduli,
+    partner_invariants,
+)
 from .serialize import (
     canonical_json,
     isometry_from_json,
@@ -63,7 +66,7 @@ from .spaces import (
     k3n_lattices,
 )
 from .verbitsky import euler_char_line_bundle, integrate, pair_with_sh, sqrt_todd_argument, todd_argument
-from .verification import DEFAULT_SEED, SUITES, family_space, run_suite
+from .verification import DEFAULT_SEED, SUITES, check, family_space, run_suite
 
 
 class InputError(ValueError):
@@ -184,13 +187,12 @@ def parse_isometry(space, spec):
 
 
 def _tracked_lattice(space, name):
-    lats = k3n_lattices(space)
-    table = {  # built only for the name asked for
-        "lambda": lambda: lats.lam,
-        "lambda-g": lambda: lats.lam_g,
-        "lambda-s": lambda: lats.lam_s,
-        "lambda-lb": lambda: lats.lam_lb,
-        "gamma-k": lambda: lats.gamma_k,
+    table = {  # built only for the name asked for; all but "integral" need K3n
+        "lambda": lambda: k3n_lattices(space).lam,
+        "lambda-g": lambda: k3n_lattices(space).lam_g,
+        "lambda-s": lambda: k3n_lattices(space).lam_s,
+        "lambda-lb": lambda: k3n_lattices(space).lam_lb,
+        "gamma-k": lambda: k3n_lattices(space).gamma_k,
         "integral": space.integral_lattice,
     }
     if name not in table:
@@ -263,13 +265,13 @@ def cmd_lattice_check(args):
     g = parse_isometry(space, args.iso)
     lat = _tracked_lattice(space, args.lattice)
     ok = preserves_lattice(g, lat)
-    checks = [{"name": "preserves %s" % args.lattice, "pass": ok, "detail": ""}]
     payload = {"preserves": ok}
+    detail = ""
     if not ok:
         w = lattice_witness(g, lat)
         payload["witness"] = vector_to_json(w) if w else None
-        checks[0]["detail"] = "witness %s" % (payload["witness"],)
-    return emit(args, payload, checks)
+        detail = "witness %s" % (payload["witness"],)
+    return emit(args, payload, [check("preserves %s" % args.lattice, ok, detail)])
 
 
 def cmd_isometry_info(args):
@@ -301,7 +303,7 @@ def cmd_transport(args):
     res = eichler_transport(lat, v, w)
     if isinstance(res, NotFound):
         payload = {"found": False, "reason": res.reason}
-        checks = [{"name": "transport", "pass": False, "detail": res.reason}]
+        checks = [check("transport", False, res.reason)]
     else:
         payload = {
             "found": True,
@@ -310,7 +312,7 @@ def cmd_transport(args):
                 {"e": vector_to_json(e), "a": vector_to_json(a)} for e, a in res.pairs
             ],
         }
-        checks = [{"name": "transport verified", "pass": res.apply(v) == w, "detail": ""}]
+        checks = [check("transport verified", res.apply(v) == w)]
     return emit(args, payload, checks)
 
 
@@ -393,11 +395,12 @@ def cmd_moduli(args):
         raise InputError("v must be a list of %d numbers (r, c..., s)" % lat.rank)
     v = [parse_rat(c) for c in v]
     v = lat.vector(v[0], v[1:-1], v[-1])
+    dimension = moduli_dimension(lat, v)
     fine, order = fineness(lat, v)
     ns_m = ns_of_moduli(lat, v)
     payload = {
         "square": rat_str(lat.square(v)),
-        "dimension": int(lat.square(v)) + 2,
+        "dimension": dimension,
         "fine": fine,
         "obstruction_order": int(order),
         "ns_moduli_gram": matrix_to_json(ns_m.gram),
@@ -414,7 +417,7 @@ def cmd_moduli(args):
             k: (rat_str(val) if isinstance(val, Fraction) else val)
             for k, val in rep.items()
         }
-        checks.append({"name": "discriminant identity", "pass": rep["all"], "detail": ""})
+        checks.append(check("discriminant identity", rep["all"]))
     return emit(args, payload, checks)
 
 

@@ -203,7 +203,7 @@ def discriminant_group(lat):
     if not lat.is_nondegenerate():
         raise LatticeError("nondegenerate lattice required")
     g = lat.gram
-    u, d, v = smith_normal_form(g)
+    u, d, _ = smith_normal_form(g)
     # A(L) ~ Z^r / g Z^r via x -> g^{-1} x; invariant factor i has generator
     # g^{-1} U^{-1} e_i of order d_i.
     ginv = g.inverse()

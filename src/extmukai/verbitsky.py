@@ -64,7 +64,7 @@ class SymError(ValueError):
 
 
 def _mono_degree(key):
-    a, m, c = key
+    _, m, c = key
     return 2 * (len(m) + 2 * c)
 
 

@@ -1,9 +1,12 @@
 """Named verification suites: one function per acceptance criterion.
 
 Each criterion function returns a list of checks {"name", "pass",
-"detail"}; all arithmetic is exact, so a check either holds identically or
-fails with a witness in the detail field.  The CLI `verify` verb and the
-acceptance test module both run these.
+"detail"}, built by `check`; all arithmetic is exact, so a check either
+holds identically or fails with a witness in the detail field.  A check
+that loops is a generator of failure details: it passes when the generator
+yields nothing, and otherwise its detail is the first failure, after which
+nothing more of that check runs.  The CLI `verify` verb and the acceptance
+test module both run these.
 
 Suites (CLI names) group the criteria:
 
@@ -72,8 +75,16 @@ from .verbitsky import (
 DEFAULT_SEED = 20241
 
 
-def _check(name, ok, detail=""):
+def check(name, ok, detail=""):
     return {"name": name, "pass": bool(ok), "detail": str(detail)}
+
+
+def _first_failure(name, failures):
+    """The check `name` over the generator `failures` of failure details: it
+    passes when the generator yields nothing, else fails with the first
+    detail, and the generator is not resumed."""
+    first = next(failures, None)
+    return check(name, first is None, first or "")
 
 
 def all_passed(checks):
@@ -101,30 +112,27 @@ def crit01_sqrt_todd_linearisation(seed=DEFAULT_SEED, ns=(2, 3, 4), labels=None)
     """Pairing form of the sqrt-Todd linearisation, 10 random classes per
     (family, n <= 4) configuration, exact."""
     rng = random.Random(seed + 1)
-    checks = []
-    for n in ns:
-        for label in labels or ("K3n", "Kumn", "custom-rank3"):
-            if label == "custom-rank3":
-                space = ExtMukaiSpace(custom_type(n, 5, Q(7, 3), _RANK3_GRAM))
-            else:
-                space = family_space(label, n)
-            ok = True
-            detail = ""
-            arg = sqrt_todd_argument(space)
-            for trial in range(10):
-                w = tuple(Q(rng.randint(-3, 3)) for _ in range(space.b2))
-                q = space.bbf(w, w)
-                for i in range(n + 1):
-                    got = pair_with_sh(space, [w] * (2 * n - 2 * i), arg)
-                    want = sqrt_todd_pairing_value(space, i, q)
-                    if got != want:
-                        ok = False
-                        detail = "n=%d i=%d got %s want %s" % (n, i, got, want)
-                        break
-                if not ok:
-                    break
-            checks.append(_check("linearisation %s n=%d" % (label, n), ok, detail))
-    return checks
+
+    def failures(label, n):
+        if label == "custom-rank3":
+            space = ExtMukaiSpace(custom_type(n, 5, Q(7, 3), _RANK3_GRAM))
+        else:
+            space = family_space(label, n)
+        arg = sqrt_todd_argument(space)
+        for _ in range(10):
+            w = tuple(Q(rng.randint(-3, 3)) for _ in range(space.b2))
+            q = space.bbf(w, w)
+            for i in range(n + 1):
+                got = pair_with_sh(space, [w] * (2 * n - 2 * i), arg)
+                want = sqrt_todd_pairing_value(space, i, q)
+                if got != want:
+                    yield "n=%d i=%d got %s want %s" % (n, i, got, want)
+
+    return [
+        _first_failure("linearisation %s n=%d" % (label, n), failures(label, n))
+        for n in ns
+        for label in labels or ("K3n", "Kumn", "custom-rank3")
+    ]
 
 
 # -- criterion 2 ---------------------------------------------------------------
@@ -133,34 +141,34 @@ def crit01_sqrt_todd_linearisation(seed=DEFAULT_SEED, ns=(2, 3, 4), labels=None)
 def crit02_integral_and_exp(seed=DEFAULT_SEED):
     """integral(sqrt Todd) = c_X r_X^n / n! and the exponential identity
     at five sampled values of b(w, w), n <= 4."""
-    checks = []
     samples = [Q(0), Q(2), Q(-4), Q(7, 2), Q(10)]
-    for n in (1, 2, 3, 4):
+
+    def failures(n, c_x, r_x):
+        base = ExtMukaiSpace(custom_type(n, c_x, r_x, Mat([[Q(2)]])))
+        got0 = pair_with_sh(base, [], sqrt_todd_argument(base))
+        want0 = c_x * r_x**n / factorial(n)
+        if got0 != want0:
+            yield "integral got %s want %s" % (got0, want0)
+        for qv in samples:
+            sp = ExtMukaiSpace(custom_type(n, c_x, r_x, Mat([[qv]])))
+            a = sqrt_todd_argument(sp)
+            total = Q(0)
+            for k in range(0, 2 * n + 1):
+                val = pair_with_sh(sp, [(Q(1),)] * k, a)
+                total += Q(-1) ** k / factorial(k) * val
+            want = (1 + qv / (2 * r_x)) ** n * c_x * r_x**n / factorial(n)
+            if total != want:
+                yield "q=%s got %s want %s" % (qv, total, want)
+
+    return [
+        _first_failure("integral+exp %s n=%d" % (label, n), failures(n, c_x, r_x))
+        for n in (1, 2, 3, 4)
         for label, c_x, r_x in (
             ("K3n", Q(1), Q(n + 3, 4)),
             ("Kumn", Q(n + 1), Q(n + 1, 4)),
             ("custom-rank3", Q(5), Q(7, 3)),
-        ):
-            base = ExtMukaiSpace(custom_type(n, c_x, r_x, Mat([[Q(2)]])))
-            arg = sqrt_todd_argument(base)
-            got0 = pair_with_sh(base, [], arg)
-            want0 = c_x * r_x**n / factorial(n)
-            ok = got0 == want0
-            detail = "" if ok else "integral got %s want %s" % (got0, want0)
-            for qv in samples:
-                sp = ExtMukaiSpace(custom_type(n, c_x, r_x, Mat([[qv]])))
-                a = sqrt_todd_argument(sp)
-                total = Q(0)
-                for k in range(0, 2 * n + 1):
-                    val = pair_with_sh(sp, [(Q(1),)] * k, a)
-                    total += Q(-1) ** k / factorial(k) * val
-                want = (1 + qv / (2 * r_x)) ** n * c_x * r_x**n / factorial(n)
-                if total != want:
-                    ok = False
-                    detail = "q=%s got %s want %s" % (qv, total, want)
-                    break
-            checks.append(_check("integral+exp %s n=%d" % (label, n), ok, detail))
-    return checks
+        )
+    ]
 
 
 # -- criterion 3 ---------------------------------------------------------------
@@ -170,14 +178,10 @@ def crit03_lefschetz_expansion(seed=DEFAULT_SEED):
     """Order-class coefficients of e_w^j(alpha^N / N!) against the closed
     form j!/((j-2k)! k! 2^k), all j <= 8, all k, random b(w, w)."""
     rng = random.Random(seed + 3)
-    checks = []
     N = 8
-    for trial in range(3):
-        qv = Q(rng.randint(1, 40), rng.randint(1, 7))
-        sp = ExtMukaiSpace(custom_type(N, 1, 1, Mat([[qv]])))
-        x = SymElement.alpha_power(sp, N)
-        ok = True
-        detail = ""
+
+    def failures(qv):
+        x = SymElement.alpha_power(ExtMukaiSpace(custom_type(N, 1, 1, Mat([[qv]]))), N)
         for j in range(0, N + 1):
             y = x
             for _ in range(j):
@@ -192,13 +196,12 @@ def crit03_lefschetz_expansion(seed=DEFAULT_SEED):
                     / factorial(N - j + k)
                 )
                 if got != want:
-                    ok = False
-                    detail = "j=%d k=%d got %s want %s" % (j, k, got, want)
+                    yield "j=%d k=%d got %s want %s" % (j, k, got, want)
             if seen:
-                ok = False
-                detail = "unexpected monomials at j=%d: %s" % (j, sorted(seen))
-        checks.append(_check("expansion coefficients q=%s" % qv, ok, detail))
-    return checks
+                yield "unexpected monomials at j=%d: %s" % (j, sorted(seen))
+
+    qvs = [Q(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(3)]
+    return [_first_failure("expansion coefficients q=%s" % qv, failures(qv)) for qv in qvs]
 
 
 # -- criterion 4 ---------------------------------------------------------------
@@ -206,35 +209,28 @@ def crit03_lefschetz_expansion(seed=DEFAULT_SEED):
 
 def crit04_pairing_factorials():
     """b_[n](alpha^i beta^{n-i}, alpha^{n-i} beta^i) = c_X i! (n-i)!, n <= 6."""
-    checks = []
-    for label, make in (("K3n", k3n_type), ("Kumn", kumn_type)):
-        ok = True
-        detail = ""
-        for n in range(2, 7):
-            space = family_space(label, n)
+
+    def failures(spaces):
+        for space in spaces:
+            n = space.dtype.n
             for i in range(n + 1):
                 x = SymElement.monomial(space, n, i, (), n - i)
                 y = SymElement.monomial(space, n, n - i, (), i)
                 got = pairing_bn(x, y)
                 want = space.dtype.c_x * factorial(i) * factorial(n - i)
                 if got != want:
-                    ok = False
-                    detail = "n=%d i=%d got %s want %s" % (n, i, got, want)
-        checks.append(_check("pairing factorials %s n<=6" % label, ok, detail))
+                    yield "n=%d i=%d got %s want %s" % (n, i, got, want)
+
+    checks = [
+        _first_failure(
+            "pairing factorials %s n<=6" % label,
+            failures(family_space(label, n) for n in range(2, 7)),
+        )
+        for label in ("K3n", "Kumn")
+    ]
     # a custom Fujiki constant exercises the prefactor
-    ok = True
-    detail = ""
-    for n in (2, 3):
-        sp = ExtMukaiSpace(custom_type(n, Q(7, 2), Q(1), _RANK3_GRAM))
-        for i in range(n + 1):
-            got = pairing_bn(
-                SymElement.monomial(sp, n, i, (), n - i),
-                SymElement.monomial(sp, n, n - i, (), i),
-            )
-            if got != Q(7, 2) * factorial(i) * factorial(n - i):
-                ok = False
-                detail = "custom n=%d i=%d" % (n, i)
-    checks.append(_check("pairing factorials custom c_X", ok, detail))
+    custom = (ExtMukaiSpace(custom_type(n, Q(7, 2), Q(1), _RANK3_GRAM)) for n in (2, 3))
+    checks.append(_first_failure("pairing factorials custom c_X", failures(custom)))
     return checks
 
 
@@ -274,19 +270,15 @@ def crit05_catalog(seed=DEFAULT_SEED):
             g = named.iso
             iso_ok = (g.matrix.transpose() * space.gram * g.matrix) == space.gram
             pres = preserves_lattice(g, lats.lam) and preserves_lattice(g, lats.lam_g)
-            checks.append(
-                _check("catalog %s n=%d isometry+preserves" % (named.key, n),
-                       iso_ok and pres)
-            )
+            name = "catalog %s n=%d isometry+preserves" % (named.key, n)
+            checks.append(check(name, iso_ok and pres))
         # involutive keys square to the identity
         for key in ("sign_equivalence", "spherical_P") + (
             ("fm_ext1", "horja_EZ") if n == 2 else ()
         ):
             g = action(space, key).iso
-            checks.append(
-                _check("catalog %s n=%d squares to id" % (key, n),
-                       g.compose(g).is_identity())
-            )
+            checks.append(check("catalog %s n=%d squares to id" % (key, n),
+                                g.compose(g).is_identity()))
 
     # spherical_P at n = 3 sends v(O) to -v(O(-delta))
     space = family_space("K3n", 3)
@@ -295,10 +287,8 @@ def crit05_catalog(seed=DEFAULT_SEED):
     v_o = _line_bundle_vector_shifted(space, lats, [0] * 22, 1)
     v_o_md = _line_bundle_vector_shifted(space, lats, [0] * 22, -1)
     got = p(v_o)
-    checks.append(
-        _check("spherical_P n=3 sends v(O) to -v(O(-delta))",
-               got == tuple(-c for c in v_o_md), got)
-    )
+    checks.append(check("spherical_P n=3 sends v(O) to -v(O(-delta))",
+                        got == tuple(-c for c in v_o_md), got))
 
     checks.extend(crit05_dn(seed))
     return checks
@@ -325,32 +315,26 @@ def crit05_dn(seed=DEFAULT_SEED):
                 g = g.compose(minus_identity(k3))
         return g
 
-    for n in (2, 3):
-        space = family_space("K3n", n)
-        ok = True
-        detail = ""
+    def failures(space):
         for _ in range(10):
             g = random_k3_iso()
             h = random_k3_iso()
             lhs = dn_transfer(space, g.compose(h))
             rhs = dn_transfer(space, g).compose(dn_transfer(space, h))
             if lhs.matrix != rhs.matrix:
-                ok = False
-                detail = "homomorphism failed"
-                break
-        checks.append(_check("dn homomorphism on 10 random pairs n=%d" % n, ok, detail))
+                yield "homomorphism failed"
 
+    for n in (2, 3):
+        space = family_space("K3n", n)
+        name = "dn homomorphism on 10 random pairs n=%d" % n
+        checks.append(_first_failure(name, failures(space)))
         lats = k3n_lattices(space)
         want = reflection(space, vec_add(lats.alpha_tilde, space.beta))
         if (n + 1) % 2 == 1:
             want = minus_identity(space).compose(want)
         got = dn_transfer(space, s_ab)
-        checks.append(
-            _check(
-                "dn(s_{(1,0,1)}) = (-1)^{n+1} s_{alpha~+beta} n=%d" % n,
-                got.matrix == want.matrix,
-            )
-        )
+        name = "dn(s_{(1,0,1)}) = (-1)^{n+1} s_{alpha~+beta} n=%d" % n
+        checks.append(check(name, got.matrix == want.matrix))
     return checks
 
 
@@ -390,26 +374,19 @@ def crit06_lambda_invariance(seed=DEFAULT_SEED, generators_total=200):
             a = vec_add(a0, vec_scale(-corr, f))
             return "transvection", eichler_transvection(space, e, a)
 
-        ok = True
-        detail = ""
-        for idx in range(per_n):
-            kind, g = random_generator()
-            if not (preserves_lattice(g, lats.lam) and preserves_lattice(g, lats.lam_g)):
-                ok = False
-                detail = "%s #%d fails lattice preservation" % (kind, idx)
-                break
-            if spinor_norm(g) != 1:
-                ok = False
-                detail = "%s #%d has spinor norm -1" % (kind, idx)
-                break
-            label, _w = disc_action(g, lats.lam)
-            if label not in ("identity", "minus_identity"):
-                ok = False
-                detail = "%s #%d disc action %s" % (kind, idx, label)
-                break
-        checks.append(
-            _check("lambda invariance n=%d (%d generators)" % (n, per_n), ok, detail)
-        )
+        def failures():
+            for idx in range(per_n):
+                kind, g = random_generator()
+                if not (preserves_lattice(g, lats.lam) and preserves_lattice(g, lats.lam_g)):
+                    yield "%s #%d fails lattice preservation" % (kind, idx)
+                if spinor_norm(g) != 1:
+                    yield "%s #%d has spinor norm -1" % (kind, idx)
+                label, _w = disc_action(g, lats.lam)
+                if label not in ("identity", "minus_identity"):
+                    yield "%s #%d disc action %s" % (kind, idx, label)
+
+        name = "lambda invariance n=%d (%d generators)" % (n, per_n)
+        checks.append(_first_failure(name, failures()))
     return checks
 
 
@@ -426,8 +403,8 @@ def crit07_counterexample_lattice():
     pres_lam = preserves_lattice(g, lats.lam)
     witness = lattice_witness(g, lats.lam)
     return [
-        _check("B_{delta/3} preserves 3 Lambda_S + Z delta~ (n=10)", pres_gamma),
-        _check(
+        check("B_{delta/3} preserves 3 Lambda_S + Z delta~ (n=10)", pres_gamma),
+        check(
             "B_{delta/3} moves Lambda (n=10)",
             not pres_lam,
             "witness vector %s" % ([str(c) for c in witness or ()],),
@@ -443,7 +420,6 @@ def crit08_eichler_transport(seed=DEFAULT_SEED):
     space = family_space("K3n", 3)
     lats = k3n_lattices(space)
     L = lats.lam
-    checks = []
 
     def random_primitive():
         v = None
@@ -463,51 +439,44 @@ def crit08_eichler_transport(seed=DEFAULT_SEED):
             y = TransvectionWord(L, [(e, a)]).apply(y)
         return y
 
-    ok = True
-    detail = ""
     lengths = []
-    for trial in range(50):
-        v = random_primitive()
-        w = orbit_partner(v)
-        word = eichler_transport(L, v, w)
-        if isinstance(word, NotFound) or word.apply(v) != w:
-            ok = False
-            detail = "pair %d: %s" % (trial, word)
-            break
-        lengths.append(len(word))
-    checks.append(
-        _check(
-            "50 matched pairs transported (n=3)",
-            ok,
-            detail or "max word length %d" % max(lengths),
-        )
-    )
+
+    def matched():
+        for trial in range(50):
+            v = random_primitive()
+            w = orbit_partner(v)
+            word = eichler_transport(L, v, w)
+            if isinstance(word, NotFound) or word.apply(v) != w:
+                yield "pair %d: %s" % (trial, word)
+            lengths.append(len(word))
+
+    first = next(matched(), None)
+    checks = [check("50 matched pairs transported (n=3)", first is None,
+                    first or "max word length %d" % max(lengths))]
 
     # mismatched pairs return NotFound with the right reason
-    mism_ok = True
-    detail = ""
-    for trial in range(10):
-        v = random_primitive()
-        mode = trial % 3
-        if mode == 0:
-            w = random_primitive()
-            while L.norm(w) == L.norm(v):
+    def mismatched():
+        for trial in range(10):
+            v = random_primitive()
+            mode = trial % 3
+            if mode == 0:
                 w = random_primitive()
-            want = "square"
-        elif mode == 1:
-            w = tuple(3 * c for c in v)
-            want = "primitivity"
-        else:
-            w = _same_square_other_class(L, v, rng)
-            if w is None:
-                continue
-            want = "disc class"
-        res = eichler_transport(L, v, w)
-        if not isinstance(res, NotFound) or res.reason != want:
-            mism_ok = False
-            detail = "mode %s gave %r" % (want, res)
-            break
-    checks.append(_check("mismatched pairs rejected with reasons", mism_ok, detail))
+                while L.norm(w) == L.norm(v):
+                    w = random_primitive()
+                want = "square"
+            elif mode == 1:
+                w = tuple(3 * c for c in v)
+                want = "primitivity"
+            else:
+                w = _same_square_other_class(L, v, rng)
+                if w is None:
+                    continue
+                want = "disc class"
+            res = eichler_transport(L, v, w)
+            if not isinstance(res, NotFound) or res.reason != want:
+                yield "mode %s gave %r" % (want, res)
+
+    checks.append(_first_failure("mismatched pairs rejected with reasons", mismatched()))
     return checks
 
 
@@ -535,11 +504,9 @@ def _same_square_other_class(L, v, rng):
 
 def crit09_isotropy(seed=DEFAULT_SEED):
     rng = random.Random(seed + 9)
-    checks = []
-    for n in (2, 3, 4):
+
+    def failures(n):
         space = family_space("K3n", n)
-        ok = True
-        detail = ""
         trials = 0
         while trials < 7:
             s, t, u, w = (rng.randint(-3, 3) for _ in range(4))
@@ -549,38 +516,24 @@ def crit09_isotropy(seed=DEFAULT_SEED):
                 continue
             trials += 1
             if space.bbf(lam, lam) != 0:
-                ok = False
-                detail = "sampler produced a non-isotropic class"
-                break
-            ln = psi_monomial(space, [lam] * n)
-            if not laplacian(ln).is_zero():
-                ok = False
-                detail = "Delta(lambda^n) != 0"
-                break
+                yield "sampler produced a non-isotropic class"
+            if not laplacian(psi_monomial(space, [lam] * n)).is_zero():
+                yield "Delta(lambda^n) != 0"
             for k in range(n, 2 * n + 1):
-                x = SymElement.monomial(
+                y = SymElement.monomial(
                     space, n, 2 * n - k, (), k - n, Q(1, factorial(2 * n - k))
                 )
-                y = x
                 for _ in range(2 * n - k):
                     y = lefschetz_e(lam, y)
-                z = _power_times_beta(space, n, lam, 2 * n - k, k - n)
-                if y != z:
-                    ok = False
-                    detail = "power identity fails at n=%d k=%d" % (n, k)
-                    break
-            if not ok:
-                break
-            e = psi_monomial(space, [])
-            zz = e
+                if y != _power_times_beta(space, n, lam, 2 * n - k, k - n):
+                    yield "power identity fails at n=%d k=%d" % (n, k)
+            zz = psi_monomial(space, [])
             for _ in range(n + 1):
                 zz = lefschetz_e(lam, zz)
             if not zz.is_zero():
-                ok = False
-                detail = "e^{n+1}(psi(1)) != 0"
-                break
-        checks.append(_check("isotropy suite n=%d (7 classes)" % n, ok, detail))
-    return checks
+                yield "e^{n+1}(psi(1)) != 0"
+
+    return [_first_failure("isotropy suite n=%d (7 classes)" % n, failures(n)) for n in (2, 3, 4)]
 
 
 def _power_times_beta(space, n, lam, p, c):
@@ -612,38 +565,26 @@ def crit10_moduli_box():
     for label, ns in ns_options:
         lat = AlgebraicMukaiLattice(ns)
         vectors = primitive_vectors_in_box(lat, 4)
-        ok = True
-        detail = ""
-        n_disc = 0
-        for v in vectors:
-            fine, order = fineness(lat, v)
-            # triple equivalence: gcd route, witness route, image-of-pairing route
-            witness = pairing_witness(lat, v)
-            image_gen = _pairing_image_generator(lat, v)
-            if (fine != (witness is not None)) or (order != image_gen):
-                ok = False
-                detail = "fineness routes disagree at %s" % (v,)
-                break
-            if witness is not None and lat.pairing(v, witness) != 1:
-                ok = False
-                detail = "witness wrong at %s" % (v,)
-                break
-            sq = lat.square(v)
-            if sq in (2, 4, 6):  # moduli dimensions 4, 6, 8 (n <= 4)
-                rep = disc_lemma_check(lat, v)
-                n_disc += 1
-                if not rep["all"]:
-                    ok = False
-                    detail = "disc lemma fails at %s: %s" % (v, rep)
-                    break
-        checks.append(
-            _check(
-                "moduli box NS=%s (%d vectors, %d disc checks)"
-                % (label, len(vectors), n_disc),
-                ok,
-                detail,
-            )
-        )
+        disc = []  # the vectors given to disc_lemma_check
+
+        def failures():
+            for v in vectors:
+                fine, order = fineness(lat, v)
+                # triple equivalence: gcd route, witness route, image-of-pairing route
+                witness = pairing_witness(lat, v)
+                if (fine != (witness is not None)) or (order != _pairing_image_generator(lat, v)):
+                    yield "fineness routes disagree at %s" % (v,)
+                if witness is not None and lat.pairing(v, witness) != 1:
+                    yield "witness wrong at %s" % (v,)
+                if lat.square(v) in (2, 4, 6):  # moduli dimensions 4, 6, 8 (n <= 4)
+                    rep = disc_lemma_check(lat, v)
+                    disc.append(v)
+                    if not rep["all"]:
+                        yield "disc lemma fails at %s: %s" % (v, rep)
+
+        first = next(failures(), None)
+        name = "moduli box NS=%s (%d vectors, %d disc checks)"
+        checks.append(check(name % (label, len(vectors), len(disc)), first is None, first or ""))
     return checks
 
 
@@ -664,41 +605,29 @@ def crit11_rank_predicates(bound=10**6):
     with the independently enumerated set of realizable ranks; the public
     wrapper is checked against the core on all valid and many invalid r.
     """
+
+    def failures(n, c_x, valid):
+        core = kx_rank_core
+        for r in range(-bound, bound + 1):
+            if (core(r, n, c_x) is not None) != (r in valid):
+                yield "disagreement at r=%d" % r
+        rng = random.Random(11 * n + c_x)
+        fact = factorial(n)
+        sample = sorted(valid) + [rng.randint(-bound, bound) for _ in range(200)]
+        for r in sample:
+            got_ok, witness, _integral = rank_predicate_kx_orbit(r, n, c_x)
+            if got_ok != (r in valid):
+                yield "wrapper disagrees at r=%d" % r
+            # a = p/q: a^n n!/c_X = r as p^n n! = r c_X q^n in integers
+            if got_ok and witness.numerator**n * fact != r * c_x * witness.denominator**n:
+                yield "witness wrong at r=%d" % r
+
     checks = []
     for n in range(1, 7):
         for c_x in (1, n + 1):
             valid = _brute_force_kx_ranks(n, c_x, bound)
-            ok = True
-            detail = ""
-            core = kx_rank_core
-            for r in range(-bound, bound + 1):
-                if (core(r, n, c_x) is not None) != (r in valid):
-                    ok = False
-                    detail = "disagreement at r=%d" % r
-                    break
-            if ok:
-                rng = random.Random(11 * n + c_x)
-                fact = factorial(n)
-                sample = sorted(valid) + [rng.randint(-bound, bound) for _ in range(200)]
-                for r in sample:
-                    got_ok, witness, _integral = rank_predicate_kx_orbit(r, n, c_x)
-                    if got_ok != (r in valid):
-                        ok = False
-                        detail = "wrapper disagrees at r=%d" % r
-                        break
-                    # a = p/q: a^n n!/c_X = r as p^n n! = r c_X q^n in integers
-                    if got_ok and witness.numerator**n * fact != r * c_x * witness.denominator**n:
-                        ok = False
-                        detail = "witness wrong at r=%d" % r
-                        break
-            checks.append(
-                _check(
-                    "rank predicate n=%d c_X=%d (|r| <= %d, %d valid)"
-                    % (n, c_x, bound, len(valid)),
-                    ok,
-                    detail,
-                )
-            )
+            name = "rank predicate n=%d c_X=%d (|r| <= %d, %d valid)" % (n, c_x, bound, len(valid))
+            checks.append(_first_failure(name, failures(n, c_x, valid)))
     return checks
 
 
@@ -728,18 +657,14 @@ def _brute_force_kx_ranks(n, c_x, bound):
     return out
 
 
-
-
 # -- criterion 12 ----------------------------------------------------------------
 
 
 def crit12_poincare():
     checks = []
     for genus in range(2, 7):
-        sub = poincare_checks(genus)
-        ok = all(c["pass"] for c in sub)
-        bad = "; ".join(c["name"] for c in sub if not c["pass"])
-        checks.append(_check("poincare exchange genus %d" % genus, ok, bad))
+        failed = [c["name"] for c in poincare_checks(genus) if not c["pass"]]
+        checks.append(check("poincare exchange genus %d" % genus, not failed, "; ".join(failed)))
     return checks
 
 

@@ -139,7 +139,10 @@ def test_cli_output_byte_stable():
 # lattice-check on gamma-k and lambda-s as recorded before the duplicate
 # orthogonalisation, lattice-witness loop and space factory were removed, and
 # of lattice-check on lambda-lb (its witness is the first Hermite basis row of
-# Lambda_LB) as recorded before Lambda_LB was built from b2 + 2 generators
+# Lambda_LB) as recorded before Lambda_LB was built from b2 + 2 generators, of
+# verify dn as recorded before the criteria became failure generators, and of
+# lattice-check on the integral lattice of Kumn (which exited 2 while the
+# K3n-only lattices were built for every name)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -285,6 +288,8 @@ def test_cli_bad_input_exit_2(tmp_path):
     assert code == 2
     code, _ = run_cli(["lattice-check", "--n", "2", "--lattice", "nope", "--iso", "shift"])
     assert code == 2
+    code, out = run_cli(["lattice-check", "--family", "Kumn", "--lattice", "lambda", "--iso", "shift"])
+    assert code == 2 and "K3n" in json.loads(out)["error"]["message"]
     code, _ = run_cli(["isometry-info", "--n", "2", "--iso", "reflection:beta"])
     assert code == 2  # isotropic reflection vector
     code, _ = run_cli(["integrate", "--n", "2", "--omegas", "e1"])
@@ -307,6 +312,7 @@ def test_cli_bad_input_exit_2(tmp_path):
         '{"ns": {"gram": [["2"]]}, "v": 5}',
         '{"ns": {"gram": [["2"]]}, "v": [1, null, 0]}',
         "[1]",
+        '{"ns": {"gram": [["2"]]}, "v": [1, 0, 2]}',  # v^2 = -4: no moduli space
     ):
         code, out = run_cli(["moduli", "--input", "-"], stdin=stdin)
         assert code == 2 and "error" in json.loads(out)

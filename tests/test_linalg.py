@@ -643,6 +643,25 @@ def test_no_module_has_an_unused_import():
     assert unused == []
 
 
+def test_no_function_has_an_unused_local():
+    """Every name a package function binds is read in that function, nested
+    functions included; names starting with "_" are exempt."""
+    unused = []
+    for path in sorted(Path(extmukai.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+                read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+                unused += sorted({
+                    (path.name, node.id) for node in names
+                    if isinstance(node.ctx, ast.Store)
+                    and node.id not in read
+                    and not node.id.startswith("_")
+                })
+    assert unused == []
+
+
 def test_no_function_imports_a_package_module():
     """A package module imports its siblings at the top, never inside a
     function: no relative `from .x import ...` sits in a function body."""
