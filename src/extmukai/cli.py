@@ -5,12 +5,8 @@ report on stdout (sorted keys, fixed separators), or a plain-text variant
 with --format text.  Exit codes: 0 all checks passed, 1 verification
 failure, 2 malformed input.
 
-Vector syntax: a comma-separated list of rationals ("1,0,-1/2,...") in
-(alpha, H^2 basis..., beta) coordinates, or an expression in the named
-generators alpha, beta, delta, e1, e2, ... (H^2 basis), combined with
-+, - and rational multiples, e.g. "alpha+5/4*beta", "delta/3", "2*e1-e2".
-H^2-only contexts (--lam, b-fields) use the same syntax without alpha/beta
-and accept "0" for the zero class.
+Vector expressions (--lam, --v, --w, --vector, --omegas and the classes in
+--iso specs) follow the grammar in the parse_vector docstring.
 
 The Sym^n verbs (todd, chi, integrate, and verify --n for the suites that
 read it: linearisation, all) accept n <= SYM_MAX_N = 6: integrate sums over
@@ -21,11 +17,12 @@ ignore --n.
 Isometry syntax for --iso:
     bfield:<h2 expr>       reflection:<vector expr>
     transvection:<vector expr>|<vector expr>
-    shift                  catalog:<key>
+    shift                  catalog:<key>          file:<isometry JSON path>
 """
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -66,7 +63,7 @@ from .spaces import (
     k3n_lattices,
 )
 from .verbitsky import euler_char_line_bundle, integrate, pair_with_sh, sqrt_todd_argument, todd_argument
-from .verification import DEFAULT_SEED, SUITES, check, family_space, run_suite
+from .verification import DEFAULT_SEED, SUITES, all_passed, check, family_space, run_suite
 
 
 class InputError(ValueError):
@@ -97,68 +94,71 @@ def _named_vectors(space):
     return names
 
 
+_SIGNED_TERM = re.compile(r"([+-]*)([^+-]+)")
+
+
 def parse_vector(space, text, h2_only=False):
-    """Parse a vector expression into ambient or H^2 coordinates."""
+    """Parse a vector expression into ambient coordinates (alpha, H^2
+    basis..., beta), or into H^2 coordinates when h2_only.
+
+    The grammar, after stripping the text:
+      * a comma-separated list of rationals is the coordinate list itself
+        ("1,0,-1/2,..."), of length b2 when h2_only;
+      * "0", and only "0" as the whole expression, is the zero class;
+      * otherwise spaces are dropped and the text is a run of signs ("+",
+        "-", "--", "+-", ...) before each term; a run with an odd number of
+        "-" negates its term, and a run at the end adds nothing;
+      * a term is name, c*name, name*c or name/d (also c*name/d), where a
+        name is alpha, beta, e1, e2, ... (the H^2 basis) or, on K3n, delta,
+        and c, d are rationals "p", "p/q" or decimals with no exponent,
+        d != 0.  "0" is not a name, so "0+e1" is refused.
+    Examples: "alpha+5/4*beta", "delta/3", "2*e1-e2".  With h2_only the
+    class must have no alpha or beta part.
+    """
     text = text.strip()
     if not text:
         raise InputError("empty vector")
+    want = space.b2 if h2_only else space.dim
     if "," in text:
         coords = tuple(parse_rat(t) for t in text.split(","))
-        want = space.b2 if h2_only else space.dim
         if len(coords) != want:
             raise InputError("expected %d coordinates, got %d" % (want, len(coords)))
         return coords
     if text == "0":
-        return tuple(Q(0) for _ in range(space.b2 if h2_only else space.dim))
+        return (Q(0),) * want
     names = _named_vectors(space)
-
-    def _is_name(operand):
-        return operand in names or operand.split("/", 1)[0] in names
-
     total = [Q(0)] * space.dim
-    term = ""
-    terms = []
-    sign = 1
-    # split into signed terms
-    for ch in text.replace(" ", ""):
-        if ch in "+-" and term:
-            terms.append((sign, term))
-            sign = 1 if ch == "+" else -1
-            term = ""
-        elif ch in "+-" and not term:
-            sign = sign if ch == "+" else -sign
-        else:
-            term += ch
-    if term:
-        terms.append((sign, term))
-    for sgn, t in terms:
-        coeff = Q(1)
-        name = t
-        if "*" in t:
-            # the operand that names a vector ("e1", or "e1/2") is the vector
-            # and the other the coefficient, so an error quotes the coefficient
-            left, right = t.split("*", 1)
-            if _is_name(left) and not _is_name(right):
-                left, right = right, left
-            coeff = parse_rat(left)
-            name = right
-        if "/" in name:
-            base, den = name.split("/", 1)
-            if base in names:
-                name = base
-                den = parse_rat(den)
-                if den == 0:
-                    raise InputError("zero divisor in %r" % (t,))
-                coeff = coeff / den
-        if name not in names:
-            raise InputError("unknown vector name %r" % (name,))
-        vec = names[name]
-        total = [a + sgn * coeff * b for a, b in zip(total, vec)]
+    for signs, term in _SIGNED_TERM.findall(text.replace(" ", "")):
+        coeff, vec = _term(names, term)
+        if signs.count("-") % 2:
+            coeff = -coeff
+        total = [a + coeff * b for a, b in zip(total, vec)]
     if h2_only:
         if total[0] != 0 or total[-1] != 0:
             raise InputError("expected a class with no alpha or beta part")
         return tuple(total[1:-1])
     return tuple(total)
+
+
+def _term(names, term):
+    """(coefficient, vector) of one unsigned term of parse_vector."""
+    coeff, name = Q(1), term
+    if "*" in term:
+        # the operand that names a vector ("e1", or "e1/2") is the vector and
+        # the other the coefficient, so an error quotes the coefficient
+        left, right = term.split("*", 1)
+        if left.partition("/")[0] in names and right.partition("/")[0] not in names:
+            left, right = right, left
+        coeff, name = parse_rat(left), right
+    base, slash, den = name.partition("/")
+    if slash and base in names:
+        den = parse_rat(den)
+        if den == 0:
+            raise InputError("zero divisor in %r" % (term,))
+        coeff, name = coeff / den, base
+    if name not in names:
+        raise InputError("unknown vector name %r" % (name,))
+    return coeff, names[name]
 
 
 def parse_isometry(space, spec):
@@ -175,9 +175,7 @@ def parse_isometry(space, spec):
         if "|" not in rest:
             raise InputError("transvection needs e|a")
         e_s, a_s = rest.split("|", 1)
-        return eichler_transvection(
-            space, parse_vector(space, e_s), parse_vector(space, a_s)
-        )
+        return eichler_transvection(space, parse_vector(space, e_s), parse_vector(space, a_s))
     if kind == "catalog":
         return action(space, rest).iso
     if kind == "file":
@@ -186,27 +184,21 @@ def parse_isometry(space, spec):
     raise InputError("unknown isometry kind %r" % (kind,))
 
 
+# --lattice names of the distinguished lattices, which need K3n, and their
+# fields in k3n_lattices
+_K3N_LATTICES = {"lambda": "lam", "lambda-g": "lam_g", "lambda-s": "lam_s",
+                 "lambda-lb": "lam_lb", "gamma-k": "gamma_k"}
+
+
 def _tracked_lattice(space, name):
-    table = {  # built only for the name asked for; all but "integral" need K3n
-        "lambda": lambda: k3n_lattices(space).lam,
-        "lambda-g": lambda: k3n_lattices(space).lam_g,
-        "lambda-s": lambda: k3n_lattices(space).lam_s,
-        "lambda-lb": lambda: k3n_lattices(space).lam_lb,
-        "gamma-k": lambda: k3n_lattices(space).gamma_k,
-        "integral": space.integral_lattice,
-    }
-    if name not in table:
+    if name == "integral":
+        return space.integral_lattice()
+    if name not in _K3N_LATTICES:
         raise InputError("unknown lattice %r" % (name,))
-    return table[name]()
+    return getattr(k3n_lattices(space), _K3N_LATTICES[name])
 
 
 def emit(args, payload, checks=()):
-    report = {
-        "command": " ".join(sys.argv[1:]),
-        "checks": list(checks),
-        "result": payload,
-    }
-    ok = all(c.get("pass") for c in checks) if checks else True
     if args.format == "text":
         for c in checks:
             status = "PASS" if c["pass"] else "FAIL"
@@ -217,8 +209,10 @@ def emit(args, payload, checks=()):
         if payload:
             print(json.dumps(payload, sort_keys=True, indent=2, default=str))
     else:
-        sys.stdout.write(canonical_json(report))
-    return 0 if ok else 1
+        sys.stdout.write(canonical_json(
+            {"command": args.command, "checks": list(checks), "result": payload}
+        ))
+    return 0 if all_passed(checks) else 1
 
 
 def cmd_vector(args):
@@ -236,24 +230,20 @@ def cmd_vector(args):
     return emit(args, payload)
 
 
-def cmd_act(args):
+def _named_action(args, surface_iso=""):
+    """The catalog action --key on the --family/--n space, with --lam,
+    --genus and an isometry spec of the rank-24 K3 space, and its key,
+    epsilon and provenance as a payload."""
     space = family_space(args.family, args.n)
-    g = None
-    if args.surface_iso:
-        g = parse_isometry(k3_extended_space(), args.surface_iso)
-    named = action(
-        space,
-        args.key,
-        lam=parse_vector(space, args.lam, h2_only=True) if args.lam else None,
-        g=g,
-        genus=args.genus,
-    )
-    payload = {
-        "key": named.key,
-        "epsilon": named.epsilon,
-        "provenance": named.provenance,
-        "matrix": matrix_to_json(named.iso.matrix),
-    }
+    g = parse_isometry(k3_extended_space(), surface_iso) if surface_iso else None
+    lam = parse_vector(space, args.lam, h2_only=True) if args.lam else None
+    named = action(space, args.key, lam=lam, g=g, genus=args.genus)
+    return named, {"key": named.key, "epsilon": named.epsilon, "provenance": named.provenance}
+
+
+def cmd_act(args):
+    named, payload = _named_action(args, args.surface_iso)
+    payload["matrix"] = matrix_to_json(named.iso.matrix)
     if args.vector:
         v = parse_vector(named.space, args.vector)
         payload["image"] = vector_to_json(named.iso(v))
@@ -294,8 +284,7 @@ def cmd_isometry_info(args):
 
 def cmd_transport(args):
     space = family_space(args.family, args.n)
-    lats = k3n_lattices(space)
-    lat = lats.lam
+    lat = k3n_lattices(space).lam
     v = lat.coords_of_ambient(parse_vector(space, args.v))
     w = lat.coords_of_ambient(parse_vector(space, args.w))
     if v is None or w is None:
@@ -308,9 +297,7 @@ def cmd_transport(args):
         payload = {
             "found": True,
             "word_length": len(res),
-            "word": [
-                {"e": vector_to_json(e), "a": vector_to_json(a)} for e, a in res.pairs
-            ],
+            "word": [{"e": vector_to_json(e), "a": vector_to_json(a)} for e, a in res.pairs],
         }
         checks = [check("transport verified", res.apply(v) == w)]
     return emit(args, payload, checks)
@@ -324,13 +311,11 @@ def cmd_group(args):
     space = family_space(args.family, args.n)
     gens = [parse_isometry(space, s) for s in args.gens.split(";") if s]
     got = generate_bounded(gens, args.depth, cap=args.cap)
-    lats = k3n_lattices(space)
-    n_preserving = sum(1 for h in got if preserves_lattice(h, lats.lam))
-    payload = {
+    lam = k3n_lattices(space).lam
+    return emit(args, {
         "size": len(got),
-        "all_preserve_lambda": n_preserving == len(got),
-    }
-    return emit(args, payload)
+        "all_preserve_lambda": all(preserves_lattice(h, lam) for h in got),
+    })
 
 
 def cmd_todd(args):
@@ -343,11 +328,10 @@ def cmd_todd(args):
     # evaluate on a rank-one class of square 2 and divide out the powers
     sp = _rank_one_space(space, 2)
     arg = sqrt_todd_argument(sp) if args.sqrt else todd_argument(sp)
-    unit = (Q(1),)
-    profile = []
-    for i in range(n + 1):
-        val = pair_with_sh(sp, [unit] * (2 * n - 2 * i), arg)
-        profile.append(rat_str(val / Q(2) ** (n - i)))
+    profile = [
+        rat_str(pair_with_sh(sp, [(Q(1),)] * (2 * n - 2 * i), arg) / Q(2) ** (n - i))
+        for i in range(n + 1)
+    ]
     payload = {
         "class": "sqrt-todd" if args.sqrt else "todd",
         "integral": profile[-1],
@@ -424,17 +408,8 @@ def cmd_moduli(args):
 def cmd_catalog(args):
     if args.action == "list":
         return emit(args, {"keys": list(CATALOG_KEYS)})
-    space = family_space(args.family, args.n)
-    named = action(
-        space,
-        args.key,
-        lam=parse_vector(space, args.lam, h2_only=True) if args.lam else None,
-        genus=args.genus,
-    )
-    payload = isometry_to_json(named.iso, space_name=str(named.space))
-    payload["key"] = named.key
-    payload["epsilon"] = named.epsilon
-    payload["provenance"] = named.provenance
+    named, payload = _named_action(args)
+    payload.update(isometry_to_json(named.iso, space_name=str(named.space)))
     return emit(args, payload)
 
 
@@ -445,6 +420,63 @@ def cmd_verify(args):
     return emit(args, {"suite": args.suite, "n_checks": len(checks)}, checks)
 
 
+_FAMILY_N = (
+    ("--family", {"choices": ("K3n", "Kumn"), "default": "K3n"}),
+    ("--n", {"type": int, "default": 2}),
+)
+_GENUS = ("--genus", {"type": int})
+
+
+def _lam(default):
+    return ("--lam", "--lambda", {"default": default})
+
+
+# (name, help, handler, arguments): each argument is the flags or the name
+# of an add_argument call followed by its keywords, in --help order
+VERBS = (
+    ("vector", "extended Mukai vector of a line bundle or point", cmd_vector,
+     _FAMILY_N + (_lam("0"), ("--point", {"action": "store_true"}))),
+    ("act", "apply a catalog action", cmd_act, _FAMILY_N + (
+        ("--key", {"required": True, "choices": CATALOG_KEYS}),
+        _lam(""),
+        _GENUS,
+        ("--surface-iso",
+         {"default": "", "help": "isometry spec on the rank-24 K3 space (dn_transfer)"}),
+        ("--vector", {"default": ""}),
+    )),
+    ("lattice-check", "does an isometry preserve a lattice?", cmd_lattice_check,
+     _FAMILY_N + (("--lattice", {"required": True}), ("--iso", {"required": True}))),
+    ("isometry-info", "determinant, spinor norm, disc action", cmd_isometry_info,
+     _FAMILY_N + (("--iso", {"required": True}),)),
+    ("transport", "Eichler transport between lattice vectors", cmd_transport,
+     _FAMILY_N + (("--v", {"required": True}), ("--w", {"required": True}))),
+    ("group", "bounded subgroup generation", cmd_group, _FAMILY_N + (
+        ("--gens", {"required": True, "help": "';'-separated isometry specs"}),
+        ("--depth", {"type": int, "default": 3}),
+        ("--cap", {"type": int, "default": 20000}),
+    )),
+    ("todd", "Todd or sqrt-Todd linearisation", cmd_todd,
+     _FAMILY_N + (("--sqrt", {"action": "store_true"}),)),
+    ("chi", "Euler characteristic of a line bundle class", cmd_chi,
+     _FAMILY_N + (_lam("0"), ("--square", {"help": "use a class of this square instead"}))),
+    ("integrate", "integral of a product of 2n classes", cmd_integrate,
+     _FAMILY_N + (("--omegas", {"required": True, "help": "';'-separated H^2 exprs"}),)),
+    ("moduli", "moduli-space lattice report from JSON input", cmd_moduli,
+     (("--input", {"default": "-", "help": "path or - for stdin"}),)),
+    ("catalog", "list or get catalog actions", cmd_catalog, (
+        ("action", {"choices": ("list", "get")}),
+        ("key", {"nargs": "?", "default": ""}),
+    ) + _FAMILY_N + (_lam(""), _GENUS)),
+    ("verify", "run a verification suite", cmd_verify, (
+        ("suite", {"choices": sorted(SUITES)}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        ("--n", {"type": int, "help": "narrow the linearisation suite to one n"}),
+        ("--h2-rank",
+         {"type": int, "help": "narrow the linearisation suite to the rank-3 custom H^2"}),
+    )),
+)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="extmukai",
@@ -453,100 +485,23 @@ def build_parser():
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def common(sp):
-        sp.add_argument("--family", choices=("K3n", "Kumn"), default="K3n")
-        sp.add_argument("--n", type=int, default=2)
-
-    sp = sub.add_parser("vector", help="extended Mukai vector of a line bundle or point")
-    common(sp)
-    sp.add_argument("--lam", "--lambda", dest="lam", default="0")
-    sp.add_argument("--point", action="store_true")
-    sp.set_defaults(func=cmd_vector)
-
-    sp = sub.add_parser("act", help="apply a catalog action")
-    common(sp)
-    sp.add_argument("--key", required=True, choices=CATALOG_KEYS)
-    sp.add_argument("--lam", "--lambda", dest="lam", default="")
-    sp.add_argument("--genus", type=int, default=None)
-    sp.add_argument("--surface-iso", default="",
-                    help="isometry spec on the rank-24 K3 space (dn_transfer)")
-    sp.add_argument("--vector", default="")
-    sp.set_defaults(func=cmd_act)
-
-    sp = sub.add_parser("lattice-check", help="does an isometry preserve a lattice?")
-    common(sp)
-    sp.add_argument("--lattice", required=True)
-    sp.add_argument("--iso", required=True)
-    sp.set_defaults(func=cmd_lattice_check)
-
-    sp = sub.add_parser("isometry-info", help="determinant, spinor norm, disc action")
-    common(sp)
-    sp.add_argument("--iso", required=True)
-    sp.set_defaults(func=cmd_isometry_info)
-
-    sp = sub.add_parser("transport", help="Eichler transport between lattice vectors")
-    common(sp)
-    sp.add_argument("--v", required=True)
-    sp.add_argument("--w", required=True)
-    sp.set_defaults(func=cmd_transport)
-
-    sp = sub.add_parser("group", help="bounded subgroup generation")
-    common(sp)
-    sp.add_argument("--gens", required=True, help="';'-separated isometry specs")
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--cap", type=int, default=20000)
-    sp.set_defaults(func=cmd_group)
-
-    sp = sub.add_parser("todd", help="Todd or sqrt-Todd linearisation")
-    common(sp)
-    sp.add_argument("--sqrt", action="store_true")
-    sp.set_defaults(func=cmd_todd)
-
-    sp = sub.add_parser("chi", help="Euler characteristic of a line bundle class")
-    common(sp)
-    sp.add_argument("--lam", "--lambda", dest="lam", default="0")
-    sp.add_argument("--square", default=None, help="use a class of this square instead")
-    sp.set_defaults(func=cmd_chi)
-
-    sp = sub.add_parser("integrate", help="integral of a product of 2n classes")
-    common(sp)
-    sp.add_argument("--omegas", required=True, help="';'-separated H^2 exprs")
-    sp.set_defaults(func=cmd_integrate)
-
-    sp = sub.add_parser("moduli", help="moduli-space lattice report from JSON input")
-    sp.add_argument("--input", default="-", help="path or - for stdin")
-    sp.set_defaults(func=cmd_moduli)
-
-    sp = sub.add_parser("catalog", help="list or get catalog actions")
-    sp.add_argument("action", choices=("list", "get"))
-    sp.add_argument("key", nargs="?", default="")
-    common(sp)
-    sp.add_argument("--lam", "--lambda", dest="lam", default="")
-    sp.add_argument("--genus", type=int, default=None)
-    sp.set_defaults(func=cmd_catalog)
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--n", type=int, default=None,
-                    help="narrow the linearisation suite to one n")
-    sp.add_argument("--h2-rank", type=int, default=None,
-                    help="narrow the linearisation suite to the rank-3 custom H^2")
-    sp.set_defaults(func=cmd_verify)
-
+    for name, help_text, handler, arguments in VERBS:
+        sp = sub.add_parser(name, help=help_text)
+        for *flags, keywords in arguments:
+            sp.add_argument(*flags, **keywords)
+        sp.set_defaults(func=handler)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
+    args.command = " ".join(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:  # every package error is a ValueError
-        sys.stdout.write(
-            canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        )
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        sys.stdout.write(canonical_json({"error": error}))
         return 2
 
 

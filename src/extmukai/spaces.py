@@ -463,9 +463,8 @@ def rank_predicate_kx_orbit(r, n, c_x):
 
 def _integer_nth_root(m, n):
     """The integer a >= 0 with a^n = m, or None; exact for integers of any
-    size.  n = 2 uses isqrt; otherwise Newton's method runs down from an
-    upper bound to floor(m^(1/n)).  The bound is a float estimate plus one
-    only below 2^52, where the estimate is within 1 of the root."""
+    size.  n = 2 uses isqrt; otherwise Newton's method runs down to
+    floor(m^(1/n)) from 2^ceil(bitlen(m) / n), which is above the root."""
     if m < 0:
         return None
     if m == 0 or n == 1:
@@ -473,10 +472,7 @@ def _integer_nth_root(m, n):
     if n == 2:
         a = isqrt(m)
     else:
-        if m < 1 << 52:
-            a = int(m ** (1.0 / n)) + 1
-        else:
-            a = 1 << -(-m.bit_length() // n)
+        a = 1 << -(-m.bit_length() // n)
         while True:
             b = ((n - 1) * a + m // a ** (n - 1)) // n
             if b >= a:

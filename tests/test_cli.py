@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from extmukai.cli import SYM_MAX_N, main, parse_vector
+from extmukai.cli import SYM_MAX_N, InputError, build_parser, main, parse_vector
 from extmukai.linalg import Mat
 from extmukai.serialize import (
     FormatError,
@@ -116,6 +117,142 @@ def test_vector_parser():
     assert v[0] == 2 and v[1] == -1
     v = parse_vector(space, ",".join(["0"] * 25))
     assert all(c == 0 for c in v)
+
+
+# -- parse_vector against the character-loop tokenizer it replaced -------------
+
+
+def reference_parse_vector(space, text, h2_only=False):
+    """parse_vector as written before it split signed terms with one regular
+    expression: the reference of the differential test below."""
+    text = text.strip()
+    if not text:
+        raise InputError("empty vector")
+    if "," in text:
+        coords = tuple(parse_rat(t) for t in text.split(","))
+        want = space.b2 if h2_only else space.dim
+        if len(coords) != want:
+            raise InputError("expected %d coordinates, got %d" % (want, len(coords)))
+        return coords
+    if text == "0":
+        return tuple(Q(0) for _ in range(space.b2 if h2_only else space.dim))
+    names = {"alpha": space.alpha, "beta": space.beta}
+    for i in range(space.b2):
+        names["e%d" % (i + 1)] = space.basis_vector(1 + i)
+    if space.dtype.family == "K3n":
+        names["delta"] = space.basis_vector(space.dim - 2)
+
+    def _is_name(operand):
+        return operand in names or operand.split("/", 1)[0] in names
+
+    total = [Q(0)] * space.dim
+    term = ""
+    terms = []
+    sign = 1
+    for ch in text.replace(" ", ""):
+        if ch in "+-" and term:
+            terms.append((sign, term))
+            sign = 1 if ch == "+" else -1
+            term = ""
+        elif ch in "+-" and not term:
+            sign = sign if ch == "+" else -sign
+        else:
+            term += ch
+    if term:
+        terms.append((sign, term))
+    for sgn, t in terms:
+        coeff = Q(1)
+        name = t
+        if "*" in t:
+            left, right = t.split("*", 1)
+            if _is_name(left) and not _is_name(right):
+                left, right = right, left
+            coeff = parse_rat(left)
+            name = right
+        if "/" in name:
+            base, den = name.split("/", 1)
+            if base in names:
+                name = base
+                den = parse_rat(den)
+                if den == 0:
+                    raise InputError("zero divisor in %r" % (t,))
+                coeff = coeff / den
+        if name not in names:
+            raise InputError("unknown vector name %r" % (name,))
+        vec = names[name]
+        total = [a + sgn * coeff * b for a, b in zip(total, vec)]
+    if h2_only:
+        if total[0] != 0 or total[-1] != 0:
+            raise InputError("expected a class with no alpha or beta part")
+        return tuple(total[1:-1])
+    return tuple(total)
+
+
+def _parsed(parser, space, text, h2_only):
+    """The parsed tuple, or the (type, message) of the error raised."""
+    try:
+        return parser(space, text, h2_only)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_PARSE_TOKENS = [
+    "alpha", "beta", "delta", "e1", "e2", "e7", "e8", "e23", "0", "1", "-3", "1/2", "2.5",
+    "+", "-", "--", "+-", "-+", "*", "/", "/0", "e1/", "e1/2", "1e3", "0+e1", ",", " ", "x",
+]
+
+
+@given(
+    st.sampled_from(["K3n", "Kumn"]),
+    st.booleans(),
+    st.lists(st.sampled_from(_PARSE_TOKENS), max_size=7).map("".join),
+)
+@settings(max_examples=2000, deadline=None)
+def test_parse_vector_matches_reference_tokenizer(family, h2_only, text):
+    space = family_space(family, 2)
+    assert _parsed(parse_vector, space, text, h2_only) == _parsed(
+        reference_parse_vector, space, text, h2_only
+    )
+
+
+# -- the parser built from the verb table against its recorded actions ----------
+
+
+def describe_parser(parser):
+    """Every action of the top-level parser and of each verb's subparser, in
+    declaration order, as JSON-ready dicts, with each verb's help and handler."""
+    def action(a):
+        return {
+            "action": type(a).__name__,
+            "option_strings": a.option_strings,
+            "dest": a.dest,
+            "default": a.default,
+            "required": a.required,
+            "choices": None if a.choices is None else list(a.choices),
+            "nargs": a.nargs,
+            "type": getattr(a.type, "__name__", None),
+            "help": a.help,
+        }
+
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verb_help = {c.dest: c.help for c in sub._choices_actions}
+    described = {"": {"description": parser.description,
+                      "actions": [action(a) for a in parser._actions]}}
+    for name, verb in sub.choices.items():
+        described[name] = {
+            "help": verb_help[name],
+            "handler": verb._defaults["func"].__name__,
+            "actions": [action(a) for a in verb._actions],
+        }
+    return described
+
+
+def test_build_parser_matches_recorded_actions():
+    # recorded from the hand-written build_parser before the verbs became a
+    # table: option strings, dest, default, required, choices, nargs, type,
+    # help and handler of every verb, in --help order
+    recorded = json.loads((Path(__file__).parent / "data" / "cli_parser.json").read_text())
+    assert describe_parser(build_parser()) == recorded
 
 
 def test_cli_vector_example():
@@ -451,6 +588,16 @@ def test_cli_fuzz_exit_codes(call):
     assert "Traceback" not in out + err
     if code == 2 and out:
         assert "error" in json.loads(out)
+
+
+def test_in_process_command_is_the_parsed_argv(monkeypatch):
+    # "command" echoes the argv that main parsed, not the host's sys.argv
+    monkeypatch.setattr(sys, "argv", ["host", "--whatever"])
+    argv = ["vector", "--n", "2", "--lam", "0"]
+    code, out, _ = run_main(argv, "")
+    assert code == 0 and json.loads(out)["command"] == "vector --n 2 --lam 0"
+    monkeypatch.setattr(sys, "argv", ["extmukai"] + argv)
+    assert run_main(None, "")[1] == out
 
 
 def test_family_space_cache_is_bounded():

@@ -4,7 +4,7 @@ from math import factorial
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extmukai.isometry import minus_identity
 from extmukai.lattice import QuadLattice, discriminant_group, divisibility
@@ -396,8 +396,20 @@ def test_rank_predicate_kx_non_integral_c_x_matches_fraction_path():
                 assert rank_predicate_kx_orbit(r, n, c_x) == fraction_path_kx(r, n, c_x), (r, n, c_x)
 
 
+def _examples_around_2_52(test):
+    """Explicit examples k^n - 1, k^n and k^n + 1 for the two k with k^n
+    nearest 2^52, n = 3..7, where a float estimate of the root stops being
+    exact."""
+    for n in range(3, 8):
+        k = int(2 ** (52 / n))
+        for m in (j**n + d for j in (k, k + 1) for d in (-1, 0, 1)):
+            test = example(m, n)(test)
+    return test
+
+
 @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=7))
 @settings(max_examples=200, deadline=None)
+@_examples_around_2_52
 def test_integer_nth_root_matches_sympy(m, n):
     sympy = pytest.importorskip("sympy")
     root, exact = sympy.integer_nthroot(m, n)
