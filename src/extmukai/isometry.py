@@ -8,7 +8,8 @@ Eichler transport of primitive vectors by words of transvections, and
 bounded subgroup generation.
 
 On a full-rank lattice L an isometry keeps its matrix in lattice coordinates
-(`Isometry.on_lattice`), which decides both g(L) = L and the action on A(L).
+(`Isometry.on_lattice`), which decides both g(L) = L and the action on A(L);
+it keeps the matrices of its last LATTICE_MATRICES_KEPT bases, by value.
 
 Generators, spinor norm, Eichler transport and transport words run on the
 integer products (d G) v of the Gram's sparse columns (`Mat.int_product`);
@@ -35,12 +36,17 @@ from .linalg import (
     cleared,
     congruence_diagonalize,
     identity_plus_outer,
+    kept,
     vec_add,
     vec_is_integral,
     vec_is_zero,
     vec_primitive_part,
     vec_sub,
 )
+
+
+# an op of the plus-group test reads Lambda, then Lambda_g, then Lambda again
+LATTICE_MATRICES_KEPT = 2
 
 
 class IsometryError(ValueError):
@@ -55,14 +61,10 @@ class QuadSpace:
             raise IsometryError("gram must be symmetric")
         self.gram = gram
         self.dim = gram.rows
-        self._pos_basis = None
-        self._pos_ints = None  # sparse (P row, (d G) P row) per positive vector
-        self._gram_inv = None
 
+    @kept
     def gram_inverse(self):
-        if self._gram_inv is None:
-            self._gram_inv = self.gram.inverse()
-        return self._gram_inv
+        return self.gram.inverse()
 
     def pairing(self, x, y):
         return self.gram.bilinear(x, y)
@@ -74,14 +76,17 @@ class QuadSpace:
         return (QZERO,) * i + (QONE,) + (QZERO,) * (self.dim - 1 - i)
 
     def positive_basis(self):
-        """A basis of a maximal positive-definite subspace (cached), kept
-        with its integer rows P and (d G) P for `spinor_norm`."""
-        if self._pos_basis is None:
-            diag, trans = congruence_diagonalize(self.gram)
-            self._pos_basis = [trans.row(i) for i, d in enumerate(diag) if d > 0]
-            prods = map(self.gram.int_product, self._pos_basis)
-            self._pos_ints = [(_sparse(p), _sparse(gp)) for _, p, gp in prods]
-        return self._pos_basis
+        """A basis of a maximal positive-definite subspace, kept."""
+        return self._positive_frame()[0]
+
+    @kept
+    def _positive_frame(self):
+        """(basis, rows): `positive_basis` and, for `spinor_norm`, per basis
+        vector its integer row P and (d G) P, sparse."""
+        diag, trans = congruence_diagonalize(self.gram)
+        basis = [trans.row(i) for i, d in enumerate(diag) if d > 0]
+        prods = map(self.gram.int_product, basis)
+        return basis, [(_sparse(p), _sparse(gp)) for _, p, gp in prods]
 
     def __eq__(self, other):
         return isinstance(other, QuadSpace) and self.gram == other.gram
@@ -98,7 +103,7 @@ def _sparse(v):
 class Isometry:
     """An exact isometry of a QuadSpace, acting on column vectors."""
 
-    __slots__ = ("space", "matrix", "word", "_det", "_on_lattice")
+    __slots__ = ("space", "matrix", "word", "_kept_det", "_on_bases")
 
     def __init__(self, space, matrix, word=None, check=True):
         if check and (matrix.transpose() * space.gram * matrix) != space.gram:
@@ -106,24 +111,30 @@ class Isometry:
         self.space = space
         self.matrix = matrix
         self.word = word
-        self._det = None
-        self._on_lattice = {}  # full-rank lattice -> matrix in its coordinates
+        self._on_bases = {}  # basis of a full-rank lattice -> matrix on it
 
     @property
+    @kept
     def det(self):
-        if self._det is None:
-            self._det = self.matrix.det()
-        return self._det
+        return self.matrix.det()
 
     def __call__(self, v):
         return self.matrix.apply(v)
 
     def on_lattice(self, lat):
-        """C^-1 M C for a full-rank lattice with basis change C, kept per lattice."""
-        m = self._on_lattice.get(lat)
+        """C^-1 M C for a full-rank lattice with basis change C, kept for the
+        last LATTICE_MATRICES_KEPT bases (equal bases share one entry)."""
+        bases = self._on_bases
+        m = bases.get(lat.basis_in_ambient)
         if m is None:
+            if lat.basis_in_ambient is None:
+                raise IsometryError("lattice must be embedded in the isometry's space")
+            if lat.rank != self.space.dim:
+                raise IsometryError("dimension mismatch")
             c, cinv = lat.basis_change()
-            m = self._on_lattice[lat] = cinv * self.matrix * c
+            if len(bases) == LATTICE_MATRICES_KEPT:
+                del bases[next(iter(bases))]  # the oldest
+            m = bases[lat.basis_in_ambient] = cinv * self.matrix * c
         return m
 
     def compose(self, other, word=None):
@@ -241,8 +252,7 @@ def spinor_norm(g):
     decomposition of g.  Read off det P (d G) m P^T, for P the integer rows
     of that basis and M = m / d_M: positive scalings keep the sign.
     """
-    g.space.positive_basis()
-    pos = g.space._pos_ints
+    pos = g.space._positive_frame()[1]
     if not pos:
         return 1
     m = g.matrix.cleared()[1]
@@ -279,6 +289,8 @@ def preserves_lattice(g, lat):
 def lattice_witness(g, lat):
     """A basis vector of L whose image leaves L (for a degenerate Gram of L,
     possibly the preimage of one that leaves L), or None."""
+    if lat.basis_in_ambient is None:
+        raise IsometryError("lattice must be embedded in the isometry's space")
     ginv = None if lat.is_nondegenerate() else g.inverse()
     for i in range(lat.rank):
         v = lat.basis_in_ambient.row(i)
@@ -387,11 +399,13 @@ class TransvectionWord:
         return len(self.pairs)
 
 
+@kept
 def _hyperbolic_frame(lat):
     """Two pairwise orthogonal basis-vector hyperbolic planes of an even
     integral lattice, as sparse units (E1, F1, E2, F2) with q(E) = q(F) = 0,
     b(E, F) = 1, and the list of the other basis indices, which must be
-    orthogonal to both planes (L splits them off on the nose); else raises.
+    orthogonal to both planes (L splits them off on the nose), kept on L;
+    else raises.
     """
     g = lat.gram
     found = []
@@ -607,7 +621,7 @@ def disc_class_rep(lat, v):
     return div // g, tuple(x // g for x in nums)
 
 
-def _fractions(v, n):
+def _dense(v, n):
     """The sparse integer vector v as n Fractions."""
     out = [QZERO] * n
     for i, c in v:
@@ -625,12 +639,6 @@ def eichler_transport(lat, v, w):
     """
     if not (is_primitive(lat, v) and is_primitive(lat, w)):
         return NotFound("primitivity")
-    if lat._transport is None:  # the frame or its error, kept on L (no reference back)
-        try:
-            lat._transport = _hyperbolic_frame(lat)
-        except IsometryError as exc:
-            lat._transport = str(exc)
-    frame = lat._transport
     (_, vi, gv), (_, wi, gw) = lat.gram.int_product(v), lat.gram.int_product(w)
     if sum(map(mul, vi, gv)) != sum(map(mul, wi, gw)):
         return NotFound("square")
@@ -638,9 +646,7 @@ def eichler_transport(lat, v, w):
         return NotFound("disc class")
     if vi == wi:
         return TransvectionWord(lat, [])
-    if isinstance(frame, str):
-        raise IsometryError(frame)
-    red = _Reducer(lat.gram.nonzero_columns(), frame)
+    red = _Reducer(lat.gram.nonzero_columns(), _hyperbolic_frame(lat))
     word_v, v_red = red.reduce(vi)
     word_w, w_red = red.reduce(wi)
     if v_red != w_red:
@@ -652,5 +658,5 @@ def eichler_transport(lat, v, w):
         x = red.step(x, e, a)
     if x != wi:
         return NotFound("verification failed")
-    q = {t: _fractions(t, lat.rank) for t in {t for pair in pairs for t in pair}}
+    q = {t: _dense(t, lat.rank) for t in {t for pair in pairs for t in pair}}
     return TransvectionWord(lat, [(q[e], q[a]) for e, a in pairs])

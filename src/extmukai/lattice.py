@@ -18,6 +18,7 @@ from .linalg import (
     Q,
     congruence_diagonalize,
     integer_kernel_basis,
+    kept,
     smith_normal_form,
     solve_linear,
     vec_is_zero,
@@ -39,11 +40,6 @@ class QuadLattice:
         self.name = name
         self.basis_in_ambient = basis_in_ambient
         self.ambient_gram = ambient_gram
-        self._basis_t = None
-        self._basis_t_inv = None
-        self._det = None
-        self._disc = None  # the DiscGroup, set by discriminant_group()
-        self._transport = None  # hyperbolic frame or its error, set by eichler_transport()
         if basis_in_ambient is not None:
             if ambient_gram is None:
                 raise LatticeError("embedded lattice needs the ambient gram")
@@ -71,20 +67,18 @@ class QuadLattice:
     def ambient_vector(self, coords):
         return self._columns().apply(coords)
 
+    @kept
     def _columns(self):
-        """C, the basis as columns, built once."""
+        """C, the basis as columns, kept."""
         if self.basis_in_ambient is None:
             raise LatticeError("lattice has no ambient embedding")
-        if self._basis_t is None:
-            self._basis_t = self.basis_in_ambient.transpose()
-        return self._basis_t
+        return self.basis_in_ambient.transpose()
 
+    @kept
     def basis_change(self):
-        """(C, C^-1); C^-1 is built on first use and is None below full rank."""
+        """(C, C^-1), kept; C^-1 is None below full rank."""
         c = self._columns()
-        if self._basis_t_inv is None and self.rank == c.rows:
-            self._basis_t_inv = c.inverse()
-        return c, self._basis_t_inv
+        return c, c.inverse() if self.rank == c.rows else None
 
     def coords_of_ambient(self, v):
         """Rational coordinates of an ambient vector on this basis, or None."""
@@ -100,11 +94,10 @@ class QuadLattice:
             self.gram[i, i].numerator % 2 == 0 for i in range(self.rank)
         )
 
+    @kept
     def det(self):
-        """det(gram), computed once per lattice."""
-        if self._det is None:
-            self._det = self.gram.det()
-        return self._det
+        """det(gram), kept."""
+        return self.gram.det()
 
     def is_nondegenerate(self):
         return self.det() != 0
@@ -186,16 +179,15 @@ def standard_lattice(name, k=None):
     raise LatticeError("unknown standard lattice %r" % (name,))
 
 
+@kept
 def discriminant_group(lat):
     """Invariant-factor presentation of L^dual/L with q-values mod 2Z.
 
     Requires an even integral, nondegenerate Gram.  Generators are returned
     in lattice coordinates (rational); q-values are representatives in
-    [0, 2).  Computed once per lattice: the DiscGroup is kept on `lat` and
-    later calls return that same (immutable) object.
+    [0, 2).  The DiscGroup is kept on `lat`: later calls return that same
+    (immutable) object.
     """
-    if lat._disc is not None:
-        return lat._disc
     if not lat.gram.is_integral():
         raise LatticeError("integrality required")
     if not lat.is_even():
@@ -219,8 +211,7 @@ def discriminant_group(lat):
         orders.append(di)
         gens.append(gen)
         qvals.append(lat.norm(gen) % 2)
-    lat._disc = DiscGroup(orders, gens, qvals)
-    return lat._disc
+    return DiscGroup(orders, gens, qvals)
 
 
 def divisibility(lat, v):

@@ -1,16 +1,20 @@
 """Exact rational dense linear algebra on integer rows.
 
 Everything in this package runs over Q; there is no floating point anywhere.
-A `Mat` has one stored representation, built once: a denominator d > 0 and
-the integer rows of d * M, in canonical form (d is coprime to the gcd of the
-entries, so the zero matrix has d = 1).  Equality and hashing compare the
-shape and those integers; products run on them.  A matrix keeps one sparse
-view, built on first read: the nonzero entries of each column of d * M
-(`nonzero_columns`).  `int_product` sums it over the nonzero entries of a
-vector, and `apply` and `bilinear` (every quadratic-form pairing of the
-package) run through it.  `cleared` and `int_product` hand integers to
-callers that keep to them; `Fraction` values appear only at the boundary:
-`entries`, `row`, `column`, `__getitem__` and `repr`.
+A `Mat` has one stored representation: a denominator d > 0 and the integer
+rows of d * M, in canonical form (d is coprime to the gcd of the entries, so
+the zero matrix has d = 1).  Equality and hashing compare the shape and
+those integers; products run on them.  A matrix keeps one sparse view: the
+nonzero entries of each column of d * M (`nonzero_columns`).  `int_product`
+sums it over the nonzero entries of a vector, and `apply` and `bilinear`
+(every quadratic-form pairing of the package) run through it.  `cleared`
+and `int_product` hand integers to callers that keep to them; `Fraction`
+values appear only at the boundary: `entries`, `row`, `column`,
+`__getitem__` and `repr`.
+
+A value derived from one object and reused is kept on that object by
+`kept`, the package's one memo: the first call computes it, later calls
+return it.
 
 One integer elimination, `_eliminate`, serves `rref`, `rank`, `det`,
 `inverse`, `solve_linear` and `kernel_basis`: Gauss-Jordan that skips the
@@ -28,6 +32,7 @@ every function is pure.
 """
 
 from fractions import Fraction
+from functools import update_wrapper
 from itertools import compress
 from math import gcd, lcm, prod
 from operator import mul
@@ -85,6 +90,25 @@ def _fractions(ints, d):
     return tuple(map(Q, ints)) if d == 1 else tuple(Q(x, d) for x in ints)
 
 
+def kept(fn):
+    """fn(obj), for a zero-argument method or a one-argument function,
+    computed on the first call for obj and kept on obj under the name
+    `_kept_<name of fn>` (a class with __slots__ declares that slot).  If fn
+    raises, nothing is kept.  The computation is `__wrapped__`, read on each
+    miss."""
+    name = "_kept_" + fn.__name__.strip("_")
+
+    def get(obj):
+        try:
+            return getattr(obj, name)
+        except AttributeError:
+            value = get.__wrapped__(obj)
+            setattr(obj, name, value)
+            return value
+
+    return update_wrapper(get, fn)
+
+
 def _make(d, rows, cols):
     """The r x cols Mat (1/d) * rows for d > 0 and integer rows, canonical."""
     if d != 1:
@@ -94,14 +118,14 @@ def _make(d, rows, cols):
             rows = [[x // g for x in r] for r in rows]
     m = object.__new__(Mat)
     m.rows, m.cols = len(rows), cols
-    m._den, m._ints, m._hash, m._nz_cols = d, tuple(map(tuple, rows)), None, None
+    m._den, m._ints = d, tuple(map(tuple, rows))
     return m
 
 
 class Mat:
     """Immutable dense matrix over Q, stored as (d, integer rows of d * M)."""
 
-    __slots__ = ("rows", "cols", "_den", "_ints", "_hash", "_nz_cols")
+    __slots__ = ("rows", "cols", "_den", "_ints", "_kept_hash", "_kept_nonzero_columns")
 
     def __init__(self, rows_of_entries):
         # d = lcm of the reduced denominators is canonical already: the entry
@@ -129,7 +153,6 @@ class Mat:
             tuple(e * d if type(e) is int else e.numerator * (d // e.denominator) for e in r)
             for r in m
         )
-        self._hash = self._nz_cols = None
 
     # -- constructors ------------------------------------------------------
 
@@ -185,10 +208,9 @@ class Mat:
         same = isinstance(other, Mat) and self.cols == other.cols
         return same and self._den == other._den and self._ints == other._ints
 
+    @kept
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.cols, self._den, self._ints))
-        return self._hash
+        return hash((self.cols, self._den, self._ints))
 
     def __repr__(self):
         return "Mat(%r)" % [[str(e) for e in row] for row in self.entries()]
@@ -229,13 +251,12 @@ class Mat:
             out.append(acc)
         return _make(self._den * other._den, out, other.cols)
 
+    @kept
     def nonzero_columns(self):
         """Per column, its nonzero entries of d * M as (row, entry) pairs (the
-        rows, for a symmetric M), built on first read and kept."""
-        if self._nz_cols is None:
-            cols = zip(*self._ints) if self.rows else [()] * self.cols
-            self._nz_cols = tuple(tuple(compress(enumerate(c), c)) for c in cols)
-        return self._nz_cols
+        rows, for a symmetric M), kept."""
+        cols = zip(*self._ints) if self.rows else [()] * self.cols
+        return tuple(tuple(compress(enumerate(c), c)) for c in cols)
 
     def int_product(self, v):
         """(e, vi, mv) for v of ints or Fractions: v = vi / e with vi integral

@@ -22,12 +22,11 @@ transcendental part, and "Hodge isometry" means "isometry preserving that
 split".
 """
 
-from functools import cached_property
 from math import factorial, gcd, isqrt
 
 from .isometry import QuadSpace, disc_action, eichler_transvection, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, orthogonal_complement, standard_lattice
-from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kernel_basis,
+from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kept, kernel_basis,
                      saturation_basis, vec_is_zero)
 
 
@@ -111,8 +110,6 @@ class ExtMukaiSpace(QuadSpace):
         self.b2 = b2
         self.alpha = self.basis_vector(0)
         self.beta = self.basis_vector(dim - 1)
-        # the K3n lattice bundle of k3n_lattices, built on first call
-        self._k3n = None
         self.ns_sublattice = None
         if ns_sublattice is not None:
             self.ns_sublattice = [tuple(Q(c) for c in v) for v in ns_sublattice]
@@ -232,27 +229,30 @@ def signum_normalize(space, v, omega=None, epsilon=1):
 
 
 class K3nLattices:
-    """The distinguished lattices of a K3n-type space.  Lambda_LB and
-    3 Lambda_S + Z delta~ are built on first access of `lam_lb` and
-    `gamma_k` and kept."""
+    """The distinguished lattices of a K3n-type space, of deformation type
+    dtype and ambient Gram gram.  Lambda_LB and 3 Lambda_S + Z delta~ are
+    made on the first read of `lam_lb` and `gamma_k`, and kept."""
 
-    def __init__(self, space, lam, lam_s, lam_g, alpha_tilde, delta_tilde):
-        self.space = space
+    def __init__(self, dtype, gram, lam, lam_s, lam_g, alpha_tilde, delta_tilde):
+        self.dtype = dtype
+        self.gram = gram
         self.lam = lam
         self.lam_s = lam_s
         self.lam_g = lam_g
         self.alpha_tilde = alpha_tilde
         self.delta_tilde = delta_tilde
 
-    @cached_property
+    @property
+    @kept
     def lam_lb(self):
-        return _line_bundle_lattice(self.space)
+        return _line_bundle_lattice(self.dtype, self.gram)
 
-    @cached_property
+    @property
+    @kept
     def gamma_k(self):
         """3 Lambda_S + Z delta~, which B_{delta/3} preserves at n = 10."""
         rows = [tuple(3 * c for c in row) for row in self.lam_s.basis_in_ambient.entries()]
-        return QuadLattice.from_basis(rows + [self.delta_tilde], self.space.gram,
+        return QuadLattice.from_basis(rows + [self.delta_tilde], self.gram,
                                       name="3 Lambda_S + Z delta~")
 
 
@@ -271,9 +271,10 @@ def k3n_tilde_vectors(space):
     return alpha_tilde, delta_tilde
 
 
+@kept
 def k3n_lattices(space):
-    """Lambda, Lambda_S, Lambda_g, Lambda_LB (built on first use) and the
-    vectors involved, built on the first call for a space and kept on it.
+    """Lambda, Lambda_S, Lambda_g, Lambda_LB (made on first use) and the
+    vectors involved, kept on the space.
 
     Basis orders:
       Lambda_S: (alpha~, K3 basis, beta)              (unimodular, rank 24)
@@ -282,12 +283,6 @@ def k3n_lattices(space):
     with alpha~ = alpha - delta/2 + (1-n)/4 beta and
     delta~ = delta + (n-1) beta.
     """
-    if space._k3n is None:
-        space._k3n = _build_k3n_lattices(space)
-    return space._k3n
-
-
-def _build_k3n_lattices(space):
     alpha_tilde, delta_tilde = k3n_tilde_vectors(space)
     dim = space.dim
     k3_basis = [space.basis_vector(i) for i in range(1, dim - 2)]
@@ -296,22 +291,23 @@ def _build_k3n_lattices(space):
     lam = QuadLattice.from_basis(lam_s_rows + [delta_tilde], space.gram, name="Lambda")
     half_dt = tuple(Q(1, 2) * c for c in delta_tilde)
     lam_g = QuadLattice.from_basis(lam_s_rows + [half_dt], space.gram, name="Lambda_g")
-    return K3nLattices(space, lam, lam_s, lam_g, alpha_tilde, delta_tilde)
+    return K3nLattices(space.dtype, space.gram, lam, lam_s, lam_g, alpha_tilde, delta_tilde)
 
 
-def _line_bundle_lattice(space):
-    """Integral span of all line-bundle vectors v(lambda), lambda in H^2(X,Z):
-    that of v(0), the v(e_i) - v(0) = e_i + (G_ii / 2) beta and gcd(G_ij)
-    beta, as v(lambda) - v(0) - sum l_i (v(e_i) - v(0)) is a Z-combination
-    of the G_ij beta, each a second difference of v."""
-    b2 = space.b2
-    d, g = space.dtype.h2_gram.cleared()
+def _line_bundle_lattice(dtype, gram):
+    """Integral span of all line-bundle vectors v(lambda), lambda in H^2(X,Z),
+    in the extended Mukai space of dtype with Gram gram: that of v(0), the
+    v(e_i) - v(0) = e_i + (G_ii / 2) beta and gcd(G_ij) beta, as v(lambda) -
+    v(0) - sum l_i (v(e_i) - v(0)) is a Z-combination of the G_ij beta,
+    each a second difference of v."""
+    b2 = dtype.b2
+    d, g = dtype.h2_gram.cleared()
     c = Q(gcd(*(x for r in g for x in r)), d)
-    gens = [space.vector(1, [0] * b2, space.dtype.r_x), space.vector(0, [0] * b2, c)]
-    gens += [space.vector(0, [int(i == j) for j in range(b2)], Q(g[i][i], 2 * d)) for i in range(b2)]
+    gens = [[1] + [0] * b2 + [dtype.r_x], [0] * (b2 + 1) + [c]]
+    gens += [[0] + [int(i == j) for j in range(b2)] + [Q(g[i][i], 2 * d)] for i in range(b2)]
     den, ints = Mat(gens).cleared()
     rows = [tuple(Q(x, den) for x in row) for row in hnf_row_basis(ints)]
-    return QuadLattice.from_basis(rows, space.gram, name="Lambda_LB")
+    return QuadLattice.from_basis(rows, gram, name="Lambda_LB")
 
 
 def shifted_integral_lattice(space, gamma):

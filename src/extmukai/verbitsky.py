@@ -19,9 +19,9 @@ The machinery implements:
   * square-root-of-Todd and Todd linearisations, integrals of products of
     divisor classes, and Euler characteristics of line bundles.
 
-A `SymElement` has one stored representation, built once: a denominator
-d > 0 and a dict of nonzero integer numerators, in lowest terms, as a `Mat`
-keeps d and the integer rows of d * M.  Every kernel runs on those integers
+A `SymElement` has one stored representation: a denominator d > 0 and a
+dict of nonzero integer numerators, in lowest terms, as a `Mat` keeps d and
+the integer rows of d * M.  Every kernel runs on those integers
 and on the H^2 Gram read as integer rows d * G (`Mat.cleared`) or products
 (d G) w (`Mat.int_product`), with H^2 classes cleared to integers over their
 own denominator; a result is one denominator and one dict of numerators,

@@ -9,7 +9,9 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from extmukai import isometry
 from extmukai.isometry import (
+    LATTICE_MATRICES_KEPT,
     IsometryError,
     QuadSpace,
     TransvectionWord,
@@ -19,6 +21,7 @@ from extmukai.isometry import (
     eichler_transvection,
     generate_bounded,
     identity_isometry,
+    lattice_witness,
     minus_identity,
     preserves_lattice,
     reflection,
@@ -59,6 +62,15 @@ def transport_word_isometry(space, lat, word):
 def k3n_setup(n):
     space = ExtMukaiSpace(k3n_type(n))
     return space, k3n_lattices(space)
+
+
+def count_builds(monkeypatch, fn):
+    """A list that gains one entry each time the kept fn computes its value
+    (holding no reference to the object it computes it for)."""
+    built = []
+    build = fn.__wrapped__
+    monkeypatch.setattr(fn, "__wrapped__", lambda obj: built.append(1) or build(obj))
+    return built
 
 
 def random_h2(space, bound=2):
@@ -357,6 +369,49 @@ def test_preserves_lattice_degenerate_gram_checks_both_ways():
     assert lattice_witness(g, lat2) == space.beta
 
 
+def test_on_lattice_below_full_rank_or_unembedded_raises_isometry_error():
+    # Lambda_S has rank 24 in the 25-dimensional space: no matrix on it
+    space, lats = k3n_setup(3)
+    g = b_field(space, [1] + [0] * 22)
+    with pytest.raises(IsometryError, match="^dimension mismatch$"):
+        g.on_lattice(lats.lam_s)
+    with pytest.raises(IsometryError, match="^lattice must be embedded in the isometry's space$"):
+        g.on_lattice(QuadLattice(lats.lam.gram))
+
+
+def test_lattice_witness_on_unembedded_lattice_raises_isometry_error():
+    space, lats = k3n_setup(3)
+    g = b_field(space, [1] + [0] * 22)
+    with pytest.raises(IsometryError, match="^lattice must be embedded in the isometry's space$"):
+        lattice_witness(g, QuadLattice(lats.lam.gram))
+
+
+def test_on_lattice_kept_by_basis_value_and_bounded(monkeypatch):
+    space, lats = k3n_setup(3)
+    g = b_field(space, [1] + [0] * 21 + [1]).compose(reflection(space, lats.delta_tilde))
+    rows = lats.lam.basis_in_ambient.entries()
+    copies = [QuadLattice.from_basis(rows, space.gram) for _ in range(50)]
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    m = g.on_lattice(lats.lam)
+    assert len(products) == 2  # C^-1 M C
+    # 50 rebuilt copies of Lambda share the one entry of Lambda
+    assert all(g.on_lattice(lat) is m for lat in copies)
+    assert len(g._on_bases) == 1 and len(products) == 2
+    # a row-swapped basis spans the same lattice, but C^-1 M C differs
+    swapped = QuadLattice.from_basis([rows[1], rows[0]] + list(rows[2:]), space.gram)
+    m_sw = g.on_lattice(swapped)
+    c = swapped.basis_change()[0]
+    assert m_sw != m and c * m_sw == g.matrix * c and m_sw.is_integral()
+    assert len(g._on_bases) == 2 == LATTICE_MATRICES_KEPT
+    # the oldest basis goes first
+    g.on_lattice(lats.lam_g)
+    assert len(g._on_bases) == LATTICE_MATRICES_KEPT
+    assert g.on_lattice(swapped) is m_sw and g.on_lattice(lats.lam) is not m
+    assert g.on_lattice(lats.lam) == m
+
+
 def test_preserves_lattice_one_way_agrees_with_both_ways():
     space, lats = k3n_setup(3)
     gens = [
@@ -529,20 +584,22 @@ def test_transport_of_large_vectors(bits, seed):
     assert word.apply(vq) == wq
 
 
-def test_transport_data_kept_on_the_lattice():
+def test_transport_data_kept_on_the_lattice(monkeypatch):
     # the hyperbolic frame is kept on the lattice and the sparse integer rows
     # on its Gram, both built on the first transport and reused; v and w are
     # the basis vectors e1 and e2 of Lambda
+    built = count_builds(monkeypatch, isometry._hyperbolic_frame)
     space, lats = k3n_setup(2)
     lam = QuadLattice(lats.lam.gram)
-    assert lam._transport is None
+    assert built == []
     v, w = (tuple(Q(int(i == k)) for i in range(25)) for k in (1, 2))
     assert eichler_transport(lam, v, w).apply(v) == w
-    frame, rows = lam._transport, lam.gram.nonzero_columns()
+    assert len(built) == 1
+    frame, rows = isometry._hyperbolic_frame(lam), lam.gram.nonzero_columns()
     assert all(type(x) is int for r in rows for pair in r for x in pair)
     assert all(type(x) is int for u in frame[:4] for pair in u for x in pair)
     assert eichler_transport(lam, w, v).apply(w) == v
-    assert lam._transport is frame
+    assert len(built) == 1 and isometry._hyperbolic_frame(lam) is frame
     assert lam.gram.nonzero_columns() is rows
 
 
@@ -592,23 +649,44 @@ def test_gram_view_built_once_and_shared():
     assert qs.gram.nonzero_columns() is view and lam.gram.nonzero_columns() is view
 
 
-def test_dropped_lattice_is_freed_without_the_cycle_collector():
-    # the kept transport rows are plain ints with no reference back to the
-    # lattice, so dropping the lattice frees it at once
-    space, lats = k3n_setup(3)
-    lam = QuadLattice.from_basis(lats.lam.basis_in_ambient.entries(), space.gram)
-    v, w = (tuple(Q(int(i == k)) for i in range(25)) for k in (1, 2))
-    assert eichler_transport(lam, v, w)
-    assert lam._transport is not None
-    ref = weakref.ref(lam)
+def freed_at_once(holder, name):
+    """True iff deleting holder[name], its one reference, frees it with the
+    cycle collector off."""
+    ref = weakref.ref(holder[name])
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del lam
-        assert ref() is None
+        del holder[name]
+        return ref() is None
     finally:
         if enabled:
             gc.enable()
+
+
+def test_dropped_lattice_is_freed_without_the_cycle_collector(monkeypatch):
+    # the kept transport rows are plain ints with no reference back to the
+    # lattice, so dropping the lattice frees it at once
+    built = count_builds(monkeypatch, isometry._hyperbolic_frame)
+    space, lats = k3n_setup(3)
+    held = {"lam": QuadLattice.from_basis(lats.lam.basis_in_ambient.entries(), space.gram)}
+    v, w = (tuple(Q(int(i == k)) for i in range(25)) for k in (1, 2))
+    assert eichler_transport(held["lam"], v, w)
+    assert len(built) == 1
+    assert freed_at_once(held, "lam")
+
+
+def test_dropped_space_is_freed_without_the_cycle_collector():
+    # the kept K3n bundle holds the deformation type and the Gram, not the
+    # space, so a space whose bundle and other kept values were built goes
+    # as soon as it is dropped
+    space, lats = k3n_setup(2)
+    assert lats.lam_lb.rank == lats.gamma_k.rank == 25
+    g = b_field(space, [1] + [0] * 22)
+    assert spinor_norm(g) == 1 and space.gram_inverse() * space.gram == Mat.identity(25)
+    assert disc_action(g, lats.lam)[0] == "identity"
+    held = {"space": space}
+    del space, lats, g
+    assert freed_at_once(held, "space")
 
 
 # -- generators against their column-by-column definitions ---------------------

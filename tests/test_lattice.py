@@ -150,16 +150,21 @@ def test_disc_group_computed_once_per_lattice():
     assert fresh.q_values == dg.q_values
 
 
-def test_ambient_vector_needs_no_inverse():
+def test_ambient_vector_needs_no_inverse(monkeypatch):
     lam = k3n_lattices(ExtMukaiSpace(k3n_type(3))).lam
     lat = QuadLattice(lam.gram, lam.basis_in_ambient, lam.ambient_gram)
     coords = [Q(i % 5 - 2, 1 + i % 3) for i in range(lat.rank)]
     want = lat.basis_in_ambient.transpose().apply(coords)
+    inverted = []
+    inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda m: inverted.append(m) or inverse(m))
     assert lat.ambient_vector(coords) == want
-    assert lat._basis_t_inv is None  # no coordinates asked for yet
+    assert inverted == []  # no coordinates asked for yet
     c, cinv = lat.basis_change()
+    assert inverted == [c] and cinv * c == Mat.identity(lat.rank)
     assert lat.ambient_vector(coords) == want and lat._columns() is c
     assert lat.coords_of_ambient(want) == tuple(coords)
+    assert lat.basis_change() == (c, cinv) and len(inverted) == 1  # kept
 
 
 def test_disc_group_order_equals_det():

@@ -12,6 +12,7 @@ from extmukai.linalg import (
     congruence_diagonalize,
     hnf_row_basis,
     integer_kernel_basis,
+    kept,
     kernel_basis,
     saturation_basis,
     smith_normal_form,
@@ -611,8 +612,60 @@ def _private_readers(cls, home):
 def test_no_module_reads_mat_internals():
     """Only linalg.py knows how a Mat is stored."""
     private, offenders = _private_readers(Mat, "linalg")
-    assert {"_den", "_ints", "_nz_cols"} <= private
+    assert {"_den", "_ints", "_kept_nonzero_columns"} <= private
     assert offenders == []
+
+
+# the functions that may write private attributes of an object other than
+# self: the memo helper, and the fillers of a fresh Mat and a fresh SymElement
+PRIVATE_WRITERS = {("linalg.py", "kept"), ("linalg.py", "_make"), ("verbitsky.py", "_sym")}
+
+
+def test_no_module_writes_private_state_of_another_object():
+    """A value derived from an object is kept through `kept`, never stashed
+    on it by another module or function: no package module assigns a
+    private attribute (`x._name = ...`) of anything but `self`, or calls
+    setattr or delattr, outside PRIVATE_WRITERS."""
+    offenders = []
+    for path in sorted(Path(extmukai.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and (path.name, fn.name) in PRIVATE_WRITERS for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for a in (a for t in targets for a in (t.elts if isinstance(t, ast.Tuple) else [t])):
+                    if (isinstance(a, ast.Attribute) and a.attr.startswith("_")
+                            and not (isinstance(a.value, ast.Name) and a.value.id == "self")):
+                        offenders.append((path.name, node.lineno, ast.unparse(a)))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("setattr", "delattr"):
+                offenders.append((path.name, node.lineno, node.func.id))
+    assert offenders == []
+
+
+class _Kept:
+    __slots__ = ("calls", "_kept_value")
+
+    def __init__(self):
+        self.calls = 0
+
+    @kept
+    def value(self):
+        self.calls += 1
+        if self.calls == 1:
+            raise ValueError("first call fails")
+        return [self.calls]
+
+
+def test_kept_computes_once_per_object_and_keeps_nothing_on_raise():
+    a, b = _Kept(), _Kept()
+    with pytest.raises(ValueError):
+        a.value()
+    v = a.value()
+    assert v == [2] and a.value() is v and a.calls == 2
+    assert b.calls == 0 and not hasattr(a, "__dict__")  # kept in the declared slot
 
 
 def test_no_module_reads_sym_element_internals():

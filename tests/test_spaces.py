@@ -115,14 +115,26 @@ def test_k3n_lattice_facts():
             assert membership(lats.lam_g, lats.lam.basis_in_ambient.row(i))[0]
 
 
-def test_lambda_lb_between_lattices():
+def count_line_bundle_builds(monkeypatch):
+    """A list that gains one entry each time Lambda_LB is built."""
+    built = []
+    build = spaces._line_bundle_lattice
+    monkeypatch.setattr(spaces, "_line_bundle_lattice", lambda *a: built.append(1) or build(*a))
+    return built
+
+
+def test_lambda_lb_between_lattices(monkeypatch):
+    built = count_line_bundle_builds(monkeypatch)
     for n in (2, 3):
         space = ExtMukaiSpace(k3n_type(n))
         lats = k3n_lattices(space)
         # built on first access, then kept on the bundle
-        assert "lam_lb" not in vars(lats)
+        assert built == []
         assert lats.lam_lb is lats.lam_lb
-        assert lats.lam_lb.basis_in_ambient == spaces._line_bundle_lattice(space).basis_in_ambient
+        assert len(built) == 1
+        want = spaces._line_bundle_lattice(space.dtype, space.gram)
+        built.clear()
+        assert lats.lam_lb.basis_in_ambient == want.basis_in_ambient
         assert lats.lam_lb.rank == 25
         for i in range(25):
             assert membership(lats.lam_g, lats.lam_lb.basis_in_ambient.row(i))[0]
@@ -169,14 +181,15 @@ def test_lambda_lb_matches_line_bundle_reference(n, monkeypatch):
     assert lam_lb.gram == want.gram and lam_lb.name == want.name
 
 
-def test_k3n_lattices_kept_on_the_space():
+def test_k3n_lattices_kept_on_the_space(monkeypatch):
+    built = count_line_bundle_builds(monkeypatch)
     space = ExtMukaiSpace(k3n_type(3))
     lats = k3n_lattices(space)
     assert k3n_lattices(space) is lats
     # Lambda_LB is still built on first access, and kept with the bundle
-    assert "lam_lb" not in vars(lats)
+    assert built == []
     lam_lb = lats.lam_lb
-    assert k3n_lattices(space).lam_lb is lam_lb
+    assert k3n_lattices(space).lam_lb is lam_lb and len(built) == 1
     # an equal space gets its own bundle
     assert k3n_lattices(ExtMukaiSpace(k3n_type(3))) is not lats
     with pytest.raises(SpaceError):
