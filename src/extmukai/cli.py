@@ -379,15 +379,15 @@ def cmd_moduli(args):
         raise InputError("v must be a list of %d numbers (r, c..., s)" % lat.rank)
     v = [parse_rat(c) for c in v]
     v = lat.vector(v[0], v[1:-1], v[-1])
+    square = lat.report(v).square
     dimension = moduli_dimension(lat, v)
     fine, order = fineness(lat, v)
-    ns_m = ns_of_moduli(lat, v)
     payload = {
-        "square": rat_str(lat.square(v)),
+        "square": rat_str(square),
         "dimension": dimension,
         "fine": fine,
-        "obstruction_order": int(order),
-        "ns_moduli_gram": matrix_to_json(ns_m.gram),
+        "obstruction_order": order,
+        "ns_moduli_gram": matrix_to_json(ns_of_moduli(lat, v).gram),
         "invariants": {
             k: (rat_str(val) if isinstance(val, Fraction) else
                 [str(x) for x in val] if isinstance(val, tuple) else val)
@@ -395,13 +395,13 @@ def cmd_moduli(args):
         },
     }
     checks = []
-    if lat.square(v) > 0:
-        rep = disc_lemma_check(lat, v)
+    if square > 0:
+        lemma = disc_lemma_check(lat, v)
         payload["disc_lemma"] = {
             k: (rat_str(val) if isinstance(val, Fraction) else val)
-            for k, val in rep.items()
+            for k, val in lemma.items()
         }
-        checks.append(check("discriminant identity", rep["all"]))
+        checks.append(check("discriminant identity", lemma["all"]))
     return emit(args, payload, checks)
 
 

@@ -111,7 +111,7 @@ class Isometry:
         self.space = space
         self.matrix = matrix
         self.word = word
-        self._on_bases = {}  # basis of a full-rank lattice -> matrix on it
+        self._on_bases = {}  # (basis, ambient Gram) of a full-rank lattice -> matrix
 
     @property
     @kept
@@ -123,18 +123,19 @@ class Isometry:
 
     def on_lattice(self, lat):
         """C^-1 M C for a full-rank lattice with basis change C, kept for the
-        last LATTICE_MATRICES_KEPT bases (equal bases share one entry)."""
+        last LATTICE_MATRICES_KEPT bases (equal bases in the same ambient
+        Gram share one entry)."""
         bases = self._on_bases
-        m = bases.get(lat.basis_in_ambient)
+        key = (lat.basis_in_ambient, lat.ambient_gram)
+        m = bases.get(key)
         if m is None:
-            if lat.basis_in_ambient is None:
-                raise IsometryError("lattice must be embedded in the isometry's space")
+            _require_in_space(self, lat)
             if lat.rank != self.space.dim:
                 raise IsometryError("dimension mismatch")
             c, cinv = lat.basis_change()
             if len(bases) == LATTICE_MATRICES_KEPT:
                 del bases[next(iter(bases))]  # the oldest
-            m = bases[lat.basis_in_ambient] = cinv * self.matrix * c
+            m = bases[key] = cinv * self.matrix * c
         return m
 
     def compose(self, other, word=None):
@@ -267,6 +268,14 @@ def spinor_norm(g):
 # -- lattice interaction ------------------------------------------------------
 
 
+def _require_in_space(g, lat):
+    """Raise unless L is embedded in the space of g, with the same Gram."""
+    if lat.basis_in_ambient is None:
+        raise IsometryError("lattice must be embedded in the isometry's space")
+    if lat.ambient_gram != g.space.gram:
+        raise IsometryError("dimension mismatch")
+
+
 def preserves_lattice(g, lat):
     """True iff g(L) = L as subsets of the ambient space.
 
@@ -274,10 +283,7 @@ def preserves_lattice(g, lat):
     M of g on L is then integral with M^T G_L M = G_L, so det M = +-1 and
     M^{-1} is integral too.  A degenerate G_L needs g^{-1}(L) in L as well.
     """
-    if lat.basis_in_ambient is None:
-        raise IsometryError("lattice must be embedded in the isometry's space")
-    if lat.ambient_gram != g.space.gram:
-        raise IsometryError("dimension mismatch")
+    _require_in_space(g, lat)
     if lat.rank < g.space.dim:
         return lattice_witness(g, lat) is None
     # full rank: g preserves L iff its matrix in lattice coordinates is integral
@@ -289,8 +295,7 @@ def preserves_lattice(g, lat):
 def lattice_witness(g, lat):
     """A basis vector of L whose image leaves L (for a degenerate Gram of L,
     possibly the preimage of one that leaves L), or None."""
-    if lat.basis_in_ambient is None:
-        raise IsometryError("lattice must be embedded in the isometry's space")
+    _require_in_space(g, lat)
     ginv = None if lat.is_nondegenerate() else g.inverse()
     for i in range(lat.rank):
         v = lat.basis_in_ambient.row(i)

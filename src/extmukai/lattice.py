@@ -194,12 +194,10 @@ def discriminant_group(lat):
         raise LatticeError("even lattice required")
     if not lat.is_nondegenerate():
         raise LatticeError("nondegenerate lattice required")
-    g = lat.gram
-    u, d, _ = smith_normal_form(g)
-    # A(L) ~ Z^r / g Z^r via x -> g^{-1} x; invariant factor i has generator
-    # g^{-1} U^{-1} e_i of order d_i.
-    ginv = g.inverse()
-    uinv = u.inverse()
+    _, d, v = smith_normal_form(lat.gram)
+    # A(L) ~ Z^r / G Z^r via x -> G^{-1} x; invariant factor i has generator
+    # G^{-1} U^{-1} e_i of order d_i.  From U G V = D, G^{-1} = V D^{-1} U,
+    # so that generator is V D^{-1} e_i = V e_i / d_i: no inverse is needed.
     orders = []
     gens = []
     qvals = []
@@ -207,7 +205,7 @@ def discriminant_group(lat):
         di = int(d[i, i])
         if di <= 1:
             continue
-        gen = ginv.apply(uinv.column(i))
+        gen = tuple(x / di for x in v.column(i))
         orders.append(di)
         gens.append(gen)
         qvals.append(lat.norm(gen) % 2)

@@ -12,6 +12,13 @@ with <v, w> = 1), the discriminant index identity
     disc(NS(M)) * disc(Zv) = |K|^2 * disc(U + NS),   K = L / (Zv + v_perp),
 
 and the summary of lattice-level invariants shared by derived partners.
+
+Every operation reads the report of its Mukai vector, `lat.report(v)`: the
+primitivity verdict, the integer square <v, v> and the divisibility, computed
+at once, and NS(M), built when first asked for.  The lattice keeps the report
+of the last v only, by value, since callers ask all their questions of one v
+before the next.  A v that is not primitive raises on every call and leaves
+nothing behind.
 """
 
 from collections import Counter
@@ -26,11 +33,31 @@ from .lattice import (
     is_primitive,
     orthogonal_complement,
 )
-from .linalg import Mat, Q, xgcd
+from .linalg import Mat, Q, kept, xgcd
 
 
 class ModuliError(ValueError):
     pass
+
+
+class MukaiReport:
+    """A primitive Mukai vector v of the lattice L = U + NS: its integer
+    square <v, v>, its divisibility (the gcd of <v, basis>) and, on first
+    request, NS(M) = v_perp."""
+
+    __slots__ = ("lattice", "v", "square", "order", "_kept_ns")
+
+    def __init__(self, lattice, v):
+        if not is_primitive(lattice, v):
+            raise ModuliError("Mukai vector must be primitive")
+        self.lattice, self.v = lattice, v
+        self.square = int(lattice.norm(v))
+        self.order = divisibility(lattice, v)
+
+    @property
+    @kept
+    def ns(self):
+        return orthogonal_complement(self.lattice, [self.v])
 
 
 class AlgebraicMukaiLattice:
@@ -48,6 +75,7 @@ class AlgebraicMukaiLattice:
         if not self.lattice.is_even():
             raise ModuliError("NS must be an even lattice")
         self.rank = self.lattice.rank
+        self._last = None  # the report of the last v asked about
 
     def vector(self, r, c, s):
         """Coordinates of the Mukai vector (r, c, s)."""
@@ -68,25 +96,27 @@ class AlgebraicMukaiLattice:
         e, a = self.vector(0, (0,) * self.rho, -1), self.vector(0, mu, 0)
         return eichler_transvection(QuadSpace(self.lattice.gram), e, a).matrix
 
-
-def _require_primitive(lat, v):
-    if not is_primitive(lat.lattice, v):
-        raise ModuliError("Mukai vector must be primitive")
+    def report(self, v):
+        """The MukaiReport of a primitive v, kept for the last v only (a
+        list and a tuple share it); a v that is not primitive raises."""
+        v = tuple(v)
+        last = self._last
+        if last is None or last.v != v:
+            last = self._last = MukaiReport(self.lattice, v)
+        return last
 
 
 def moduli_dimension(lat, v):
     """<v, v> + 2 for a primitive vector of square >= -2."""
-    _require_primitive(lat, v)
-    sq = lat.square(v)
+    sq = lat.report(v).square
     if sq < -2:
         raise ModuliError("square below -2")
-    return int(sq) + 2
+    return sq + 2
 
 
 def ns_of_moduli(lat, v):
     """Saturated orthogonal complement of v: the NS lattice of the moduli space."""
-    _require_primitive(lat, v)
-    return orthogonal_complement(lat.lattice, [v])
+    return lat.report(v).ns
 
 
 def fineness(lat, v):
@@ -94,8 +124,7 @@ def fineness(lat, v):
 
     Fine iff the order is 1, i.e. iff some w pairs to 1 with v.
     """
-    _require_primitive(lat, v)
-    order = divisibility(lat.lattice, v)
+    order = lat.report(v).order
     return order == 1, order
 
 
@@ -138,8 +167,7 @@ def disc_lemma_check(lat, v):
     exactly, and the equivalences: fine <=> |K| = <v,v> <=> disc(NS(M)) =
     <v,v> * disc(L).  Requires <v, v> > 0.
     """
-    _require_primitive(lat, v)
-    sq = lat.square(v)
+    sq = lat.report(v).square
     if sq <= 0:
         raise ModuliError("the discriminant identity needs <v, v> > 0")
     ns_m = ns_of_moduli(lat, v)
@@ -156,14 +184,14 @@ def disc_lemma_check(lat, v):
     index = index.numerator
     fine, order = fineness(lat, v)
     identity_holds = disc_ns * sq == index**2 * disc_l
-    divides = int(sq) % index == 0
+    divides = sq % index == 0
     equiv = (fine == (index == sq)) and (fine == (disc_ns == sq * disc_l))
     witness = pairing_witness(lat, v)
     witness_ok = (witness is not None) == fine
     if witness is not None:
         witness_ok = witness_ok and lat.pairing(v, witness) == 1
     return {
-        "square": int(sq),
+        "square": sq,
         "disc_ns_moduli": disc_ns,
         "disc_ambient": disc_l,
         "index_K": index,
@@ -180,16 +208,26 @@ def disc_lemma_check(lat, v):
 def disc_form_profile(lat, disc, cap=4096):
     """Canonical profile of the discriminant form: the sorted multiset of
     q-values over all group elements (a presentation-free invariant).  With
-    B the Gram of the generators g_i over its denominator D, q(sum k_i g_i) =
-    k^T B k mod 2Z is the integer k^T (D B) k mod 2D, over D."""
+    B the Gram of the generators g_i over its denominator D and m = D B,
+    q(sum k_i g_i) = k^T B k mod 2Z is the integer k^T m k mod 2D, over D.
+
+    The group is walked one generator at a time, each element carrying
+    k^T m k mod 2D and m k mod D:  q(k + e_j) = q(k) + 2 (m k)_j + m_jj and
+    m (k + e_j) = m k + m e_j, so an element costs O(rank) additions."""
     if disc.order > cap:
         return None
     gens = disc.generators
     d, m = Mat([[lat.pairing(g, h) for h in gens] for g in gens]).cleared()
-    counts = Counter(
-        sum(a * b * x for a, row in zip(ks, m) for b, x in zip(ks, row)) % (2 * d)
-        for ks in product(*map(range, disc.cyclic_orders))
-    )
+    walk = [(0, (0,) * len(gens))]
+    for j, n in enumerate(disc.cyclic_orders):
+        steps = []
+        for q, mk in walk:
+            for _ in range(n):
+                steps.append((q, mk))
+                q = (q + 2 * mk[j] + m[j][j]) % (2 * d)
+                mk = tuple((a + b) % d for a, b in zip(mk, m[j]))  # m e_j = row j
+        walk = steps
+    counts = Counter(q for q, _ in walk)
     return tuple(q for x, n in sorted(counts.items()) for q in (Q(x, d),) * n)
 
 
@@ -200,13 +238,12 @@ def partner_invariants(lat, v):
     q-profile; per-generator q-values depend on the chosen presentation
     and are not invariants.
     """
-    _require_primitive(lat, v)
     ns_m = ns_of_moduli(lat, v)
     disc = discriminant_group(ns_m) if ns_m.is_even() and ns_m.is_nondegenerate() else None
     fine, order = fineness(lat, v)
     return {
-        "square": int(lat.square(v)),
-        "obstruction_order": int(order),
+        "square": lat.report(v).square,
+        "obstruction_order": order,
         "fine": fine,
         "ns_disc_orders": tuple(disc.cyclic_orders) if disc else (),
         "ns_disc_profile": disc_form_profile(ns_m, disc) if disc else (),

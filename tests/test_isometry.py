@@ -386,6 +386,37 @@ def test_lattice_witness_on_unembedded_lattice_raises_isometry_error():
         lattice_witness(g, QuadLattice(lats.lam.gram))
 
 
+def test_on_lattice_of_another_space_raises_dimension_mismatch():
+    # K3[3] and K3[4] have 25-dimensional spaces with different Grams
+    space, _ = k3n_setup(3)
+    _, lats4 = k3n_setup(4)
+    g = b_field(space, [1] + [0] * 22)
+    with pytest.raises(IsometryError, match="^dimension mismatch$"):
+        g.on_lattice(lats4.lam)
+    assert g._on_bases == {}
+
+
+def test_on_lattice_of_another_space_raises_after_a_hit_on_the_same_basis():
+    # the identity basis over two Grams of one dimension: equal basis matrices
+    space = QuadSpace(Mat([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    other = Mat([[2, 0, 0], [0, 2, 0], [0, 0, 4]])
+    rows = Mat.identity(3).entries()
+    g = identity_isometry(space)
+    m = g.on_lattice(QuadLattice.from_basis(rows, space.gram))
+    assert g.on_lattice(QuadLattice.from_basis(rows, space.gram)) is m  # a hit
+    with pytest.raises(IsometryError, match="^dimension mismatch$"):
+        g.on_lattice(QuadLattice.from_basis(rows, other))
+    assert len(g._on_bases) == 1
+
+
+def test_lattice_witness_of_another_space_raises_dimension_mismatch():
+    space, _ = k3n_setup(3)
+    _, lats4 = k3n_setup(4)
+    g = b_field(space, [1] + [0] * 22)
+    with pytest.raises(IsometryError, match="^dimension mismatch$"):
+        lattice_witness(g, lats4.lam)
+
+
 def test_on_lattice_kept_by_basis_value_and_bounded(monkeypatch):
     space, lats = k3n_setup(3)
     g = b_field(space, [1] + [0] * 21 + [1]).compose(reflection(space, lats.delta_tilde))

@@ -14,7 +14,8 @@ from extmukai.lattice import (
     orthogonal_complement,
     standard_lattice,
 )
-from extmukai.linalg import Mat, saturation_basis
+from extmukai.linalg import Mat, saturation_basis, smith_normal_form
+from extmukai.moduli import AlgebraicMukaiLattice, ns_of_moduli, primitive_vectors_in_box
 from extmukai.serialize import lattice_from_json
 from extmukai.spaces import ExtMukaiSpace, k3n_lattices, k3n_type
 
@@ -148,6 +149,44 @@ def test_disc_group_computed_once_per_lattice():
     assert fresh.cyclic_orders == dg.cyclic_orders == (4,)
     assert fresh.generators == dg.generators
     assert fresh.q_values == dg.q_values
+
+
+def _generators_by_two_inverses(lat):
+    """Reference: G^-1 U^-1 e_i for the invariant factors d_i > 1 of
+    U G V = D, the generators as first computed, with two inverses."""
+    u, d, _ = smith_normal_form(lat.gram)
+    ginv, uinv = lat.gram.inverse(), u.inverse()
+    return tuple(tuple(ginv.apply(uinv.column(i))) for i in range(lat.rank) if d[i, i] > 1)
+
+
+def _even_nondegenerate_lattices():
+    """Lambda, Lambda_S and 3 Lambda_S + Z delta~ of K3[2..4], and the NS(M)
+    of every primitive v in the box of radius 1 over four NS Grams."""
+    lats = []
+    for n in (2, 3, 4):
+        bundle = k3n_lattices(ExtMukaiSpace(k3n_type(n)))
+        lats += [bundle.lam, bundle.lam_s, bundle.gamma_k]
+    for ns in ([[2]], [[4]], [[0, 1], [1, 0]], [[2, 1], [1, 4]]):
+        mukai = AlgebraicMukaiLattice(Mat(ns))
+        for v in primitive_vectors_in_box(mukai, 1):
+            ns_m = ns_of_moduli(mukai, v)
+            if ns_m.is_even() and ns_m.is_nondegenerate():
+                lats.append(ns_m)
+    return lats
+
+
+def test_disc_group_matches_sympy_and_the_two_inverse_generators():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
+    lats = _even_nondegenerate_lattices()
+    assert len(lats) > 40
+    for lat in lats:
+        dg = discriminant_group(lat)
+        d = sympy_smith(sympy.Matrix(lat.gram.int_entries()), domain=sympy.ZZ)
+        factors = sorted(abs(d[i, i]) for i in range(lat.rank))
+        assert dg.cyclic_orders == tuple(f for f in factors if f > 1), lat
+        assert dg.generators == _generators_by_two_inverses(lat), lat
 
 
 def test_ambient_vector_needs_no_inverse(monkeypatch):

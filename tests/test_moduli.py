@@ -1,10 +1,15 @@
 import random
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from extmukai.lattice import discriminant_group
+from extmukai import moduli
+from extmukai.lattice import LatticeError, QuadLattice, discriminant_group
 from extmukai.linalg import Mat
 from extmukai.moduli import (
     AlgebraicMukaiLattice,
@@ -185,3 +190,133 @@ def test_disc_form_profile_cap_edge():
     assert disc.order == 48
     assert len(disc_form_profile(ns_m, disc, cap=disc.order)) == 48
     assert disc_form_profile(ns_m, disc, cap=disc.order - 1) is None
+
+
+def disc_form_profile_product_formula(lat, disc):
+    """Reference: the profile as first computed, k^T m k mod 2D summed over
+    the whole product of the cyclic factors for each element k."""
+    gens = disc.generators
+    d, m = Mat([[lat.pairing(g, h) for h in gens] for g in gens]).cleared()
+    counts = Counter(
+        sum(a * b * x for a, row in zip(ks, m) for b, x in zip(ks, row)) % (2 * d)
+        for ks in product(*map(range, disc.cyclic_orders))
+    )
+    return tuple(q for x, n in sorted(counts.items()) for q in (Q(x, d),) * n)
+
+
+@st.composite
+def even_grams(draw):
+    """Even symmetric integer Grams of rank 1 to 3 with entries in [-8, 8]:
+    |det| stays under the default cap of disc_form_profile."""
+    r = draw(st.integers(1, 3))
+    g = [[0] * r for _ in range(r)]
+    for i in range(r):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, r):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_grams())
+def test_disc_form_profile_matches_the_product_formula(gram):
+    lat = QuadLattice(Mat(gram))
+    if not lat.is_nondegenerate():
+        return
+    disc = discriminant_group(lat)
+    profile = disc_form_profile(lat, disc)
+    assert profile == disc_form_profile_product_formula(lat, disc)
+    assert len(profile) == disc.order == abs(lat.det())
+
+
+def perfbench_style_op(lat, v):
+    """The five public calls one rank-moduli op makes on one v."""
+    return (moduli_dimension(lat, v), fineness(lat, v), ns_of_moduli(lat, v),
+            disc_lemma_check(lat, v), partner_invariants(lat, v))
+
+
+def test_one_op_builds_ns_of_moduli_once(monkeypatch):
+    built = []
+    complement = moduli.orthogonal_complement
+    monkeypatch.setattr(moduli, "orthogonal_complement",
+                        lambda lat, gens: built.append(1) or complement(lat, gens))
+    lat = AlgebraicMukaiLattice(Mat([[2]]))
+    v = lat.vector(1, [1], -1)  # square 4
+    first = perfbench_style_op(lat, v)
+    assert len(built) == 1
+    assert perfbench_style_op(lat, v) == first and len(built) == 1
+    assert first[2] is ns_of_moduli(lat, v)
+
+
+def test_fineness_and_dimension_build_no_ns_of_moduli(monkeypatch):
+    built = []
+    complement = moduli.orthogonal_complement
+    monkeypatch.setattr(moduli, "orthogonal_complement",
+                        lambda lat, gens: built.append(1) or complement(lat, gens))
+    lat = AlgebraicMukaiLattice(Mat([[0, 1], [1, 0]]))
+    for v in primitive_vectors_in_box(lat, 1):
+        fineness(lat, v)
+        if lat.square(v) >= -2:
+            moduli_dimension(lat, v)
+    assert built == []
+
+
+def test_only_the_last_report_is_kept():
+    lat = AlgebraicMukaiLattice(Mat([[2]]))
+    vs = primitive_vectors_in_box(lat, 2)[:50]
+    assert len(set(vs)) == 50
+    for v in vs:
+        rep = lat.report(v)
+        assert lat._last is rep and rep.v == v
+    assert lat.report(vs[-1]) is rep and lat.report(vs[0]) is not rep
+
+
+def test_non_primitive_vector_raises_on_every_call_and_is_not_kept():
+    lat = AlgebraicMukaiLattice(Mat([[2]]))
+    for _ in range(2):
+        with pytest.raises(ModuliError, match="^Mukai vector must be primitive$"):
+            fineness(lat, lat.vector(2, [0], 2))
+        with pytest.raises(LatticeError, match="^zero vector$"):
+            ns_of_moduli(lat, lat.vector(0, [0], 0))
+    assert lat._last is None
+
+
+def test_list_and_tuple_share_one_report():
+    lat = AlgebraicMukaiLattice(Mat([[4]]))
+    v = lat.vector(1, [0], -2)
+    ns_m = ns_of_moduli(lat, v)
+    rep = lat._last
+    assert ns_of_moduli(lat, list(v)) is ns_m
+    assert fineness(lat, list(v)) == fineness(lat, v)
+    assert lat._last is rep
+
+
+def test_reports_shared_by_threads_stay_correct():
+    lat = AlgebraicMukaiLattice(Mat([[2]]))
+    vs = primitive_vectors_in_box(lat, 2)
+    fresh = AlgebraicMukaiLattice(Mat([[2]]))
+    want = {v: (fineness(fresh, v), ns_of_moduli(fresh, v).gram) for v in vs}
+    errors, calls = [], []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                v = vs[(7 * i + offset) % len(vs)]
+                if (fineness(lat, v), ns_of_moduli(lat, v).gram) != want[v]:
+                    errors.append(v)
+                calls.append(1)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(calls) == 6 * 300
