@@ -5,17 +5,21 @@ Catalog keys:
 
   shift               the shift functor [1]: -id
   tensor_line_bundle  tensoring by a line bundle with class lambda: B_lambda
-  sign_equivalence    the equivariant sign twist: (-1)^{n+1} s_{delta~}
-  spherical_P         the spherical twist along O lifted to the Hilbert
-                      scheme: (-1)^{n+1} s_v, v = alpha~ + beta
+  sign_equivalence    the equivariant sign twist: v = delta~
+  spherical_P         the P-twist along O lifted to the Hilbert scheme:
+                      v = alpha~ + beta
   fm_ext1             the relative extension-sheaf twist (n = 2 only):
-                      -s_v, v = alpha~ + beta
+                      v = alpha~ + beta
   horja_EZ            the EZ-twist along the exceptional divisor (n = 2
-                      only): -s_v, v = delta~ + beta
+                      only): v = delta~ + beta
   poincare            the relative Poincare kernel of a Lagrangian
                       fibration, on its rank-4 algebraic subspace
   dn_transfer         transfer of a surface-level derived action g to the
                       Hilbert scheme: det(g)^{n+1} B_{-delta/2} iota(g) B_{delta/2}
+
+The four keys with a vector v are the reflection twists of REFLECTION_TWISTS,
+and one rule builds them all: (-1)^{n+1} s_v, that is s_v composed with -id
+for even n.
 
 For even n the functor-level sign epsilon = det of the induced isometry is
 stored alongside, never silently applied; for odd n it is None (the
@@ -70,6 +74,19 @@ def k3_extended_space():
     return ExtMukaiSpace(k3_surface_type())
 
 
+# key -> (the reflection vector v as a function of (alpha~, delta~, beta),
+# the one n the key exists at or None, provenance)
+REFLECTION_TWISTS = {
+    "sign_equivalence": (lambda at, dt, beta: dt, None, "equivariant sign twist"),
+    "spherical_P": (lambda at, dt, beta: vec_add(at, beta), None,
+                    "spherical twist along the structure sheaf, lifted"),
+    "fm_ext1": (lambda at, dt, beta: vec_add(at, beta), 2,
+                "relative extension-sheaf twist (dim 4)"),
+    "horja_EZ": (lambda at, dt, beta: vec_add(dt, beta), 2,
+                 "EZ-twist along the exceptional divisor (dim 4)"),
+}
+
+
 def action(space, key, lam=None, g=None, genus=None):
     """Build a cataloged NamedAction on the given K3n-type space.
 
@@ -98,39 +115,7 @@ def action(space, key, lam=None, g=None, genus=None):
         return NamedAction(key, space, iso, 1 if even else None,
                            "tensor by a line bundle")
 
-    alpha_tilde, delta_tilde = k3n_tilde_vectors(space)
-    sign = Q(-1) ** (n + 1)
-
-    if key == "sign_equivalence":
-        iso = reflection(space, delta_tilde)
-        if sign == -1:
-            iso = minus_identity(space).compose(iso)
-        return NamedAction(key, space, iso, 1 if even else None,
-                           "equivariant sign twist")
-
-    if key == "spherical_P":
-        v = vec_add(alpha_tilde, space.beta)
-        iso = reflection(space, v)
-        if sign == -1:
-            iso = minus_identity(space).compose(iso)
-        return NamedAction(key, space, iso, 1 if even else None,
-                           "spherical twist along the structure sheaf, lifted")
-
-    if key == "fm_ext1":
-        if n != 2:
-            raise CatalogError("fm_ext1 is only defined for n = 2")
-        v = vec_add(alpha_tilde, space.beta)
-        iso = minus_identity(space).compose(reflection(space, v))
-        return NamedAction(key, space, iso, 1,
-                           "relative extension-sheaf twist (dim 4)")
-
-    if key == "horja_EZ":
-        if n != 2:
-            raise CatalogError("horja_EZ is only defined for n = 2")
-        v = vec_add(delta_tilde, space.beta)
-        iso = minus_identity(space).compose(reflection(space, v))
-        return NamedAction(key, space, iso, 1,
-                           "EZ-twist along the exceptional divisor (dim 4)")
+    tilde = k3n_tilde_vectors(space)  # SpaceError off K3n, ahead of the checks below
 
     if key == "dn_transfer":
         if g is None:
@@ -139,7 +124,13 @@ def action(space, key, lam=None, g=None, genus=None):
         return NamedAction(key, space, iso, None,
                            "Hilbert-scheme transfer of a surface derived action")
 
-    raise CatalogError("unhandled key %r" % (key,))
+    vector, only_n, provenance = REFLECTION_TWISTS[key]
+    if only_n not in (None, n):
+        raise CatalogError("%s is only defined for n = %d" % (key, only_n))
+    iso = reflection(space, vector(*tilde, space.beta))
+    if even:
+        iso = minus_identity(space).compose(iso)
+    return NamedAction(key, space, iso, 1 if even else None, provenance)
 
 
 def dn_transfer(space, g):
@@ -154,14 +145,10 @@ def dn_transfer(space, g):
         raise CatalogError("dn_transfer starts from the rank-24 K3 extended space")
     n = space.dtype.n
     dim = space.dim
-    # index map: alpha -> 0, K3 basis -> 1..22, beta -> 24; delta (23) fixed
-    src_to_tgt = [0] + list(range(1, 23)) + [dim - 1]
-    rows = [[Q(0)] * dim for _ in range(dim)]
-    for j24, j25 in enumerate(src_to_tgt):
-        col = g.matrix.column(j24)
-        for i24, i25 in enumerate(src_to_tgt):
-            rows[i25][j25] = col[i24]
-    rows[dim - 2][dim - 2] = Q(1)  # delta fixed
+    # g's rows and columns are alpha, the K3 basis, beta; delta (dim - 2) is
+    # inserted before beta as a fixed direction
+    rows = [(*row[:-1], 0, row[-1]) for row in g.matrix.entries()]
+    rows.insert(dim - 2, (0,) * (dim - 2) + (1, 0))
     iota_g = Isometry(space, Mat(rows), check=False)
     half_delta = [Q(0)] * space.b2
     half_delta[space.b2 - 1] = Q(1, 2)

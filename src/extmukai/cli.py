@@ -360,6 +360,13 @@ def cmd_integrate(args):
     return emit(args, {"integral": rat_str(val)})
 
 
+def _json_values(report):
+    """A report's Fractions as rat_str, tuples as lists of str, the rest as is."""
+    return {k: rat_str(val) if isinstance(val, Fraction) else
+            [str(x) for x in val] if isinstance(val, tuple) else val
+            for k, val in report.items()}
+
+
 def cmd_moduli(args):
     if args.input == "-":
         data = json.load(sys.stdin)
@@ -388,19 +395,12 @@ def cmd_moduli(args):
         "fine": fine,
         "obstruction_order": order,
         "ns_moduli_gram": matrix_to_json(ns_of_moduli(lat, v).gram),
-        "invariants": {
-            k: (rat_str(val) if isinstance(val, Fraction) else
-                [str(x) for x in val] if isinstance(val, tuple) else val)
-            for k, val in partner_invariants(lat, v).items()
-        },
+        "invariants": _json_values(partner_invariants(lat, v)),
     }
     checks = []
     if square > 0:
         lemma = disc_lemma_check(lat, v)
-        payload["disc_lemma"] = {
-            k: (rat_str(val) if isinstance(val, Fraction) else val)
-            for k, val in lemma.items()
-        }
+        payload["disc_lemma"] = _json_values(lemma)
         checks.append(check("discriminant identity", lemma["all"]))
     return emit(args, payload, checks)
 

@@ -133,9 +133,9 @@ class Isometry:
             if lat.rank != self.space.dim:
                 raise IsometryError("dimension mismatch")
             c, cinv = lat.basis_change()
-            if len(bases) == LATTICE_MATRICES_KEPT:
-                del bases[next(iter(bases))]  # the oldest
-            m = bases[key] = cinv * self.matrix * c
+            m = cinv * self.matrix * c
+            # one assignment of a new store: no thread sees it past its bound
+            self._on_bases = dict(list({**bases, key: m}.items())[-LATTICE_MATRICES_KEPT:])
         return m
 
     def compose(self, other, word=None):

@@ -27,7 +27,7 @@ import random
 from functools import lru_cache
 from math import factorial, gcd
 
-from .catalog import action, dn_transfer, k3_extended_space, poincare_checks
+from .catalog import REFLECTION_TWISTS, action, dn_transfer, k3_extended_space, poincare_checks
 from .isometry import (
     TransvectionWord,
     disc_action,
@@ -257,28 +257,20 @@ def crit05_catalog(seed=DEFAULT_SEED):
         space = family_space("K3n", n)
         lats = k3n_lattices(space)
         lam = [rng.randint(-2, 2) for _ in range(space.b2)]
-        actions = [
-            action(space, "shift"),
-            action(space, "tensor_line_bundle", lam=lam),
-            action(space, "sign_equivalence"),
-            action(space, "spherical_P"),
-        ]
-        if n == 2:
-            actions.append(action(space, "fm_ext1"))
-            actions.append(action(space, "horja_EZ"))
-        for named in actions:
+        twists = [action(space, key) for key, (_, only_n, _) in REFLECTION_TWISTS.items()
+                  if only_n in (None, n)]
+        actions = [action(space, "shift"), action(space, "tensor_line_bundle", lam=lam)]
+        for named in actions + twists:
             g = named.iso
             iso_ok = (g.matrix.transpose() * space.gram * g.matrix) == space.gram
             pres = preserves_lattice(g, lats.lam) and preserves_lattice(g, lats.lam_g)
             name = "catalog %s n=%d isometry+preserves" % (named.key, n)
             checks.append(check(name, iso_ok and pres))
-        # involutive keys square to the identity
-        for key in ("sign_equivalence", "spherical_P") + (
-            ("fm_ext1", "horja_EZ") if n == 2 else ()
-        ):
-            g = action(space, key).iso
-            checks.append(check("catalog %s n=%d squares to id" % (key, n),
-                                g.compose(g).is_identity()))
+        # the reflection twists are involutions
+        for named in twists:
+            g = named.iso
+            name = "catalog %s n=%d squares to id" % (named.key, n)
+            checks.append(check(name, g.compose(g).is_identity()))
 
     # spherical_P at n = 3 sends v(O) to -v(O(-delta))
     space = family_space("K3n", 3)

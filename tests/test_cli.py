@@ -579,6 +579,18 @@ def run_main(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
+# catalog get for every key at n = 2, 3, act --vector alpha for each
+# reflection twist, dn_transfer on two surface isometries, and the error
+# objects whose order of checks decides which error wins
+CATALOG_GOLDEN = json.loads((Path(__file__).parent / "data" / "catalog_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CATALOG_GOLDEN, ids=lambda case: " ".join(case["args"]))
+def test_catalog_output_matches_golden(case):
+    code, out, _ = run_main(case["args"], "")
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
 @given(cli_calls())
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_fuzz_exit_codes(call):

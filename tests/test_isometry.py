@@ -2,6 +2,8 @@ import gc
 import hashlib
 import json
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction as Q
 from math import gcd
@@ -441,6 +443,40 @@ def test_on_lattice_kept_by_basis_value_and_bounded(monkeypatch):
     assert len(g._on_bases) == LATTICE_MATRICES_KEPT
     assert g.on_lattice(swapped) is m_sw and g.on_lattice(lats.lam) is not m
     assert g.on_lattice(lats.lam) == m
+
+
+def test_on_lattice_store_stays_bounded_under_threads():
+    # 6 threads share one isometry over 8 bases, switching every microsecond
+    space = QuadSpace(Mat([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    lats = [QuadLattice.from_basis([(1, k, 0), (0, 1, 0), (0, 0, 1)], space.gram)
+            for k in range(8)]
+    g = identity_isometry(space)
+    one = Mat.identity(3)
+    errors, sizes = [], []
+
+    def work(offset):
+        try:
+            for i in range(400):
+                if g.on_lattice(lats[(i + offset) % len(lats)]) != one:
+                    errors.append(i)
+                sizes.append(len(g._on_bases))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(sizes) == 6 * 400
+    assert max(sizes) <= LATTICE_MATRICES_KEPT
+    assert len(g._on_bases) <= LATTICE_MATRICES_KEPT
 
 
 def test_preserves_lattice_one_way_agrees_with_both_ways():
