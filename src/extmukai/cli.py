@@ -14,6 +14,10 @@ read it: linearisation, all) accept n <= SYM_MAX_N = 6: integrate sums over
 linearisation suite grows with every n.  Larger n exits 2; the other suites
 ignore --n.
 
+group keeps every element it generates, so --cap is at most GROUP_CAP_MAX =
+20000, its default (a B-field word on K3[2] keeps about 6.4 KB, dense
+elements more); a larger --cap exits 2 before anything is generated.
+
 Isometry syntax for --iso:
     bfield:<h2 expr>       reflection:<vector expr>
     transvection:<vector expr>|<vector expr>
@@ -71,6 +75,7 @@ class InputError(ValueError):
 
 
 SYM_MAX_N = 6
+GROUP_CAP_MAX = 20000
 
 
 def _check_sym_n(n):
@@ -308,6 +313,8 @@ def cmd_group(args):
         raise InputError("--depth must be >= 0")
     if args.cap < 1:
         raise InputError("--cap must be >= 1")
+    if args.cap > GROUP_CAP_MAX:
+        raise InputError("--cap must be <= %d" % GROUP_CAP_MAX)
     space = family_space(args.family, args.n)
     gens = [parse_isometry(space, s) for s in args.gens.split(";") if s]
     got = generate_bounded(gens, args.depth, cap=args.cap)
@@ -453,7 +460,7 @@ VERBS = (
     ("group", "bounded subgroup generation", cmd_group, _FAMILY_N + (
         ("--gens", {"required": True, "help": "';'-separated isometry specs"}),
         ("--depth", {"type": int, "default": 3}),
-        ("--cap", {"type": int, "default": 20000}),
+        ("--cap", {"type": int, "default": GROUP_CAP_MAX}),
     )),
     ("todd", "Todd or sqrt-Todd linearisation", cmd_todd,
      _FAMILY_N + (("--sqrt", {"action": "store_true"}),)),

@@ -309,9 +309,10 @@ def lattice_witness(g, lat):
 def disc_action(g, lat):
     """Classify the action induced on A(L): identity, minus_identity, other.
 
-    Returns (label, witness) where witness is None or a dual generator whose
-    image is not +-(itself) modulo L, in ambient coordinates.  A full-rank L
-    is Z^r in lattice coordinates, where g acts by `g.on_lattice(lat)`.
+    Returns (label, witness).  For "other" the witness is the first dual
+    generator, in ambient coordinates, at which neither +id nor -id holds on
+    the generators so far; else it is None.  A full-rank L is Z^r in lattice
+    coordinates, where g acts by `g.on_lattice(lat)`.
     """
     if not preserves_lattice(g, lat):
         raise IsometryError("isometry does not preserve the lattice")
@@ -322,22 +323,14 @@ def disc_action(g, lat):
     else:
         gens = [lat.ambient_vector(gen) for gen in disc.generators]
         act, in_lat = g, lat.contains_ambient
-    is_id = True
-    is_minus = True
-    witness = None
+    is_id = is_minus = True
     for w in gens:
         gw = act(w)
-        if not in_lat(vec_sub(gw, w)):
-            is_id = False
-        if not in_lat(vec_add(gw, w)):
-            is_minus = False
-        if not (is_id or is_minus) and witness is None:
-            witness = w
-    if is_id:
-        return "identity", None
-    if is_minus:
-        return "minus_identity", None
-    return "other", lat.ambient_vector(witness) if full else witness
+        is_id = is_id and in_lat(vec_sub(gw, w))
+        is_minus = is_minus and in_lat(vec_add(gw, w))
+        if not (is_id or is_minus):
+            return "other", lat.ambient_vector(w) if full else w
+    return "identity" if is_id else "minus_identity", None
 
 
 def generate_bounded(gens, depth, cap=20000):
@@ -441,6 +434,14 @@ def _hyperbolic_frame(lat):
     return ((i1, 1),), ((j1, s1),), ((i2, 1),), ((j2, s2),), rest
 
 
+def _nearest_quot(r, p):
+    """Quotient t with |r - t p| <= |p| / 2 (balanced Euclid step)."""
+    t, rem = divmod(r, p)
+    if 2 * abs(rem) > abs(p):
+        t += 1
+    return t
+
+
 class _Reducer:
     """Drives the transvection reduction of a vector over L = U1 + U2 + L0.
 
@@ -448,11 +449,21 @@ class _Reducer:
     integral) Gram, its `nonzero_columns`: v is a list of ints, and E1, F1,
     E2, F2, the rest units and every (e, a) of a word are tuples of (index,
     coefficient) pairs, so a step touches only the support of e and a.
+
+    On the plane part v sees the matrix X = [[p, q], [r, s]] = [[a1, -a2],
+    [b2, b1]], v = a1 E1 + b1 F1 + a2 E2 + b2 F2 + z.  Each elementary move
+    of X is one transvection t(e, sign t unit), kept in `moves` by kind.
     """
 
     def __init__(self, rows, frame):
         self.rows = rows
         self.E1, self.F1, self.E2, self.F2, self.rest = frame
+        self.moves = {  # kind: (e, unit, sign)
+            "row1": (self.E1, self.E2, -1),  # row1 += t row2
+            "row2": (self.F1, self.F2, 1),  # row2 += t row1
+            "col1": (self.E1, self.F2, 1),  # col1 += t col2
+            "col2": (self.F1, self.E2, -1),  # col2 += t col1
+        }
         self.word = []
         self.v = None
 
@@ -476,59 +487,25 @@ class _Reducer:
         return v
 
     def t(self, e, a):
+        """Apply and record t(e, a); an empty a is the identity and is skipped."""
         if a:
             self.v = self.step(self.v, e, a)
             self.word.append((e, a))
 
-    def coords(self):
-        """(a1, b1, a2, b2) with v = a1 E1 + b1 F1 + a2 E2 + b2 F2 + z."""
-        v = self.v
-        return (
-            self._pair(self.F1, v),
-            self._pair(self.E1, v),
-            self._pair(self.F2, v),
-            self._pair(self.E2, v),
-        )
+    def move(self, kind, t):
+        e, unit, sign = self.moves[kind]
+        self.t(e, tuple((i, sign * t * c) for i, c in unit) if t else ())
 
-    # matrix model X = [[p, q], [r, s]] = [[a1, -a2], [b2, b1]] ---------------
+    def rot(self, first, second, sigma):
+        """(first, second) -> (sigma second, -sigma first), rows or columns."""
+        self.move(first, sigma)
+        self.move(second, -sigma)
+        self.move(first, sigma)
 
-    def _X(self):
-        a1, b1, a2, b2 = self.coords()
-        return [a1, -a2, b2, b1]
-
-    @staticmethod
-    def _scale(t, v):
-        return tuple((i, t * c) for i, c in v) if t else ()
-
-    def row1_add(self, t):  # row1 += t * row2
-        self.t(self.E1, self._scale(-t, self.E2))
-
-    def row2_add(self, t):  # row2 += t * row1
-        self.t(self.F1, self._scale(t, self.F2))
-
-    def col1_add(self, t):  # col1 += t * col2
-        self.t(self.E1, self._scale(t, self.F2))
-
-    def col2_add(self, t):  # col2 += t * col1
-        self.t(self.F1, self._scale(-t, self.E2))
-
-    def rot_rows(self, sigma=1):  # (row1, row2) -> (sigma row2, -sigma row1)
-        self.row1_add(sigma)
-        self.row2_add(-sigma)
-        self.row1_add(sigma)
-
-    def rot_cols(self, sigma=1):  # (col1, col2) -> (sigma col2, -sigma col1)
-        self.col1_add(sigma)
-        self.col2_add(-sigma)
-        self.col1_add(sigma)
-
-    @staticmethod
-    def _nearest_quot(r, p):
-        """Quotient t with |r - t p| <= |p| / 2 (balanced Euclid step)."""
-        t, rem = divmod(r, p)
-        if 2 * abs(rem) > abs(p):
-            t += 1
-        return t
+    def X(self):
+        """[p, q, r, s] = [a1, -a2, b2, b1]."""
+        return [self._pair(self.F1, self.v), -self._pair(self.F2, self.v),
+                self._pair(self.E2, self.v), self._pair(self.E1, self.v)]
 
     def plane_smith(self):
         """Clear the U2-component: bring X to [[p, 0], [0, s]] with
@@ -542,43 +519,35 @@ class _Reducer:
         r for the next pass to replace p.  So it ends within 2 bitlen(max
         |X|) + 1 passes (balanced Euclid; Knuth, TAOCP vol. 2, 4.5.3)."""
         while True:
-            p, q, r, s = self._X()
+            p, q, r, s = self.X()
             if p == q == r == s == 0:
                 return
             if p == 0:
                 if r != 0:
-                    self.row1_add(1 if r > 0 else -1)
+                    self.move("row1", 1 if r > 0 else -1)
                 elif q != 0:
-                    self.col1_add(1 if q > 0 else -1)
+                    self.move("col1", 1 if q > 0 else -1)
                 else:  # only s nonzero
-                    self.row1_add(1)
-                continue
-            if p < 0:
+                    self.move("row1", 1)
+            elif p < 0:
                 if r != 0:
-                    self.rot_rows(1 if r > 0 else -1)
+                    self.rot("row1", "row2", 1 if r > 0 else -1)
                 elif q != 0:
-                    self.rot_cols(1 if q > 0 else -1)
+                    self.rot("col1", "col2", 1 if q > 0 else -1)
                 else:
-                    self.row2_add(1)  # r = p < 0, then rotate it in
-                continue
-            if r % p == 0 and q % p == 0:
-                if r:
-                    self.row2_add(-(r // p))
-                if q:
-                    self.col2_add(-(q // p))
-                p2, _q2, _r2, s2 = self._X()
-                if s2 % p2 != 0:
-                    self.col1_add(1)
-                    continue
-                return
-            if r % p != 0:
-                self.row2_add(-self._nearest_quot(r, p))
-                r2 = self._X()[2]
-                self.rot_rows(1 if r2 > 0 else -1)
+                    self.move("row2", 1)  # r = p < 0, then rotate it in
+            elif r % p == 0 and q % p == 0:
+                self.move("row2", -(r // p))
+                self.move("col2", -(q // p))
+                if self.X()[3] % p == 0:  # the moves keep p
+                    return
+                self.move("col1", 1)
+            elif r % p != 0:
+                self.move("row2", -_nearest_quot(r, p))
+                self.rot("row1", "row2", 1 if self.X()[2] > 0 else -1)
             else:
-                self.col2_add(-self._nearest_quot(q, p))
-                q2 = self._X()[1]
-                self.rot_cols(1 if q2 > 0 else -1)
+                self.move("col2", -_nearest_quot(q, p))
+                self.rot("col1", "col2", 1 if self.X()[1] > 0 else -1)
 
     # full reduction -----------------------------------------------------------
 
@@ -589,8 +558,7 @@ class _Reducer:
         """Carry v to d E1 + b F1 + d*zeta, d = div(v) > 0, zeta canonical."""
         self.v = v
         self.word = []
-        a1, b1, a2, b2 = self.coords()
-        if a1 == b1 == a2 == b2 == 0:
+        if not any(self.X()):
             for k, pk in zip(self.rest, self.rest_pairings()):
                 if pk != 0:
                     self.t(self.F1, ((k, 1),))
@@ -602,13 +570,13 @@ class _Reducer:
         # [[p, 0], [0, s]], t(E2, e_k) sets q to the pairing p_k and keeps the
         # L0 part, so plane_smith leaves gcd(p, p_k) <= p / 2
         while True:
-            a1 = self.coords()[0]
+            a1 = self.X()[0]
             k = next((k for k, pk in zip(self.rest, self.rest_pairings()) if pk % a1), None)
             if k is None:
                 break
             self.t(self.E2, ((k, 1),))
             self.plane_smith()
-        d = self.coords()[0]
+        d = self.X()[0]
         # canonicalize the L0 part to d * (class representative): subtract the
         # integer part of each rest coordinate divided by d
         self.t(self.F1, tuple((k, -(self.v[k] // d)) for k in self.rest if self.v[k] // d))
@@ -638,9 +606,12 @@ def eichler_transport(lat, v, w):
     """Word of Eichler transvections carrying v to w inside L = U + U + L0.
 
     Preconditions checked: v, w (ints or Fractions) primitive, equal
-    square, equal class in A(L).  Mismatches return NotFound('square' | 'primitivity' |
-    'disc class').  The word is verified by application before returning.
-    Runs on the integer rows kept on L; the word becomes Fractions on return.
+    square, equal class in A(L).  Mismatches return NotFound('primitivity' |
+    'square' | 'disc class'); reduced forms that differ return
+    NotFound('reduction mismatch'), and a word that does not carry v to w
+    NotFound('verification failed'): the word is verified by application
+    before returning.  Runs on the integer rows kept on L; the word becomes
+    Fractions on return.
     """
     if not (is_primitive(lat, v) and is_primitive(lat, w)):
         return NotFound("primitivity")
@@ -657,7 +628,7 @@ def eichler_transport(lat, v, w):
     if v_red != w_red:
         return NotFound("reduction mismatch")
     # the word of v, then the inverse of the word of w: t(e, a)^-1 = t(e, -a)
-    pairs = word_v + [(e, red._scale(-1, a)) for e, a in reversed(word_w)]
+    pairs = word_v + [(e, tuple((i, -c) for i, c in a)) for e, a in reversed(word_w)]
     x = vi
     for e, a in pairs:
         x = red.step(x, e, a)

@@ -11,7 +11,7 @@ Mukai lattice U + K3 with pairing <(r,c,s),(r',c',s')> = c.c' - rs' - r's.
 """
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .linalg import (
     Mat,
@@ -21,6 +21,7 @@ from .linalg import (
     kept,
     smith_normal_form,
     solve_linear,
+    vec_is_integral,
     vec_is_zero,
 )
 
@@ -87,7 +88,7 @@ class QuadLattice:
 
     def contains_ambient(self, v):
         x = self.coords_of_ambient(v)
-        return x is not None and all(c.denominator == 1 for c in x)
+        return x is not None and vec_is_integral(x)
 
     def is_even(self):
         return self.gram.is_integral() and all(
@@ -134,10 +135,7 @@ class DiscGroup:
 
     @property
     def order(self):
-        n = 1
-        for d in self.cyclic_orders:
-            n *= d
-        return n
+        return prod(self.cyclic_orders)
 
     def __repr__(self):
         if not self.cyclic_orders:
@@ -216,7 +214,7 @@ def divisibility(lat, v):
     """gcd of the pairings of v against a basis of L (v integral, nonzero)."""
     if vec_is_zero(v):
         raise LatticeError("zero vector")
-    if not all(c.denominator == 1 for c in v):
+    if not vec_is_integral(v):
         raise LatticeError("integral vector required")
     d = lat.gram.denominator_lcm()
     gv = lat.gram.int_product(v)[2]  # d times the pairings
@@ -229,7 +227,7 @@ def is_primitive(lat, v):
     """True iff the integral vector v is not in kL for any k >= 2."""
     if vec_is_zero(v):
         raise LatticeError("zero vector")
-    if not all(c.denominator == 1 for c in v):
+    if not vec_is_integral(v):
         raise LatticeError("integral vector required")
     return gcd(*(c.numerator for c in v)) == 1
 
@@ -242,7 +240,7 @@ def orthogonal_complement(lat, generators):
     is embedded in L itself (ambient gram = L's gram).
     """
     for s in generators:
-        if not all(c.denominator == 1 for c in s):
+        if not vec_is_integral(s):
             raise LatticeError("generators must lie in L")
     if generators:
         pairing_rows = Mat.from_rows([lat.gram.apply(s) for s in generators])

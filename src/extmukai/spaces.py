@@ -27,7 +27,7 @@ from math import factorial, gcd, isqrt
 from .isometry import QuadSpace, disc_action, eichler_transvection, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, orthogonal_complement, standard_lattice
 from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kept, kernel_basis,
-                     saturation_basis, vec_is_zero)
+                     saturation_basis, vec_is_integral, vec_is_zero)
 
 
 class SpaceError(ValueError):
@@ -114,7 +114,7 @@ class ExtMukaiSpace(QuadSpace):
         if ns_sublattice is not None:
             self.ns_sublattice = [tuple(Q(c) for c in v) for v in ns_sublattice]
             for v in self.ns_sublattice:
-                if len(v) != b2 or not all(c.denominator == 1 for c in v):
+                if len(v) != b2 or not vec_is_integral(v):
                     raise SpaceError("NS generators must be integral H^2 vectors")
             ints = [[int(c) for c in v] for v in self.ns_sublattice]
             sat = saturation_basis(ints)
@@ -321,7 +321,7 @@ def membership(lat, v):
     """(contained, coords) for an ambient vector against an embedded lattice."""
     coords = v.coords if isinstance(v, ExtVector) else tuple(Q(c) for c in v)
     x = lat.coords_of_ambient(coords)
-    if x is None or not all(c.denominator == 1 for c in x):
+    if x is None or not vec_is_integral(x):
         return False, None
     return True, x
 

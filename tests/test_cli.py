@@ -433,7 +433,7 @@ def test_cli_bad_input_exit_2(tmp_path):
     assert code == 2  # needs 2n classes
     code, out = run_cli(["group", "--gens", "shift", "--depth", "-1"])
     assert code == 2 and "error" in json.loads(out)
-    for cap in ("0", "-5"):
+    for cap in ("0", "-5", "20001"):
         code, out = run_cli(["group", "--gens", "shift", "--cap", cap])
         assert code == 2 and "--cap" in json.loads(out)["error"]["message"]
     for argv in (

@@ -626,6 +626,46 @@ def test_transport_of_consecutive_fibonacci_coefficients():
     assert word.apply(v) == w
 
 
+def test_transport_word_within_the_plane_smith_bound():
+    # plane_smith ends within 2 bitlen(max |X|) + 1 passes of at most four
+    # transvections each, X the plane coefficients (b(F1, v), b(E1, v),
+    # b(F2, v), b(E2, v)), and reduce adds at most one more on U1 + U2; so
+    # the word of v to w is at most that bound for v plus that for w.  Draws:
+    # v on U1 + U2 of Lambda (n = 2) with entries up to 700 bits, w its image
+    # under t(E1, x E2 + y F2) and t(F1, x' F2 + y' E2) for x, y, x', y' in
+    # [-255, 255], and the consecutive Fibonacci pair
+    space, lats = k3n_setup(2)
+    lam = lats.lam
+    units = [tuple(Q(int(i == k)) for i in range(25)) for k in range(25)]
+    plane = [units[u[0][0]] for u in isometry._hyperbolic_frame(lam)[:4]]
+    e1, f1, e2, f2 = plane
+
+    def bound(v):
+        top = max(abs(lam.pairing(u, v)) for u in plane)
+        return 4 * (2 * int(top).bit_length() + 1) + 1
+
+    def combine(cs, us):
+        return tuple(sum((c * u[i] for c, u in zip(cs, us)), Q(0)) for i in range(25))
+
+    draw = random.Random(41)
+    pairs = []
+    for _ in range(40):
+        bits = draw.randint(1, 700)
+        cs = [0]
+        while gcd(*cs) != 1:
+            cs = [draw.getrandbits(bits) - draw.getrandbits(bits) for _ in range(4)]
+        v = combine(cs, plane)
+        xs = [draw.randint(-255, 255) for _ in range(4)]
+        word = TransvectionWord(lam, [(e1, combine(xs[:2], (e2, f2))), (f1, combine(xs[2:], (f2, e2)))])
+        pairs.append((v, word.apply(v)))
+    fib = tuple(Q(_fibonacci(999 + (k == 23))) if k in (0, 23) else Q(0) for k in range(25))
+    pairs.append((fib, TransvectionWord(lam, [(units[0], units[3])]).apply(fib)))
+    for v, w in pairs:
+        word = eichler_transport(lam, v, w)
+        assert word.apply(v) == w
+        assert len(word) <= bound(v) + bound(w)
+
+
 @given(st.integers(min_value=500, max_value=4000), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=8, deadline=None)
 def test_transport_of_large_vectors(bits, seed):
