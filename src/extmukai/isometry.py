@@ -24,6 +24,7 @@ which agrees with the product of sign(-b(v_i, v_i)) over any reflection
 decomposition and is manifestly decomposition-independent.
 """
 
+from collections import defaultdict
 from math import gcd
 from operator import mul
 
@@ -37,6 +38,7 @@ from .linalg import (
     congruence_diagonalize,
     identity_plus_outer,
     kept,
+    product,
     vec_add,
     vec_is_integral,
     vec_is_zero,
@@ -106,7 +108,7 @@ class Isometry:
     __slots__ = ("space", "matrix", "word", "_kept_det", "_on_bases")
 
     def __init__(self, space, matrix, word=None, check=True):
-        if check and (matrix.transpose() * space.gram * matrix) != space.gram:
+        if check and product(matrix.transpose(), space.gram, matrix) != space.gram:
             raise IsometryError("matrix does not preserve the form")
         self.space = space
         self.matrix = matrix
@@ -133,7 +135,7 @@ class Isometry:
             if lat.rank != self.space.dim:
                 raise IsometryError("dimension mismatch")
             c, cinv = lat.basis_change()
-            m = cinv * self.matrix * c
+            m = product(cinv, self.matrix, c)
             # one assignment of a new store: no thread sees it past its bound
             self._on_bases = dict(list({**bases, key: m}.items())[-LATTICE_MATRICES_KEPT:])
         return m
@@ -147,7 +149,7 @@ class Isometry:
     def inverse(self):
         # for an isometry, M^{-1} = G^{-1} M^T G
         ginv = self.space.gram_inverse()
-        inv = ginv * self.matrix.transpose() * self.space.gram
+        inv = product(ginv, self.matrix.transpose(), self.space.gram)
         return Isometry(self.space, inv, check=False)
 
     def __eq__(self, other):
@@ -458,6 +460,7 @@ class _Reducer:
     def __init__(self, rows, frame):
         self.rows = rows
         self.E1, self.F1, self.E2, self.F2, self.rest = frame
+        self.x_reads = (self.E1[0], (self.E2[0][0], -1), self.F2[0], self.F1[0])
         self.moves = {  # kind: (e, unit, sign)
             "row1": (self.E1, self.E2, -1),  # row1 += t row2
             "row2": (self.F1, self.F2, 1),  # row2 += t row1
@@ -468,16 +471,19 @@ class _Reducer:
         self.v = None
 
     def _pair(self, x, y):
-        """b(x, y) for a sparse x and a list y."""
-        return sum(c * sum(g * y[j] for j, g in self.rows[i]) for i, c in x)
+        """b(x, y) for a sparse x and a list (or a defaultdict) y."""
+        total = 0
+        for i, c in x:
+            for j, g in self.rows[i]:
+                total += c * g * y[j]
+        return total
 
     # elementary actions -----------------------------------------------------
 
     def step(self, v, e, a):
         """t(e, a)(v) as a new list."""
         be = self._pair(e, v)
-        dense_a = dict(a)
-        qa = sum(c * sum(g * dense_a.get(j, 0) for j, g in self.rows[i]) for i, c in a)
+        qa = self._pair(a, defaultdict(int, a))
         coef_e = -self._pair(a, v) - (qa // 2) * be
         v = list(v)
         for i, c in e:
@@ -503,9 +509,11 @@ class _Reducer:
         self.move(first, sigma)
 
     def X(self):
-        """[p, q, r, s] = [a1, -a2, b2, b1]."""
-        return [self._pair(self.F1, self.v), -self._pair(self.F2, self.v),
-                self._pair(self.E2, self.v), self._pair(self.E1, self.v)]
+        """[p, q, r, s] = [a1, -a2, b2, b1], read off coordinates: the planes
+        split off (`_hyperbolic_frame`), so G F1 = e_i1 for F1 = s1 e_j1 and
+        b(F1, v) = v[i1]; likewise b(F2, v) = v[i2], b(E2, v) = s2 v[j2] and
+        b(E1, v) = s1 v[j1]."""
+        return [c * self.v[i] for i, c in self.x_reads]
 
     def plane_smith(self):
         """Clear the U2-component: bring X to [[p, 0], [0, s]] with

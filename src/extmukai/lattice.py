@@ -10,7 +10,7 @@ order, the K3 lattice U^3 + E8(-1)^2, rank-one lattices <k>, and the rank-24
 Mukai lattice U + K3 with pairing <(r,c,s),(r',c',s')> = c.c' - rs' - r's.
 """
 
-from itertools import product
+import itertools
 from math import gcd, prod
 
 from .linalg import (
@@ -19,6 +19,7 @@ from .linalg import (
     congruence_diagonalize,
     integer_kernel_basis,
     kept,
+    product,
     smith_normal_form,
     solve_linear,
     vec_is_integral,
@@ -45,7 +46,7 @@ class QuadLattice:
             if ambient_gram is None:
                 raise LatticeError("embedded lattice needs the ambient gram")
             if self.rank > 0:
-                pullback = basis_in_ambient * ambient_gram * basis_in_ambient.transpose()
+                pullback = product(basis_in_ambient, ambient_gram, basis_in_ambient.transpose())
                 if pullback != gram:
                     raise LatticeError("gram does not match the ambient pullback")
 
@@ -54,7 +55,7 @@ class QuadLattice:
     @staticmethod
     def from_basis(basis_rows, ambient_gram, name=None):
         b = Mat.from_rows(basis_rows)
-        lat = QuadLattice(b * ambient_gram * b.transpose(), name=name)
+        lat = QuadLattice(product(b, ambient_gram, b.transpose()), name=name)
         lat.basis_in_ambient, lat.ambient_gram = b, ambient_gram
         return lat
 
@@ -292,7 +293,7 @@ def brute_force_isometric(l1, l2, bound):
     rng = range(-bound, bound + 1)
     g1, g2 = l1.gram, l2.gram
 
-    vectors = [tuple(Q(c) for c in t) for t in product(rng, repeat=n)]
+    vectors = [tuple(Q(c) for c in t) for t in itertools.product(rng, repeat=n)]
     norms = {}
     for v in vectors:
         norms.setdefault(l2.norm(v), []).append(v)

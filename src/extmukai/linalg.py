@@ -4,13 +4,15 @@ Everything in this package runs over Q; there is no floating point anywhere.
 A `Mat` has one stored representation: a denominator d > 0 and the integer
 rows of d * M, in canonical form (d is coprime to the gcd of the entries, so
 the zero matrix has d = 1).  Equality and hashing compare the shape and
-those integers; products run on them.  A matrix keeps one sparse view: the
-nonzero entries of each column of d * M (`nonzero_columns`).  `int_product`
-sums it over the nonzero entries of a vector, and `apply` and `bilinear`
-(every quadratic-form pairing of the package) run through it.  `cleared`
-and `int_product` hand integers to callers that keep to them; `Fraction`
-values appear only at the boundary: `entries`, `row`, `column`,
-`__getitem__` and `repr`.
+those integers; products run on them (`product` multiplies a chain and
+makes the result canonical once), and `identity_plus_outer`, behind every
+reflection, transvection and B-field, builds only the rows it touches.  A
+matrix keeps one sparse view: the nonzero entries of each column of d * M
+(`nonzero_columns`).  `int_product` sums it over the nonzero entries of a
+vector, and `apply` and `bilinear` (every quadratic-form pairing of the
+package) run through it.  `cleared` and `int_product` hand integers to
+callers that keep to them; `Fraction` values appear only at the boundary:
+`entries` (one per distinct value), `row`, `column`, `__getitem__`, `repr`.
 
 A value derived from one object and reused is kept on that object by
 `kept`, the package's one memo: the first call computes it, later calls
@@ -33,7 +35,7 @@ every function is pure.
 
 from fractions import Fraction
 from functools import update_wrapper
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -109,9 +111,10 @@ def kept(fn):
     return update_wrapper(get, fn)
 
 
-def _make(d, rows, cols):
-    """The r x cols Mat (1/d) * rows for d > 0 and integer rows, canonical."""
-    if d != 1:
+def _make(d, rows, cols, reduced=False):
+    """The r x cols Mat (1/d) * rows for d > 0 and integer rows, canonical;
+    `reduced` says d is already coprime to the gcd of the rows."""
+    if d != 1 and not reduced:
         g = gcd(d, *[x for r in rows for x in r])
         if g != 1:
             d //= g
@@ -202,7 +205,10 @@ class Mat:
         return _fractions([r[j] for r in self._ints], self._den)
 
     def entries(self):
-        return tuple(_fractions(r, self._den) for r in self._ints)
+        """The rows as Fractions, one Fraction per distinct value."""
+        d = self._den
+        q = {x: Q(x, d) for x in set().union(*self._ints)}
+        return tuple(tuple(map(q.__getitem__, r)) for r in self._ints)
 
     def __eq__(self, other):
         same = isinstance(other, Mat) and self.cols == other.cols
@@ -238,18 +244,7 @@ class Mat:
     def __mul__(self, other):
         if not isinstance(other, Mat):
             raise TypeError("use .apply() for vectors, .scale() for scalars")
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other._ints]
-        out = []
-        for ra in self._ints:
-            acc = [0] * other.cols
-            for k, a in enumerate(ra):
-                if a:
-                    for j, b in nonzero[k]:
-                        acc[j] += a * b
-            out.append(acc)
-        return _make(self._den * other._den, out, other.cols)
+        return product(self, other)
 
     @kept
     def nonzero_columns(self):
@@ -344,6 +339,28 @@ class Mat:
         return _over_pivots(m, pivots, n, self._den, n)
 
 
+def product(first, *rest):
+    """first * rest[0] * ..., left to right, on the integer rows: a row of the
+    left factor adds up the nonzero entries of the rows of the right one
+    where it is nonzero.  The denominators multiply, and the result is made
+    canonical once."""
+    d, rows, cols = first._den, first._ints, first.cols
+    for m in rest:
+        if cols != m.rows:
+            raise ValueError("shape mismatch")
+        nonzero = [[(j, y) for j, y in enumerate(r) if y] for r in m._ints]
+        out = []
+        for ra in rows:
+            acc = [0] * m.cols
+            for k, x in enumerate(ra):
+                if x:
+                    for j, y in nonzero[k]:
+                        acc[j] += x * y
+            out.append(acc)
+        d, rows, cols = d * m._den, out, m.cols
+    return _make(d, rows, cols)
+
+
 def _eliminate(m):
     """Integer Gauss-Jordan elimination of the rows m (lists of ints), in place.
 
@@ -402,19 +419,27 @@ def identity_plus_outer(n, terms):
     nonzero integer, u and w integer vectors (read off the integer Gram rows
     by the reflection and Eichler transvection constructors).
 
-    Touches only the rows where u is nonzero and, in them, only the columns
-    where w is nonzero."""
+    Builds only the rows where some u is nonzero, adding in them only the
+    columns where w is nonzero; the others are unit rows.  Over the common
+    denominator big, a unit row adds only big to the gcd, so g, the gcd of
+    big and the built rows, is taken before any row is divided."""
     big = lcm(*(d for d, _, _ in terms))
-    m = [[big if i == j else 0 for j in range(n)] for i in range(n)]
+    built = {}
     for d, u, w in terms:
         f = big // d
         nonzero = [(j, f * b) for j, b in enumerate(w) if b]
         for i, a in enumerate(u):
             if a:
-                row = m[i]
+                row = built.get(i)
+                if row is None:
+                    row = built[i] = [0] * i + [big] + [0] * (n - 1 - i)
                 for j, b in nonzero:
                     row[j] += a * b
-    return _make(big, m, n)
+    g = gcd(big, *chain.from_iterable(built.values()))
+    rows = [(0,) * i + (big // g,) + (0,) * (n - 1 - i) for i in range(n)]
+    for i, row in built.items():
+        rows[i] = [x // g for x in row]
+    return _make(big // g, rows, n, reduced=True)
 
 
 def solve_linear(a, b):

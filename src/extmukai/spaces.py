@@ -445,11 +445,11 @@ def rank_predicate_kx_orbit(r, n, c_x):
     if n < 1:
         raise SpaceError("n must be >= 1")
     r = int(r)
-    c_x = Q(c_x)
-    if c_x.denominator == 1:
-        a = kx_rank_core(r, n, c_x.numerator)
+    c = c_x if type(c_x) is int else Q(c_x)  # an int has numerator and denominator too
+    if c.denominator == 1:
+        a = kx_rank_core(r, n, c.numerator)
         return (False, None, None) if a is None else (True, Q(a), True)
-    x = Q(r) * c_x / factorial(n)  # a^n = x, a = p / q: integer roots of both
+    x = Q(r) * c / factorial(n)  # a^n = x, a = p / q: integer roots of both
     p = _integer_nth_root(abs(x.numerator), n)
     q = _integer_nth_root(x.denominator, n)
     if p is None or q is None or (x < 0 and n % 2 == 0):

@@ -425,13 +425,13 @@ def test_on_lattice_kept_by_basis_value_and_bounded(monkeypatch):
     rows = lats.lam.basis_in_ambient.entries()
     copies = [QuadLattice.from_basis(rows, space.gram) for _ in range(50)]
     products = []
-    mul = Mat.__mul__
-    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    fused = isometry.product
+    monkeypatch.setattr(isometry, "product", lambda *mats: products.append(1) or fused(*mats))
     m = g.on_lattice(lats.lam)
-    assert len(products) == 2  # C^-1 M C
+    assert len(products) == 1  # C^-1 M C, one fused product
     # 50 rebuilt copies of Lambda share the one entry of Lambda
     assert all(g.on_lattice(lat) is m for lat in copies)
-    assert len(g._on_bases) == 1 and len(products) == 2
+    assert len(g._on_bases) == 1 and len(products) == 1
     # a row-swapped basis spans the same lattice, but C^-1 M C differs
     swapped = QuadLattice.from_basis([rows[1], rows[0]] + list(rows[2:]), space.gram)
     m_sw = g.on_lattice(swapped)
@@ -664,6 +664,37 @@ def test_transport_word_within_the_plane_smith_bound():
         word = eichler_transport(lam, v, w)
         assert word.apply(v) == w
         assert len(word) <= bound(v) + bound(w)
+
+
+def test_reducer_reads_x_off_coordinates():
+    # X() reads the plane coefficients off v; they must equal the four Gram
+    # pairings [b(F1, v), -b(F2, v), b(E2, v), b(E1, v)] on random vectors
+    # of Lambda (n = 2, 3, 5; its first plane has b(E1, F1) = -1) and of
+    # U + U(-1) + <-2> (second plane sign -1)
+    u_minus = QuadLattice(Mat([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, -1, 0],
+                               [0, 0, -1, 0, 0], [0, 0, 0, 0, -2]]))
+    lattices = [k3n_setup(n)[1].lam for n in (2, 3, 5)] + [u_minus]
+    signs = set()
+    draw = random.Random(77)
+    for lat in lattices:
+        frame = isometry._hyperbolic_frame(lat)
+        signs.update(unit[0][1] for unit in frame[1:4:2])
+        red = isometry._Reducer(lat.gram.nonzero_columns(), frame)
+        e1, f1, e2, f2 = frame[:4]
+        for _ in range(30):
+            red.v = [draw.randint(-2**40, 2**40) for _ in range(lat.rank)]
+            v = tuple(map(Q, red.v))
+            want = [lat.pairing(_dense_unit(f1, lat.rank), v), -lat.pairing(_dense_unit(f2, lat.rank), v),
+                    lat.pairing(_dense_unit(e2, lat.rank), v), lat.pairing(_dense_unit(e1, lat.rank), v)]
+            assert red.X() == want
+            assert all(type(x) is int for x in red.X())
+    assert signs == {1, -1}
+
+
+def _dense_unit(unit, n):
+    """The sparse unit ((index, sign),) as n Fractions."""
+    (i, c), = unit
+    return tuple(Q(c * (k == i)) for k in range(n))
 
 
 @given(st.integers(min_value=500, max_value=4000), st.integers(min_value=0, max_value=2**32))

@@ -11,9 +11,11 @@ from extmukai.linalg import (
     Mat,
     congruence_diagonalize,
     hnf_row_basis,
+    identity_plus_outer,
     integer_kernel_basis,
     kept,
     kernel_basis,
+    product,
     saturation_basis,
     smith_normal_form,
     solve_linear,
@@ -279,6 +281,81 @@ def test_int_product_apply_bilinear_match_fraction_reference():
             if hit
         )
     assert len(seen) == 8
+
+
+def test_product_matches_pairwise_products():
+    # product(a, b, c) canonicalises once; it must equal (a * b) * c, keep
+    # shapes with no rows or no columns, and refuse a shape mismatch
+    rng = random.Random(31)
+    for _ in range(200):
+        r, k, l, c = (rng.randint(0, 5) for _ in range(4))
+        a, b, cc = (Mat(_sparse_rational_rows(rng, x, y)) if x else Mat.zero(0, y)
+                    for x, y in ((r, k), (k, l), (l, c)))
+        got = product(a, b, cc)
+        assert got == (a * b) * cc == a * (b * cc)
+        assert (got.rows, got.cols) == (r, c)
+        if r:
+            assert got == Mat(got.entries()) and hash(got) == hash(Mat(got.entries()))
+        assert product(a) == a and product(a, b) == a * b
+    assert product(Mat.zero(2, 0), Mat.zero(0, 3), Mat.identity(3)) == Mat.zero(2, 3)
+    assert product(Mat.zero(0, 2), Mat.identity(2), Mat.zero(2, 4)) == Mat.zero(0, 4)
+    for mats in ((Mat.identity(2), Mat.identity(3)), (Mat.identity(2), Mat.identity(2), Mat.zero(3, 1))):
+        with pytest.raises(ValueError):
+            product(*mats)
+
+
+def _outer_reference(n, terms):
+    """I + sum of u w^T / d, entry by entry in Fractions."""
+    m = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for d, u, w in terms:
+        for i in range(n):
+            for j in range(n):
+                m[i][j] += Q(u[i] * w[j], d)
+    return Mat(m)
+
+
+def test_identity_plus_outer_matches_fraction_reference():
+    # terms that touch overlapping rows, a zero u, an all-dense u, and
+    # denominators that do and do not cancel
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(("sparse", "zero", "dense"))
+            u = [0] * n if kind == "zero" else [
+                rng.randint(1, 9) * rng.choice((1, -1)) if kind == "dense" or rng.random() < 0.4 else 0
+                for _ in range(n)]
+            w = [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(n)]
+            terms.append((rng.choice((1, 2, 3, 4, 6, 12, -2, -6)), u, w))
+            seen.add(kind)
+        got = identity_plus_outer(n, terms)
+        assert got == _outer_reference(n, terms)
+        assert got == Mat(got.entries()) and hash(got) == hash(Mat(got.entries()))
+        touched = [{i for i in range(n) if u[i]} for _, u, _ in terms]
+        if any(s & t for k, s in enumerate(touched) for t in touched[:k]):
+            seen.add("overlapping rows")
+    assert seen == {"sparse", "zero", "dense", "overlapping rows"}
+    assert identity_plus_outer(4, []) == Mat.identity(4)
+
+
+def test_entries_match_per_entry_fractions():
+    # one Fraction per distinct value must read out as Fraction(x, d) per
+    # entry: integral matrices, d > 1, and 200-bit entries
+    rng = random.Random(33)
+    for _ in range(100):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        bits = rng.choice((3, 200))
+        den = rng.choice((1, 1, 2, 6, 2**199 + 1))
+        m = [[Q(rng.getrandbits(bits) - rng.getrandbits(bits), den) if rng.random() < 0.6 else Q(0)
+              for _ in range(c)] for _ in range(r)]
+        mat = Mat(m) if r else Mat.zero(0, c)
+        d, ints = mat.cleared()
+        got = mat.entries()
+        assert got == tuple(tuple(Q(x, d) for x in row) for row in ints)
+        assert got == tuple(map(tuple, m))
+        assert all(type(x) is Q for row in got for x in row)
 
 
 def test_empty_matrices_keep_their_shape():

@@ -57,6 +57,7 @@ from extmukai import (
     ns_of_moduli,
     pair_with_sh,
     partner_invariants,
+    preserves_lattice,
     project_t,
     rank_predicate_kx_orbit,
     rank_predicate_o_orbit,
@@ -277,12 +278,23 @@ def _plus_words(rng, k3n):
             g = gens[0]
             for h in gens[1:]:
                 g = g.compose(h)
+            items += _isometry_matrices(gens, g, lats)
             items.append(("spinor_norm", lambda g=g: spinor_norm(g)))
             items.append(("disc_action", lambda g=g, lat=lats.lam: disc_action(g, lat)))
         items.append(("disc_action", lambda g=g, lat=lats.lam_g: disc_action(g, lat)))
     for g, lat in _diag_lattices():
         items.append(("spinor_norm", lambda g=g: spinor_norm(g)))
         items.append(("disc_action", lambda g=g, lat=lat: disc_action(g, lat)))
+    return items
+
+
+def _isometry_matrices(gens, g, lats):
+    """The matrices of the generators and of their product g, g on Lambda and
+    Lambda_g, and whether g preserves each; draws nothing from the rng."""
+    items = [("isometry_matrices", lambda h=h: h.matrix.entries()) for h in gens + [g]]
+    for lat in (lats.lam, lats.lam_g):
+        items.append(("isometry_matrices", lambda lat=lat: g.on_lattice(lat).entries()))
+        items.append(("isometry_matrices", lambda lat=lat: preserves_lattice(g, lat)))
     return items
 
 
