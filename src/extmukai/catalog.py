@@ -99,7 +99,11 @@ def action(space, key, lam=None, g=None, genus=None):
     if key == "poincare":
         if genus is None or genus < 2:
             raise CatalogError("poincare needs a genus parameter >= 2")
-        return _poincare_action(genus)
+        model = PoincareModel(genus)
+        return NamedAction(
+            "poincare", model.space, model.exchange_isometry(), None,
+            "relative Poincare kernel of a Lagrangian fibration (genus %d)" % genus,
+        )
     n = space.dtype.n
     even = n % 2 == 0
 
@@ -193,17 +197,6 @@ class PoincareModel:
         lambda/2 - (g+1)/2 f + (g+1)/2 beta."""
         g = self.genus
         return (Q(0), Q(1, 2), Q(-(g + 1), 2), Q(g + 1, 2))
-
-
-def _poincare_action(genus):
-    model = PoincareModel(genus)
-    return NamedAction(
-        "poincare",
-        model.space,
-        model.exchange_isometry(),
-        None,
-        "relative Poincare kernel of a Lagrangian fibration (genus %d)" % genus,
-    )
 
 
 def poincare_checks(genus):

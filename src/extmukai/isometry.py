@@ -401,38 +401,21 @@ class TransvectionWord:
 
 @kept
 def _hyperbolic_frame(lat):
-    """Two pairwise orthogonal basis-vector hyperbolic planes of an even
-    integral lattice, as sparse units (E1, F1, E2, F2) with q(E) = q(F) = 0,
-    b(E, F) = 1, and the list of the other basis indices, which must be
-    orthogonal to both planes (L splits them off on the nose), kept on L;
-    else raises.
+    """The first two split hyperbolic planes of an even integral lattice, in
+    index order, as sparse units (E1, F1, E2, F2) with q(E) = q(F) = 0 and
+    b(E, F) = 1, and the list of the other basis indices, kept on L; else
+    raises.  Basis vectors i < j span a split plane exactly when rows i and
+    j of the Gram hold one nonzero entry each, +-1 at the other's index.
     """
-    g = lat.gram
-    found = []
-    used = set()
-    for i in range(lat.rank):
-        if i in used or g[i, i] != 0:
-            continue
-        for j in range(lat.rank):
-            if j == i or j in used or g[j, j] != 0 or abs(g[i, j]) != 1:
-                continue
-            if any(g[i, k] != 0 or g[j, k] != 0 for pair in found for k in pair[:2]):
-                continue
-            found.append((i, j, 1 if g[i, j] == 1 else -1))
-            used.update((i, j))
-            break
-        if len(found) == 2:
-            break
+    rows, d = lat.gram.nonzero_columns(), lat.gram.denominator_lcm()
+    found = [(i, j, c // d) for i, row in enumerate(rows) if len(row) == 1
+             for j, c in row if j > i and abs(c) == d and len(rows[j]) == 1]
     if len(found) < 2:
         raise IsometryError("lattice does not expose 2 orthogonal hyperbolic planes")
-    rest = [k for k in range(lat.rank) if k not in used]
-    for k in rest:
-        for pair in found:
-            if g[k, pair[0]] != 0 or g[k, pair[1]] != 0:
-                raise IsometryError("hyperbolic planes do not split off orthogonally")
     if not lat.is_even():
         raise IsometryError("transport needs an even integral lattice")
-    (i1, j1, s1), (i2, j2, s2) = found
+    (i1, j1, s1), (i2, j2, s2) = found[:2]
+    rest = [k for k in range(lat.rank) if k not in (i1, j1, i2, j2)]
     return ((i1, 1),), ((j1, s1),), ((i2, 1),), ((j2, s2),), rest
 
 

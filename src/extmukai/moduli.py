@@ -145,15 +145,9 @@ def _ext_gcd_list(values):
     for i, a in enumerate(values):
         if a == 0:
             continue
-        if g == 0:
-            g = a
-            coeffs = [0] * len(values)
-            coeffs[i] = 1
-            continue
-        d, x, y = xgcd(g, a)
+        g, x, y = xgcd(g, a)
         coeffs = [x * c for c in coeffs]
         coeffs[i] += y
-        g = d
     return g, coeffs
 
 

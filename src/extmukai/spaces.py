@@ -26,7 +26,7 @@ from math import factorial, gcd, isqrt
 
 from .isometry import QuadSpace, disc_action, eichler_transvection, preserves_lattice, spinor_norm
 from .lattice import QuadLattice, orthogonal_complement, standard_lattice
-from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kept, kernel_basis,
+from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kept, kernel_basis, product,
                      saturation_basis, vec_is_integral, vec_is_zero)
 
 
@@ -326,12 +326,14 @@ def membership(lat, v):
     return True, x
 
 
-def _algebraic_span_forms(space):
-    """Linear forms (coefficient vectors) cutting out Q.alpha + NS_Q + Q.beta."""
-    ns_ambient = [space.h2_embed(v) for v in space.ns_sublattice]
-    span = [space.alpha] + ns_ambient + [space.beta]
-    # a form f vanishes on the span iff span_mat . f = 0
-    return kernel_basis(Mat.from_rows(span))
+@kept
+def _algebraic_span(space):
+    """(S, F): the rows of S span Q.alpha + NS_Q + Q.beta and the rows of F
+    are the linear forms that cut it out (a form f vanishes on the span iff
+    S f = 0), F = Mat.zero(0, dim) when S spans the space; kept on the space."""
+    span = Mat.from_rows([space.alpha, *map(space.h2_embed, space.ns_sublattice), space.beta])
+    forms = kernel_basis(span)
+    return span, Mat.from_rows(forms) if forms else Mat.zero(0, space.dim)
 
 
 def split_algebraic(space, lat):
@@ -343,21 +345,15 @@ def split_algebraic(space, lat):
     """
     if space.ns_sublattice is None:
         raise SpaceError("no designated algebraic sublattice")
-    forms = _algebraic_span_forms(space)
-    if not forms:
-        alg_rows = [lat.basis_in_ambient.row(i) for i in range(lat.rank)]
+    # rows: one per form, evaluated on the lattice basis; kernel = coords of
+    # lattice vectors inside the span (saturated automatically)
+    coords = integer_kernel_basis(_algebraic_span(space)[1] * lat.basis_in_ambient.transpose())
+    if coords:
+        alg_rows = [lat.ambient_vector(c) for c in coords]
         alg = QuadLattice.from_basis(alg_rows, space.gram, name="algebraic part")
     else:
-        # rows: one per form, evaluated on the lattice basis; kernel = coords
-        # of lattice vectors inside the span (saturated automatically)
-        m = Mat.from_rows(forms) * lat.basis_in_ambient.transpose()
-        coords = integer_kernel_basis(m)
-        if coords:
-            alg_rows = [lat.ambient_vector(c) for c in coords]
-            alg = QuadLattice.from_basis(alg_rows, space.gram, name="algebraic part")
-        else:
-            alg = QuadLattice(Mat.zero(0, 0), Mat.zero(0, space.dim), space.gram,
-                              name="algebraic part")
+        alg = QuadLattice(Mat.zero(0, 0), Mat.zero(0, space.dim), space.gram,
+                          name="algebraic part")
     if alg.rank == 0:
         return alg, lat
     gens = [lat.coords_of_ambient(alg.basis_in_ambient.row(i)) for i in range(alg.rank)]
@@ -370,21 +366,14 @@ def is_hodge_isometry(g, space):
     """Isometry preserving the (algebraic, transcendental) split; vacuous
     when no NS is designated.
 
-    It suffices to check that the algebraic span is carried into itself:
-    the transcendental side is its orthogonal complement and g is an
-    isometry.
+    It suffices to check that the algebraic span is carried into itself,
+    F M S^T = 0: the transcendental side is its orthogonal complement and g
+    is an isometry.
     """
     if space.ns_sublattice is None:
         return True
-    ns_ambient = [space.h2_embed(v) for v in space.ns_sublattice]
-    span = [space.alpha] + ns_ambient + [space.beta]
-    forms = _algebraic_span_forms(space)
-    for v in span:
-        gv = g(v)
-        for f in forms:
-            if sum(a * b for a, b in zip(gv, f)) != 0:
-                return False
-    return True
+    span, forms = _algebraic_span(space)
+    return product(forms, g.matrix, span.transpose()) == Mat.zero(forms.rows, span.rows)
 
 
 def b_field(space, lam):
@@ -407,16 +396,25 @@ def b_field(space, lam):
 
 
 def rank_predicate_o_orbit(r, n):
-    """|r| = a^n for an integer a; returns (ok, a or None).  n >= 1."""
+    """|r| = a^n for an integer a; returns (ok, a or None).  n >= 1, and r
+    an integer (an integral Fraction is taken as one)."""
     if n < 1:
         raise SpaceError("n must be >= 1")
-    r = int(r)
+    if type(r) is not int:
+        r = _integral_rank(r)
     if r == 0:
         return True, 0
     a = _integer_nth_root(abs(r), n)
     if a is not None:
         return True, a
     return False, None
+
+
+def _integral_rank(r):
+    """int(r) for an integral r; a non-integral rank raises."""
+    if r != int(r):
+        raise SpaceError("rank must be an integer, got %r" % (r,))
+    return int(r)
 
 
 def kx_rank_core(r, n, c_int):
@@ -441,11 +439,14 @@ def rank_predicate_kx_orbit(r, n, c_x):
     For even n only |a| is determined; the returned witness is nonnegative.
     An integral c_X runs on integers: a = p/q in lowest terms needs
     q^n | n!, and v_p(n!) < n for every prime p, so q = 1 and a is the
-    integer root of `kx_rank_core`.  n >= 1."""
+    integer root of `kx_rank_core`.  n >= 1, r an integer and c_X nonzero."""
     if n < 1:
         raise SpaceError("n must be >= 1")
-    r = int(r)
+    if type(r) is not int:
+        r = _integral_rank(r)
     c = c_x if type(c_x) is int else Q(c_x)  # an int has numerator and denominator too
+    if not c:
+        raise SpaceError("c_X must be nonzero")
     if c.denominator == 1:
         a = kx_rank_core(r, n, c.numerator)
         return (False, None, None) if a is None else (True, Q(a), True)

@@ -42,7 +42,7 @@ from .isometry import (
     spinor_norm,
 )
 from .lattice import NotFound
-from .linalg import Mat, Q, smith_normal_form, vec_add, vec_scale
+from .linalg import Mat, Q, smith_normal_form, vec_add, vec_scale, vec_sub
 from .moduli import (
     AlgebraicMukaiLattice,
     disc_lemma_check,
@@ -237,17 +237,6 @@ def crit04_pairing_factorials():
 # -- criterion 5 ---------------------------------------------------------------
 
 
-def _line_bundle_vector_shifted(space, lats, lam_s_coeffs, half_steps):
-    """alpha~ + (half_steps/2) delta~ + lam + (1 + b(lam,lam)/2) beta."""
-    lam = space.h2_embed(lam_s_coeffs + [0])
-    q = space.norm(lam)
-    v = lats.alpha_tilde
-    v = vec_add(v, vec_scale(Q(half_steps, 2), lats.delta_tilde))
-    v = vec_add(v, lam)
-    v = vec_add(v, vec_scale(1 + q / 2, space.beta))
-    return v
-
-
 def crit05_catalog(seed=DEFAULT_SEED):
     checks = []
     rng = random.Random(seed + 5)
@@ -276,8 +265,9 @@ def crit05_catalog(seed=DEFAULT_SEED):
     space = family_space("K3n", 3)
     lats = k3n_lattices(space)
     p = action(space, "spherical_P").iso
-    v_o = _line_bundle_vector_shifted(space, lats, [0] * 22, 1)
-    v_o_md = _line_bundle_vector_shifted(space, lats, [0] * 22, -1)
+    # v(O) = alpha~ + delta~/2 + beta and v(O(-delta)) = alpha~ - delta~/2 + beta
+    base, half_delta = vec_add(lats.alpha_tilde, space.beta), vec_scale(Q(1, 2), lats.delta_tilde)
+    v_o, v_o_md = vec_add(base, half_delta), vec_sub(base, half_delta)
     got = p(v_o)
     checks.append(check("spherical_P n=3 sends v(O) to -v(O(-delta))",
                         got == tuple(-c for c in v_o_md), got))
@@ -676,13 +666,14 @@ CRITERIA = {
     10: lambda seed=DEFAULT_SEED: crit10_moduli_box(),
     11: lambda seed=DEFAULT_SEED: crit11_rank_predicates(),
     12: lambda seed=DEFAULT_SEED: crit12_poincare(),
+    "dn": crit05_dn,
 }
 
 SUITES = {
     "linearisation": (1, 2, 4),
     "besse": (3, 9),
     "catalog": (5, 12),
-    "dn": (),
+    "dn": ("dn",),
     "lambda-invariance": (6, 7),
     "eichler": (8,),
     "moduli": (10, 11),
@@ -696,8 +687,6 @@ def run_suite(name, seed=DEFAULT_SEED, n=None, h2_rank=None):
     `n` and `h2_rank` narrow the linearisation suite to one symmetric
     degree or to the rank-3 custom configuration; other suites ignore them.
     """
-    if name == "dn":
-        return crit05_dn(seed)
     if name not in SUITES:
         raise ValueError("unknown suite %r" % (name,))
     checks = []

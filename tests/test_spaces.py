@@ -6,9 +6,9 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from extmukai.isometry import minus_identity
+from extmukai.isometry import minus_identity, reflection
 from extmukai.lattice import QuadLattice, discriminant_group, divisibility
-from extmukai.linalg import Mat, hnf_row_basis
+from extmukai.linalg import Mat, hnf_row_basis, kernel_basis
 from extmukai.spaces import (
     ExtMukaiSpace,
     SpaceError,
@@ -16,6 +16,7 @@ from extmukai.spaces import (
     ext_vector_line_bundle,
     ext_vector_point,
     in_hat_aut_plus,
+    is_hodge_isometry,
     k3n_lattices,
     k3n_type,
     kumn_type,
@@ -300,6 +301,77 @@ def test_split_algebraic():
     assert alg0.contains_ambient((Q(0),) * 25) and not alg0.contains_ambient(b)
 
 
+def count_span_builds(monkeypatch):
+    """A list that gains one entry each time the kept algebraic span of a
+    space is computed."""
+    built = []
+    build = spaces._algebraic_span.__wrapped__
+    monkeypatch.setattr(spaces._algebraic_span, "__wrapped__",
+                        lambda space: built.append(1) or build(space))
+    return built
+
+
+def test_algebraic_span_built_once_per_space(monkeypatch):
+    built = count_span_builds(monkeypatch)
+    ns = [[1] + [0] * 22, [0, 1] + [0] * 21, [0] * 22 + [1]]
+    space = ExtMukaiSpace(k3n_type(2), ns_sublattice=ns)
+    lats = k3n_lattices(space)
+    assert built == []
+    for lam in ([2, 1] + [0] * 20 + [1], [0, 0, 1] + [0] * 20):
+        is_hodge_isometry(b_field(space, lam), space)
+    split_algebraic(space, lats.lam)
+    split_algebraic(space, space.integral_lattice())
+    assert len(built) == 1
+    # an equal space gets its own span
+    is_hodge_isometry(minus_identity(space), ExtMukaiSpace(k3n_type(2), ns_sublattice=ns))
+    assert len(built) == 2
+
+
+def hodge_reference(g, space):
+    """The earlier test: every spanning vector of Q.alpha + NS_Q + Q.beta
+    mapped by g, paired with every form that cuts the span out."""
+    if space.ns_sublattice is None:
+        return True
+    ns_ambient = [space.h2_embed(v) for v in space.ns_sublattice]
+    span = [space.alpha] + ns_ambient + [space.beta]
+    forms = kernel_basis(Mat.from_rows(span))
+    for v in span:
+        gv = g(v)
+        for f in forms:
+            if sum(a * b for a, b in zip(gv, f)) != 0:
+                return False
+    return True
+
+
+def test_hodge_isometry_matches_the_double_loop():
+    # NS one primitive vector, several unit vectors and all of H^2 on K3n
+    # (n = 2); g random B-fields (some inside NS) and reflections (some in
+    # a vector of the algebraic span), and their composites
+    draw = random.Random(46)
+    one = [1, 2, -1] + [0] * 19 + [3]
+    several = [[int(i == k) for i in range(23)] for k in (0, 1, 5, 22)]
+    every = [[int(i == k) for i in range(23)] for k in range(23)]
+    outcomes = set()
+    for ns in ([one], several, every, None):
+        space = ExtMukaiSpace(k3n_type(2), ns_sublattice=ns)
+        inside = [space.alpha, space.beta] + [space.h2_embed(v) for v in ns or []]
+        for _ in range(12):
+            lam = [Q(draw.randint(-3, 3), draw.choice((1, 2))) for _ in range(23)]
+            if ns and draw.random() < 0.4:
+                lam = [sum(draw.randint(-2, 2) * v[i] for v in ns) for i in range(23)]
+            v = tuple(Q(draw.randint(-2, 2)) for _ in range(25))
+            if draw.random() < 0.4:
+                v = tuple(sum(draw.randint(-2, 2) * u[i] for u in inside) for i in range(25))
+            if space.norm(v) == 0:
+                continue
+            for g in (b_field(space, lam), reflection(space, v),
+                      reflection(space, v).compose(b_field(space, lam))):
+                want = hodge_reference(g, space)
+                assert is_hodge_isometry(g, space) == want
+                outcomes.add((ns is None, want))
+    assert outcomes == {(False, True), (False, False), (True, True)}
+
+
 def test_rank_predicates():
     assert rank_predicate_o_orbit(8, 3) == (True, 2)
     assert rank_predicate_o_orbit(-8, 3) == (True, 2)
@@ -317,6 +389,32 @@ def test_rank_predicates():
     # r = 2 * (1/2)^2 /... q^n must divide n!: a = 1/..., n! = 2: no q > 1
     ok, a, integral = rank_predicate_kx_orbit(6 * 27, 3, 1)  # a = 3
     assert ok and a == 3 and integral
+
+
+def test_kx_rank_predicate_refuses_c_x_zero():
+    # r * 0 = 0 is an n-th power for every r; c_X = 0 is refused, a negative
+    # c_X is still read
+    for c_x in (0, Q(0)):
+        for r in (0, 1, 6, -7):
+            with pytest.raises(SpaceError, match="c_X must be nonzero"):
+                rank_predicate_kx_orbit(r, 2, c_x)
+    for r, n, c_x in ((-3, 3, -2), (3, 1, -2), (-6, 1, Q(-1, 2))):
+        ok, a, _ = rank_predicate_kx_orbit(r, n, c_x)
+        assert ok and a**n * factorial(n) / Q(c_x) == r
+
+
+def test_rank_predicates_refuse_non_integral_ranks():
+    for r in (Q(9, 2), 6.9, Q(-1, 3), 0.5):
+        with pytest.raises(SpaceError):
+            rank_predicate_o_orbit(r, 2)
+        with pytest.raises(SpaceError):
+            rank_predicate_kx_orbit(r, 3, 1)
+    # integral Fractions and floats keep the answers of the equal int
+    for r in (8, -8, 12, 0, 6 * 27, 2):
+        for x in (Q(r), float(r)):
+            assert rank_predicate_o_orbit(x, 3) == rank_predicate_o_orbit(r, 3)
+            for c_x in (1, 2, Q(7, 2)):
+                assert rank_predicate_kx_orbit(x, 3, c_x) == rank_predicate_kx_orbit(r, 3, c_x)
 
 
 @pytest.mark.parametrize("n", [0, -1, -2])
