@@ -145,7 +145,7 @@ def dn_transfer(space, g):
     """
     if space.dtype.family != "K3n":
         raise CatalogError("dn_transfer lands on a K3n-type space")
-    if g.space.dim != 24:
+    if g.space.gram != k3_extended_space().gram:
         raise CatalogError("dn_transfer starts from the rank-24 K3 extended space")
     n = space.dtype.n
     dim = space.dim
@@ -154,8 +154,7 @@ def dn_transfer(space, g):
     rows = [(*row[:-1], 0, row[-1]) for row in g.matrix.entries()]
     rows.insert(dim - 2, (0,) * (dim - 2) + (1, 0))
     iota_g = Isometry(space, Mat(rows), check=False)
-    half_delta = [Q(0)] * space.b2
-    half_delta[space.b2 - 1] = Q(1, 2)
+    half_delta = (0,) * (space.b2 - 1) + (Q(1, 2),)
     b_minus = b_field(space, [-c for c in half_delta])
     b_plus = b_field(space, half_delta)
     out = b_minus.compose(iota_g).compose(b_plus)

@@ -55,6 +55,14 @@ class IsometryError(ValueError):
     pass
 
 
+def _require_space(gram, other):
+    """Raise unless the Gram `other` is `gram`: the one test that an isometry
+    or a lattice lives in a given space, "space mismatch" when the
+    dimensions agree and "dimension mismatch" when they differ."""
+    if other is not gram and other != gram:
+        raise IsometryError("space mismatch" if other.rows == gram.rows else "dimension mismatch")
+
+
 class QuadSpace:
     """A rational quadratic space: a dimension and a symmetric Gram matrix."""
 
@@ -108,6 +116,8 @@ class Isometry:
     __slots__ = ("space", "matrix", "word", "_kept_det", "_on_bases")
 
     def __init__(self, space, matrix, word=None, check=True):
+        if check and (matrix.rows, matrix.cols) != (space.dim, space.dim):
+            raise IsometryError("dimension mismatch")
         if check and product(matrix.transpose(), space.gram, matrix) != space.gram:
             raise IsometryError("matrix does not preserve the form")
         self.space = space
@@ -142,8 +152,7 @@ class Isometry:
 
     def compose(self, other, word=None):
         """self after other (matrix product self * other)."""
-        if self.space != other.space:
-            raise IsometryError("space mismatch")
+        _require_space(self.space.gram, other.space.gram)
         return Isometry(self.space, self.matrix * other.matrix, word=word, check=False)
 
     def inverse(self):
@@ -274,8 +283,7 @@ def _require_in_space(g, lat):
     """Raise unless L is embedded in the space of g, with the same Gram."""
     if lat.basis_in_ambient is None:
         raise IsometryError("lattice must be embedded in the isometry's space")
-    if lat.ambient_gram != g.space.gram:
-        raise IsometryError("dimension mismatch")
+    _require_space(g.space.gram, lat.ambient_gram)
 
 
 def preserves_lattice(g, lat):
@@ -342,8 +350,7 @@ def generate_bounded(gens, depth, cap=20000):
         raise IsometryError("no generators")
     space = gens[0].space
     for g in gens:
-        if g.space != space:
-            raise IsometryError("generators on different spaces")
+        _require_space(space.gram, g.space.gram)
     seen = {Mat.identity(space.dim): identity_isometry(space)}
     frontier = [seen[Mat.identity(space.dim)]]
     for _ in range(depth):

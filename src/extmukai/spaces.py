@@ -24,7 +24,8 @@ split".
 
 from math import factorial, gcd, isqrt
 
-from .isometry import QuadSpace, disc_action, eichler_transvection, preserves_lattice, spinor_norm
+from .isometry import (QuadSpace, _require_space, disc_action, eichler_transvection,
+                       preserves_lattice, spinor_norm)
 from .lattice import QuadLattice, orthogonal_complement, standard_lattice
 from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kept, kernel_basis, product,
                      saturation_basis, vec_is_integral, vec_is_zero)
@@ -341,8 +342,10 @@ def split_algebraic(space, lat):
 
     The algebraic part is the saturated intersection with
     Q.alpha + NS x Q + Q.beta; the transcendental part is its orthogonal
-    complement inside the lattice.  Requires a designated NS.
+    complement inside the lattice.  Requires a designated NS and L in the
+    space.
     """
+    _require_space(space.gram, lat.ambient_gram)
     if space.ns_sublattice is None:
         raise SpaceError("no designated algebraic sublattice")
     # rows: one per form, evaluated on the lattice basis; kernel = coords of
@@ -368,8 +371,9 @@ def is_hodge_isometry(g, space):
 
     It suffices to check that the algebraic span is carried into itself,
     F M S^T = 0: the transcendental side is its orthogonal complement and g
-    is an isometry.
+    is an isometry.  g must be an isometry of `space`.
     """
+    _require_space(space.gram, g.space.gram)
     if space.ns_sublattice is None:
         return True
     span, forms = _algebraic_span(space)

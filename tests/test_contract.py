@@ -5,21 +5,28 @@ A refactor must leave both files as they are; a deliberate change of the
 contract rewrites them with `public_api()` and `json_formats()`.
 """
 
+import functools
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import extmukai
 from extmukai import serialize
-from extmukai.catalog import REFLECTION_TWISTS
-from extmukai.isometry import Isometry, QuadSpace, reflection
+from extmukai.catalog import REFLECTION_TWISTS, CatalogError, action, dn_transfer, k3_extended_space
+from extmukai.isometry import (Isometry, IsometryError, QuadSpace, disc_action, generate_bounded,
+                               preserves_lattice, reflection)
 from extmukai.lattice import QuadLattice
 from extmukai.linalg import Mat, vec_add
-from extmukai.spaces import ExtMukaiSpace, custom_type, k3n_type, kumn_type
+from extmukai.spaces import (ExtMukaiSpace, b_field, custom_type, in_hat_aut_plus, is_hodge_isometry,
+                             k3n_lattices, k3n_type, kumn_type, split_algebraic)
 from extmukai.verbitsky import SymElement, lefschetz_e, restricted_space, sqrt_todd_argument
 
 DATA = Path(__file__).parent / "data"
@@ -161,3 +168,108 @@ def test_twist_table_is_a_plain_dict_of_tuples():
     # no class (namedtuple, dataclass) is made at import for the table
     assert type(REFLECTION_TWISTS) is dict
     assert all(type(entry) is tuple for entry in REFLECTION_TWISTS.values())
+
+
+# -- the space contract --------------------------------------------------------
+#
+# An isometry acts on its own space only.  Every public entry that takes an
+# isometry together with something that must share its space refuses a
+# foreign one with the package's error: "space mismatch" for a space of the
+# same dimension, "dimension mismatch" for one of another dimension.  The
+# foreign spaces are K3[3] (dimension 25, as K3[2]) and Kum2 (dimension 9);
+# for `dn_transfer` the home is the rank-24 K3 extended space and the foreign
+# space of equal dimension has H^2 Gram -2 I_22.
+
+
+def _objects(space, k3_iso):
+    """An isometry of `space` (the B-field of its last H^2 unit, an isometry
+    of no other space here), a full-rank lattice of it and, for the
+    Hilbert-scheme transfer, `k3_iso`."""
+    lam = [0] * (space.b2 - 1) + [1]
+    lat = k3n_lattices(space).lam if space.dtype.family == "K3n" else space.integral_lattice()
+    return SimpleNamespace(space=space, g=b_field(space, lam), lat=lat, g24=k3_iso)
+
+
+@functools.cache
+def _case(case):
+    """The objects of one case: "home", "twin" (a second build of the home
+    spaces, equal Grams in other objects), "equal" or "other"."""
+    ns = [[1] + [0] * 22]
+    if case in ("home", "twin"):
+        k3 = k3_extended_space()
+        return _objects(ExtMukaiSpace(k3n_type(2), ns), b_field(k3, [1] + [0] * 21))
+    if case == "equal":
+        other24 = ExtMukaiSpace(custom_type(1, 1, 1, Mat.diagonal([-2] * 22)))
+        return _objects(ExtMukaiSpace(k3n_type(3), ns), reflection(other24, other24.basis_vector(1)))
+    kum = ExtMukaiSpace(kumn_type(2), [[1] + [0] * 6])
+    return _objects(kum, b_field(kum, [1] + [0] * 6))
+
+
+def _home():
+    return _case("home")
+
+
+# public_api.json entries that take an isometry with something of its space
+SPACE_GUARDED = {
+    "Isometry.compose": lambda f: _home().g.compose(f.g),
+    "Isometry.on_lattice": lambda f: _home().g.on_lattice(f.lat),
+    "preserves_lattice": lambda f: preserves_lattice(_home().g, f.lat),
+    "disc_action": lambda f: disc_action(f.g, _home().lat),
+    "in_hat_aut_plus": lambda f: in_hat_aut_plus(f.g, _home().space),
+    "generate_bounded": lambda f: generate_bounded([_home().g, f.g], 0),
+    "dn_transfer": lambda f: dn_transfer(_home().space, f.g24),
+    "action": lambda f: action(_home().space, "dn_transfer", g=f.g24),
+}
+# entries that take one isometry and nothing to mismatch it against
+SPACE_EXEMPT = ("spinor_norm", "cartan_dieudonne")
+# guarded as well, outside the rule that derives SPACE_GUARDED
+SPACE_GUARDED_TOO = {
+    "Isometry": lambda f: Isometry(_home().space, f.g.matrix),
+    "split_algebraic": lambda f: split_algebraic(_home().space, f.lat),
+    "is_hodge_isometry": lambda f: is_hodge_isometry(f.g, _home().space),
+    "is_hodge_isometry without NS": lambda f: is_hodge_isometry(f.g, ExtMukaiSpace(k3n_type(2))),
+}
+SPACE_CALLS = {**SPACE_GUARDED, **SPACE_GUARDED_TOO}
+
+
+def _refusal(name, case):
+    """(error class, exact message) of the entry `name` on a foreign case."""
+    if name in ("dn_transfer", "action"):
+        return CatalogError, "dn_transfer starts from the rank-24 K3 extended space"
+    if name == "Isometry" and case == "equal":  # a 25 x 25 matrix, not of this form
+        return IsometryError, "matrix does not preserve the form"
+    return IsometryError, "space mismatch" if case == "equal" else "dimension mismatch"
+
+
+def _params(signature):
+    return {p.split("=")[0].strip(" *") for p in signature.strip("()").split(",")}
+
+
+def test_space_guarded_table_covers_the_public_api():
+    # every entry or method naming g or gens, and the Isometry methods that
+    # take other or lat; a new public function of that shape must join a table
+    api = json.loads((DATA / "public_api.json").read_text())
+    signed = [(name, e["signature"]) for name, e in api.items() if e.get("signature")]
+    signed += [(name + "." + m, e["signature"]) for name, entry in api.items()
+               for m, e in (entry.get("methods") or {}).items() if e.get("signature")]
+    shape = {name for name, sig in signed if _params(sig) & {"g", "gens"}
+             or name.startswith("Isometry.") and _params(sig) & {"other", "lat"}}
+    assert shape == set(SPACE_GUARDED) | set(SPACE_EXEMPT)
+    assert set(SPACE_GUARDED).isdisjoint(SPACE_EXEMPT)
+
+
+@pytest.mark.parametrize("case", ["equal", "other"])
+@pytest.mark.parametrize("name", SPACE_CALLS)
+def test_foreign_space_is_refused(name, case):
+    err, message = _refusal(name, case)
+    with pytest.raises(err, match="^%s$" % re.escape(message)) as info:
+        SPACE_CALLS[name](_case(case))
+    assert type(info.value) is err
+
+
+@pytest.mark.parametrize("name", SPACE_CALLS)
+def test_equal_space_built_twice_is_accepted(name):
+    # the same space is decided by equal Grams, not by the same object
+    twin = _case("twin")
+    assert twin.space.gram == _home().space.gram and twin.space.gram is not _home().space.gram
+    SPACE_CALLS[name](twin)

@@ -393,7 +393,7 @@ def test_on_lattice_of_another_space_raises_dimension_mismatch():
     space, _ = k3n_setup(3)
     _, lats4 = k3n_setup(4)
     g = b_field(space, [1] + [0] * 22)
-    with pytest.raises(IsometryError, match="^dimension mismatch$"):
+    with pytest.raises(IsometryError, match="^space mismatch$"):
         g.on_lattice(lats4.lam)
     assert g._on_bases == {}
 
@@ -406,7 +406,7 @@ def test_on_lattice_of_another_space_raises_after_a_hit_on_the_same_basis():
     g = identity_isometry(space)
     m = g.on_lattice(QuadLattice.from_basis(rows, space.gram))
     assert g.on_lattice(QuadLattice.from_basis(rows, space.gram)) is m  # a hit
-    with pytest.raises(IsometryError, match="^dimension mismatch$"):
+    with pytest.raises(IsometryError, match="^space mismatch$"):
         g.on_lattice(QuadLattice.from_basis(rows, other))
     assert len(g._on_bases) == 1
 
@@ -415,7 +415,7 @@ def test_lattice_witness_of_another_space_raises_dimension_mismatch():
     space, _ = k3n_setup(3)
     _, lats4 = k3n_setup(4)
     g = b_field(space, [1] + [0] * 22)
-    with pytest.raises(IsometryError, match="^dimension mismatch$"):
+    with pytest.raises(IsometryError, match="^space mismatch$"):
         lattice_witness(g, lats4.lam)
 
 
