@@ -63,6 +63,12 @@ def _require_space(gram, other):
         raise IsometryError("space mismatch" if other.rows == gram.rows else "dimension mismatch")
 
 
+def _require_length(dim, *vs):
+    """Raise "dimension mismatch" unless every vector of vs has dim entries."""
+    if any(len(v) != dim for v in vs):
+        raise IsometryError("dimension mismatch")
+
+
 class QuadSpace:
     """A rational quadratic space: a dimension and a symmetric Gram matrix."""
 
@@ -141,7 +147,7 @@ class Isometry:
         key = (lat.basis_in_ambient, lat.ambient_gram)
         m = bases.get(key)
         if m is None:
-            _require_in_space(self, lat)
+            _require_in_space(self.space, lat)
             if lat.rank != self.space.dim:
                 raise IsometryError("dimension mismatch")
             c, cinv = lat.basis_change()
@@ -190,6 +196,7 @@ def minus_identity(space):
 def reflection(space, v):
     """Reflection along an anisotropic vector: x -> x - 2 b(x,v)/b(v,v) v,
     that is I - (2 / q) vi gv^T for v = vi / e, gv = (d G) vi, q = vi . gv."""
+    _require_length(space.dim, v)
     _, vi, gv = space.gram.int_product(v)
     q = sum(map(mul, vi, gv))
     if q == 0:
@@ -204,6 +211,7 @@ def eichler_transvection(space, e, a):
     Requires b(e, e) = 0 and b(e, a) = 0.  Determinant +1, spinor norm +1,
     trivial on any discriminant group of a lattice containing e and a.
     """
+    _require_length(space.dim, e, a)
     de, ei, ge = space.gram.int_product(e)
     if sum(map(mul, ei, ge)):
         raise IsometryError("e must be isotropic")
@@ -279,11 +287,11 @@ def spinor_norm(g):
 # -- lattice interaction ------------------------------------------------------
 
 
-def _require_in_space(g, lat):
-    """Raise unless L is embedded in the space of g, with the same Gram."""
+def _require_in_space(space, lat):
+    """Raise unless L is embedded in `space`, with the same Gram."""
     if lat.basis_in_ambient is None:
         raise IsometryError("lattice must be embedded in the isometry's space")
-    _require_space(g.space.gram, lat.ambient_gram)
+    _require_space(space.gram, lat.ambient_gram)
 
 
 def preserves_lattice(g, lat):
@@ -293,7 +301,7 @@ def preserves_lattice(g, lat):
     M of g on L is then integral with M^T G_L M = G_L, so det M = +-1 and
     M^{-1} is integral too.  A degenerate G_L needs g^{-1}(L) in L as well.
     """
-    _require_in_space(g, lat)
+    _require_in_space(g.space, lat)
     if lat.rank < g.space.dim:
         return lattice_witness(g, lat) is None
     # full rank: g preserves L iff its matrix in lattice coordinates is integral
@@ -305,7 +313,7 @@ def preserves_lattice(g, lat):
 def lattice_witness(g, lat):
     """A basis vector of L whose image leaves L (for a degenerate Gram of L,
     possibly the preimage of one that leaves L), or None."""
-    _require_in_space(g, lat)
+    _require_in_space(g.space, lat)
     ginv = None if lat.is_nondegenerate() else g.inverse()
     for i in range(lat.rank):
         v = lat.basis_in_ambient.row(i)
@@ -384,6 +392,7 @@ class TransvectionWord:
         """The word applied to v (ints or Fractions), in integers: v = x / den,
         and a step pairs x with (d G) e and (d G) a (`Mat.int_product`), taken
         once per distinct vector of the word."""
+        _require_length(self.carrier.rank, v)
         gram = self.carrier.gram
         d = gram.denominator_lcm()
         den, x = cleared(v)

@@ -223,19 +223,6 @@ class Mat:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        d = lcm(self._den, other._den)
-        fa, fb = d // self._den, d // other._den
-        rows = zip(self._ints, other._ints, strict=True)
-        out = [[fa * x + fb * y for x, y in zip(r, s, strict=True)] for r, s in rows]
-        return _make(d, out, self.cols)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return _make(self._den, [[-x for x in r] for r in self._ints], self.cols)
-
     def scale(self, c):
         c = Q(c)
         out = [[c.numerator * x for x in r] for r in self._ints]

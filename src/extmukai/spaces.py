@@ -24,8 +24,8 @@ split".
 
 from math import factorial, gcd, isqrt
 
-from .isometry import (QuadSpace, _require_space, disc_action, eichler_transvection,
-                       preserves_lattice, spinor_norm)
+from .isometry import (QuadSpace, _require_in_space, _require_space, disc_action,
+                       eichler_transvection, preserves_lattice, spinor_norm)
 from .lattice import QuadLattice, orthogonal_complement, standard_lattice
 from .linalg import (Mat, Q, hnf_row_basis, integer_kernel_basis, kept, kernel_basis, product,
                      saturation_basis, vec_is_integral, vec_is_zero)
@@ -345,7 +345,7 @@ def split_algebraic(space, lat):
     complement inside the lattice.  Requires a designated NS and L in the
     space.
     """
-    _require_space(space.gram, lat.ambient_gram)
+    _require_in_space(space, lat)
     if space.ns_sublattice is None:
         raise SpaceError("no designated algebraic sublattice")
     # rows: one per form, evaluated on the lattice basis; kernel = coords of
@@ -386,14 +386,10 @@ def b_field(space, lam):
         B(r alpha + mu + s beta)
             = r alpha + mu + r lambda + (s + b(lambda, mu) + r b(lambda, lambda)/2) beta
 
-    for lambda in H^2.  B_lambda o B_mu = B_{lambda + mu}.  It is the
-    Eichler transvection t(-beta, lambda).
+    for lambda in H^2, given by its b_2 coordinates.  B_lambda o B_mu =
+    B_{lambda + mu}.  It is the Eichler transvection t(-beta, lambda).
     """
     lam = tuple(Q(c) for c in lam)
-    if len(lam) == space.dim:
-        if not space.is_h2(lam):
-            raise SpaceError("lambda must have no alpha or beta component")
-        lam = space.h2_part(lam)
     if len(lam) != space.b2:
         raise SpaceError("lambda must be an H^2 vector")
     return eichler_transvection(space, (0,) * (space.dim - 1) + (-1,), (0,) + lam + (0,))

@@ -526,11 +526,11 @@ def integrate(space, omegas):
     pairing is the integer w_i . (d G) w_j over d e_i e_j; a matching uses
     every class once, so the sum runs in integers over d^n prod e_i."""
     n = space.dtype.n
-    omegas = [_rationals(w) for w in omegas]
+    omegas = list(omegas)
     if len(omegas) != 2 * n:
         raise SymError("need exactly 2n classes")
     h2 = space.dtype.h2_gram
-    classes = [h2.int_product(w) for w in omegas]
+    classes = _h2_classes(space, omegas)
     vals = [[sum(map(mul, vi, gv)) for _, _, gv in classes] for _, vi, _ in classes]
 
     def match(rest):  # the first class against each other one, then the others

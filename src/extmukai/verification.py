@@ -31,7 +31,6 @@ from .catalog import REFLECTION_TWISTS, action, dn_transfer, k3_extended_space, 
 from .isometry import (
     TransvectionWord,
     disc_action,
-    disc_class_rep,
     eichler_transport,
     eichler_transvection,
     identity_isometry,
@@ -404,10 +403,11 @@ def crit08_eichler_transport(seed=DEFAULT_SEED):
     L = lats.lam
 
     def random_primitive():
-        v = None
-        while v is None:
-            v = _draw_primitive(rng)
-        return v
+        """Draws of 25 entries in [-4, 4] until one is primitive."""
+        while True:
+            x = [rng.randint(-4, 4) for _ in range(25)]
+            if gcd(*x) == 1:
+                return tuple(Q(c) for c in x)
 
     def orbit_partner(v):
         y = v
@@ -436,23 +436,26 @@ def crit08_eichler_transport(seed=DEFAULT_SEED):
     checks = [check("50 matched pairs transported (n=3)", first is None,
                     first or "max word length %d" % max(lengths))]
 
-    # mismatched pairs return NotFound with the right reason
+    # mismatched pairs return NotFound with the right reason.  e1 + delta~ and
+    # 2 e1 + delta~ (e1 isotropic at coordinate 1, delta~ at 24) are primitive
+    # of square 2 - 2n, in the classes 0 and delta~ / 2 of A(Lambda)
+    disc_pair = [tuple(Q(c) for c in [0, k] + [0] * 22 + [1]) for k in (1, 2)]
+
     def mismatched():
         for trial in range(10):
-            v = random_primitive()
             mode = trial % 3
             if mode == 0:
+                v = random_primitive()
                 w = random_primitive()
                 while L.norm(w) == L.norm(v):
                     w = random_primitive()
                 want = "square"
             elif mode == 1:
+                v = random_primitive()
                 w = tuple(3 * c for c in v)
                 want = "primitivity"
             else:
-                w = _same_square_other_class(L, v, rng)
-                if w is None:
-                    continue
+                v, w = disc_pair
                 want = "disc class"
             res = eichler_transport(L, v, w)
             if not isinstance(res, NotFound) or res.reason != want:
@@ -460,25 +463,6 @@ def crit08_eichler_transport(seed=DEFAULT_SEED):
 
     checks.append(_first_failure("mismatched pairs rejected with reasons", mismatched()))
     return checks
-
-
-def _draw_primitive(rng):
-    """One draw of 25 entries in [-4, 4]: the vector if it is primitive, else None."""
-    x = [rng.randint(-4, 4) for _ in range(25)]
-    return tuple(Q(c) for c in x) if gcd(*x) == 1 else None
-
-
-def _same_square_other_class(L, v, rng):
-    """A primitive vector of the same square whose disc class differs, from
-    at most 200 draws."""
-    target = L.norm(v)
-    for _ in range(200):
-        xv = _draw_primitive(rng)
-        if xv is None or L.norm(xv) != target:
-            continue
-        if disc_class_rep(L, xv) != disc_class_rep(L, v):
-            return xv
-    return None
 
 
 # -- criterion 9 ---------------------------------------------------------------

@@ -21,7 +21,8 @@ import pytest
 import extmukai
 from extmukai import serialize
 from extmukai.catalog import REFLECTION_TWISTS, CatalogError, action, dn_transfer, k3_extended_space
-from extmukai.isometry import (Isometry, IsometryError, QuadSpace, disc_action, generate_bounded,
+from extmukai.isometry import (Isometry, IsometryError, QuadSpace, TransvectionWord, disc_action,
+                               eichler_transvection, generate_bounded, lattice_witness,
                                preserves_lattice, reflection)
 from extmukai.lattice import QuadLattice
 from extmukai.linalg import Mat, vec_add
@@ -273,3 +274,45 @@ def test_equal_space_built_twice_is_accepted(name):
     twin = _case("twin")
     assert twin.space.gram == _home().space.gram and twin.space.gram is not _home().space.gram
     SPACE_CALLS[name](twin)
+
+
+# entries that take a lattice refuse one with no ambient embedding
+UNEMBEDDED_CALLS = {
+    "Isometry.on_lattice": lambda lat: _home().g.on_lattice(lat),
+    "preserves_lattice": lambda lat: preserves_lattice(_home().g, lat),
+    "lattice_witness": lambda lat: lattice_witness(_home().g, lat),
+    "disc_action": lambda lat: disc_action(_home().g, lat),
+    "split_algebraic": lambda lat: split_algebraic(_home().space, lat),
+}
+
+
+@pytest.mark.parametrize("name", UNEMBEDDED_CALLS)
+def test_unembedded_lattice_is_refused(name):
+    message = "lattice must be embedded in the isometry's space"
+    with pytest.raises(IsometryError, match="^%s$" % re.escape(message)) as info:
+        UNEMBEDDED_CALLS[name](QuadLattice(_home().lat.gram))
+    assert type(info.value) is IsometryError
+
+
+# entries that take vectors of a space (or, for a word, of its carrier Lambda)
+# refuse a vector of another length: the Kum2 length 9, and one entry short
+# of the 25 of the home space and one over
+def _unit(length):
+    return (1,) + (0,) * (length - 1)
+
+
+VECTOR_CALLS = {
+    "reflection": lambda v: reflection(_home().space, v),
+    "eichler_transvection e": lambda v: eichler_transvection(_home().space, v, _unit(25)),
+    "eichler_transvection a": lambda v: eichler_transvection(_home().space, _unit(25), v),
+    "TransvectionWord.apply": lambda v: TransvectionWord(
+        _home().lat, [(_unit(25), (0, 1) + (0,) * 23)]).apply(v),
+}
+
+
+@pytest.mark.parametrize("length", [9, 24, 26])
+@pytest.mark.parametrize("name", VECTOR_CALLS)
+def test_vector_of_another_length_is_refused(name, length):
+    with pytest.raises(IsometryError, match="^dimension mismatch$") as info:
+        VECTOR_CALLS[name](_unit(length))
+    assert type(info.value) is IsometryError

@@ -691,6 +691,45 @@ def test_reducer_reads_x_off_coordinates():
     assert signs == {1, -1}
 
 
+def _unit_sum(*terms):
+    """sum of c e_k over the (k, c) of terms, in Lambda's 25 coordinates."""
+    v = [Q(0)] * 25
+    for k, c in terms:
+        v[k] += c
+    return tuple(v)
+
+
+@pytest.mark.parametrize("v, first", [
+    # L0 only: X = 0, and reduce's first step is t(F1, e_k)
+    (_unit_sum((6, 1)), ("t", ((23, -1),), ((5, 1),), (0, 0, 0, 0))),
+    # only s nonzero: the move row1 += row2
+    (_unit_sum((23, 1), (6, 1)), ("move", "row1", 1, (0, 0, 0, -1))),
+    # p < 0 and r = q = 0: the move row2 += row1
+    (_unit_sum((0, -1), (6, 1)), ("move", "row2", 1, (-1, 0, 0, 0))),
+], ids=["L0_only", "only_s", "p_negative"])
+def test_reducer_branches_of_degenerate_starts(monkeypatch, v, first):
+    # on Lambda (n = 3) the frame is E1 = e0, F1 = -e23, E2 = e1, F2 = e2;
+    # v goes to its image under t(e0, e1 + e5), and the first step of the
+    # reduction of v is the branch named
+    space, lats = k3n_setup(3)
+    lam = lats.lam
+    assert isometry._hyperbolic_frame(lam)[:4] == (((0, 1),), ((23, -1),), ((1, 1),), ((2, 1),))
+    calls = []
+    t, move = isometry._Reducer.t, isometry._Reducer.move
+    monkeypatch.setattr(isometry._Reducer, "t", lambda self, e, a: (
+        calls.append(("t", e, a, tuple(self.X()))), t(self, e, a))[1])
+    monkeypatch.setattr(isometry._Reducer, "move", lambda self, kind, k: (
+        calls.append(("move", kind, k, tuple(self.X()))), move(self, kind, k))[1])
+    w = TransvectionWord(lam, [(_unit_sum((0, 1)), _unit_sum((1, 1), (5, 1)))]).apply(v)
+    assert w != v
+    word = eichler_transport(lam, v, w)
+    assert not isinstance(word, NotFound)
+    assert word.apply(v) == w
+    g = transport_word_isometry(space, lam, word)
+    assert g(lam.ambient_vector(v)) == lam.ambient_vector(w)
+    assert calls[0] == first
+
+
 def _dense_unit(unit, n):
     """The sparse unit ((index, sign),) as n Fractions."""
     (i, c), = unit

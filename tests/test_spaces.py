@@ -266,6 +266,15 @@ def test_lambda_independent_of_exceptional_choice():
             assert shifted.same_subset_as(lats.lam)
 
 
+def test_b_field_takes_h2_classes_only():
+    # lambda is given by its b_2 coordinates; an ambient vector is refused
+    space = ExtMukaiSpace(k3n_type(2))
+    lam = [1] + [0] * 22
+    assert b_field(space, lam)(space.alpha) == (Q(1), Q(1)) + (Q(0),) * 23  # e1 isotropic
+    with pytest.raises(SpaceError, match="^lambda must be an H\\^2 vector$"):
+        b_field(space, [0] + lam + [0])
+
+
 def test_split_algebraic():
     space = ExtMukaiSpace(
         k3n_type(2),

@@ -285,6 +285,15 @@ def test_integrate():
         assert integrate(sp, ws) == integrate_via_pairing(sp, ws)
 
 
+def test_integrate_refuses_a_class_of_another_length():
+    space = ExtMukaiSpace(k3n_type(2))
+    w = (Q(1),) + (Q(0),) * 22
+    with pytest.raises(SymError, match="^need exactly 2n classes$"):
+        integrate(space, [w] * 3)
+    with pytest.raises(SymError, match="^omega must be an H\\^2 vector$"):
+        integrate(space, [w] * 3 + [w[:-1]])
+
+
 def test_euler_characteristics():
     # K3 surface: chi(L) = l/2 + 2
     for l in (0, 2, -2, 8, 20):

@@ -94,6 +94,22 @@ def test_crit08_fails_when_transport_finds_nothing(monkeypatch):
     assert not any(c["pass"] for c in checks)
 
 
+def test_crit08_checks_the_disc_class_mode(monkeypatch):
+    # a transport that refuses a same-square pair of other disc classes for
+    # its square fails the mismatched check in its disc-class mode
+    def wrap(f):
+        def transport(L, v, w):
+            res = f(L, v, w)
+            return NotFound("square") if getattr(res, "reason", None) == "disc class" else res
+        return transport
+
+    shifted(monkeypatch, "eichler_transport", wrap)
+    checks = V.crit08_eichler_transport()
+    assert checks[0]["pass"]
+    assert checks[1] == {"name": "mismatched pairs rejected with reasons", "pass": False,
+                         "detail": "mode disc class gave NotFound('square')"}
+
+
 def test_crit09_fails_on_a_wrong_laplacian(monkeypatch):
     monkeypatch.setattr(V, "laplacian", lambda x: x)
     checks = V.crit09_isotropy()
